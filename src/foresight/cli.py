@@ -30,6 +30,7 @@ from .metrics import (
     MissingSnapshot,
     UnknownEvent,
     coherence_sum,
+    join_by_event,
     load_forecasts,
     market_forecast_records,
     prediction_shift,
@@ -184,19 +185,20 @@ def build_backend(spec: str, config: dict[str, str]) -> CompletionBackend:
 
 
 def _build_news_clients(args, cache_dir: Path | None, replay_only: bool):
-    hn = HackerNewsClient(args.hn_endpoint or DEFAULT_HN_ENDPOINT)
+    def cached(client):
+        if cache_dir is None:
+            return client
+        return CachedNewsClient(cache_dir / "news", client, replay_only=replay_only)
+
+    hn = cached(HackerNewsClient(args.hn_endpoint or DEFAULT_HN_ENDPOINT))
     api_key = os.environ.get(NYT_API_KEY_ENV)
-    if api_key:
-        nyt = NYTClient(api_key, args.nyt_endpoint or DEFAULT_NYT_ENDPOINT)
-    else:
-        nyt = _UnconfiguredNewsClient(
+    if not api_key:
+        # Never cached: it records nothing, so a replay without the key must
+        # take this same path to reproduce the run.
+        return hn, _UnconfiguredNewsClient(
             Source.NYT, f"set {NYT_API_KEY_ENV} to query the New York Times"
         )
-    if cache_dir is not None:
-        news_dir = cache_dir / "news"
-        hn = CachedNewsClient(news_dir, hn, replay_only=replay_only)
-        nyt = CachedNewsClient(news_dir, nyt, replay_only=replay_only)
-    return hn, nyt
+    return hn, cached(NYTClient(api_key, args.nyt_endpoint or DEFAULT_NYT_ENDPOINT))
 
 
 _UNSAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
@@ -317,36 +319,26 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _probability_map(records, side: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for record in records:
-        if record.event_id in out:
-            raise ConfigError(f"{side} file lists event {record.event_id!r} more than once")
-        out[record.event_id] = record.probability
-    return out
+def _probabilities(path) -> list[tuple[str, float]]:
+    return [(record.event_id, record.probability) for record in load_forecasts(path)]
 
 
 def cmd_bias(args) -> int:
-    forward = _probability_map(load_forecasts(args.forward), "forward")
-    flipped = _probability_map(load_forecasts(args.reversed_file), "reversed")
-    if set(forward) != set(flipped):
-        raise MismatchedEventSets(set(forward) ^ set(flipped))
-    if not forward:
-        raise EmptyInput("no forecasts to compare")
-    mean_forward = math.fsum(forward.values()) / len(forward)
-    mean_flipped = math.fsum(flipped.values()) / len(flipped)
+    rows = join_by_event(_probabilities(args.forward), _probabilities(args.reversed_file))
+    mean_forward = math.fsum(row[1] for row in rows) / len(rows)
+    mean_flipped = math.fsum(row[2] for row in rows) / len(rows)
     # Reversed runs already report 1 - P(opposite), so undo that complement
     # to recover the probability put on the opposite event.
     mean_opposite = 1.0 - mean_flipped
     total = coherence_sum(mean_forward, mean_opposite)
-    print(f"n = {len(forward)}")
+    print(f"n = {len(rows)}")
     print(f"mean forward probability      {round4(mean_forward):.4f}")
     print(f"mean reversed probability     {round4(mean_flipped):.4f}")
     print(f"implied opposite probability  {round4(mean_opposite):.4f}")
     print(f"coherence sum (ideal 1.0)     {round4(total):.4f}")
     if args.out:
         payload = {
-            "n": len(forward),
+            "n": len(rows),
             "mean_forward": mean_forward,
             "mean_reversed": mean_flipped,
             "implied_opposite": mean_opposite,
@@ -360,12 +352,7 @@ def cmd_bias(args) -> int:
 
 
 def cmd_rationale(args) -> int:
-    just = load_forecasts(args.just)
-    rationale = load_forecasts(args.rationale)
-    rows = prediction_shift(
-        [(record.event_id, record.probability) for record in just],
-        [(record.event_id, record.probability) for record in rationale],
-    )
+    rows = prediction_shift(_probabilities(args.just), _probabilities(args.rationale))
     print("event_id\tp_just\tp_rationale\tdelta")
     for event_id, p_just, p_rationale, delta in rows:
         print(

@@ -267,14 +267,12 @@ def _parse_record(obj: object) -> tuple[Event, list[MarketSnapshot]]:
     return event, snapshots
 
 
-def parse_dataset(source: str | IO[str], *, format: str = "jsonl", label: str = "custom") -> DatasetSplit:
+def parse_dataset(source: str | IO[str], *, label: str = "custom") -> DatasetSplit:
     """Parse a JSON-lines event file into a :class:`DatasetSplit`.
 
     The whole file is rejected on the first malformed line (``MalformedRecord``
     carries the 1-based line number) or repeated event id (``DuplicateId``).
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported dataset format {format!r}")
     text = source if isinstance(source, str) else source.read()
     events: list[Event] = []
     snapshots: list[MarketSnapshot] = []

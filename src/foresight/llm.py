@@ -4,7 +4,8 @@ Three implementations: a live HTTP backend speaking a chat/completions-style
 JSON API, a deterministic scripted mock for offline runs, and a
 content-addressed record/replay cache that wraps either.  Cache keys are the
 SHA-256 of the backend id plus the canonicalized request, so any change to
-prompt or sampling parameters is a distinct entry.
+prompt or sampling parameters is a distinct entry.  The cache's
+:class:`ContentStore` also backs the news cache.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
 
 __all__ = [
     "CompletionRequest",
     "CompletionResponse",
-    "CacheKey",
     "CompletionBackend",
     "BackendError",
     "BackendUnavailable",
@@ -35,7 +35,6 @@ __all__ = [
     "ReplayMiss",
     "CacheCorrupt",
     "complete",
-    "cached_complete",
     "canonical_request",
     "cache_key",
     "MockRule",
@@ -43,6 +42,7 @@ __all__ = [
     "HttpBackend",
     "NullBackend",
     "CachedBackend",
+    "ContentStore",
     "TokenBucket",
     "DEFAULT_TEMPERATURE",
     "FINAL_SAMPLE_COUNT",
@@ -51,6 +51,8 @@ __all__ = [
 DEFAULT_TEMPERATURE = 0.01
 FINAL_SAMPLE_COUNT = 8
 DEFAULT_MAX_TOKENS = 1024
+
+_T = TypeVar("_T")
 
 BASE_URL_ENV = "FORESIGHT_LLM_BASE_URL"
 API_KEY_ENV = "FORESIGHT_LLM_API_KEY"
@@ -86,7 +88,7 @@ class NoRuleMatched(BackendError):
 
 
 class ReplayMiss(BackendError):
-    """Replay-only cache lookup found no recorded response."""
+    """Replay-only cache lookup found no recorded entry."""
 
     def __init__(self, digest: str):
         super().__init__(f"no cached response for digest {digest}")
@@ -123,15 +125,6 @@ class CompletionResponse:
     cached: bool = False
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    digest: str
-
-    def __post_init__(self) -> None:
-        if not re.fullmatch(r"[0-9a-f]{64}", self.digest):
-            raise ValueError("digest must be 64 lowercase hex characters")
-
-
 class CompletionBackend(Protocol):
     backend_id: str
 
@@ -152,9 +145,9 @@ def canonical_request(backend_id: str, request: CompletionRequest) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def cache_key(backend_id: str, request: CompletionRequest) -> CacheKey:
-    digest = hashlib.sha256(canonical_request(backend_id, request).encode("utf-8")).hexdigest()
-    return CacheKey(digest)
+def cache_key(backend_id: str, request: CompletionRequest) -> str:
+    """SHA-256 hex digest of the canonical request."""
+    return hashlib.sha256(canonical_request(backend_id, request).encode("utf-8")).hexdigest()
 
 
 def complete(backend: CompletionBackend, request: CompletionRequest) -> CompletionResponse:
@@ -398,67 +391,54 @@ def _retry_after_seconds(resp: requests.Response) -> float:
     return 1.0
 
 
-class CachedBackend:
-    """Content-addressed record/replay wrapper around another backend.
+class ContentStore:
+    """Content-addressed JSON entries, shared by the completion and news caches.
 
-    Layout: ``<cache_dir>/<first 2 hex>/<digest>.json``, one file per key,
-    written atomically (temp file + rename).  In replay-only mode a miss is an
-    error and the inner backend is never called.
+    Layout: ``<root>/<first 2 hex>/<digest>.json``, one file per key, written
+    atomically (temp file + rename).  In replay-only mode a miss raises
+    :class:`ReplayMiss`, so the caller never computes a fresh value.
     """
 
-    def __init__(self, cache_dir: str | Path, backend: CompletionBackend, *, replay_only: bool = False):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.backend = backend
-        self.backend_id = backend.backend_id
+    def __init__(self, root: str | Path, *, replay_only: bool = False):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
         self.replay_only = replay_only
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
 
-    def _path(self, digest: str) -> Path:
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+    def path(self, digest: str) -> Path:
+        return self.root / digest[:2] / f"{digest}.json"
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        key = cache_key(self.backend.backend_id, request)
-        path = self._path(key.digest)
+    def load(self, digest: str, decode: Callable[[dict], _T]) -> _T | None:
+        """The decoded entry for ``digest``, or None on a miss to be recorded.
+
+        An entry that is not JSON or that ``decode`` cannot read (KeyError,
+        TypeError, ValueError) raises :class:`CacheCorrupt`.
+        """
+        path = self.path(digest)
         if path.exists():
             try:
-                stored = json.loads(path.read_text(encoding="utf-8"))
-                texts = tuple(stored["response"]["texts"])
-                backend_id = stored["response"]["backend_id"]
+                value = decode(json.loads(path.read_text(encoding="utf-8")))
             except (ValueError, KeyError, TypeError):
                 raise CacheCorrupt(path) from None
             with self._lock:
                 self.hits += 1
-            return CompletionResponse(texts=texts, backend_id=backend_id, cached=True)
-
+            return value
         if self.replay_only:
-            raise ReplayMiss(key.digest)
+            raise ReplayMiss(digest)
         with self._lock:
             self.misses += 1
-        response = complete(self.backend, request)
-        self._store(path, key.digest, request, response)
-        return response
+        return None
 
-    def _store(
-        self, path: Path, digest: str, request: CompletionRequest, response: CompletionResponse
-    ) -> None:
+    def save(self, digest: str, payload: dict) -> None:
+        """Write ``payload`` under ``digest``, with the digest and a timestamp."""
         record = {
             "digest": digest,
-            "request": {
-                "prompt": request.prompt,
-                "temperature": request.temperature,
-                "n_samples": request.n_samples,
-                "max_tokens": request.max_tokens,
-                "stop": None if request.stop is None else list(request.stop),
-            },
-            "response": {
-                "texts": list(response.texts),
-                "backend_id": response.backend_id,
-            },
+            **payload,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        path = self.path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -470,12 +450,53 @@ class CachedBackend:
         os.replace(tmp, path)
 
 
-def cached_complete(
-    cache_dir: str | Path,
-    backend: CompletionBackend,
-    request: CompletionRequest,
-    *,
-    replay_only: bool = False,
-) -> CompletionResponse:
-    """One-shot convenience over :class:`CachedBackend`."""
-    return CachedBackend(cache_dir, backend, replay_only=replay_only).complete(request)
+def _response_from_entry(entry: dict) -> CompletionResponse:
+    response = entry["response"]
+    return CompletionResponse(
+        texts=tuple(response["texts"]), backend_id=response["backend_id"], cached=True
+    )
+
+
+class CachedBackend:
+    """Record/replay wrapper around another backend, over a :class:`ContentStore`.
+
+    In replay-only mode a miss is an error and the inner backend is never
+    called.
+    """
+
+    def __init__(self, cache_dir: str | Path, backend: CompletionBackend, *, replay_only: bool = False):
+        self.store = ContentStore(cache_dir, replay_only=replay_only)
+        self.backend = backend
+        self.backend_id = backend.backend_id
+
+    @property
+    def hits(self) -> int:
+        return self.store.hits
+
+    @property
+    def misses(self) -> int:
+        return self.store.misses
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        digest = cache_key(self.backend_id, request)
+        stored = self.store.load(digest, _response_from_entry)
+        if stored is not None:
+            return stored
+        response = complete(self.backend, request)
+        self.store.save(
+            digest,
+            {
+                "request": {
+                    "prompt": request.prompt,
+                    "temperature": request.temperature,
+                    "n_samples": request.n_samples,
+                    "max_tokens": request.max_tokens,
+                    "stop": None if request.stop is None else list(request.stop),
+                },
+                "response": {
+                    "texts": list(response.texts),
+                    "backend_id": response.backend_id,
+                },
+            },
+        )
+        return response

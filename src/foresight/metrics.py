@@ -21,6 +21,7 @@ import numpy as np
 from .events import (
     Category,
     DatasetSplit,
+    DuplicateId,
     Event,
     MalformedRecord,
     UnresolvedEvent,
@@ -40,6 +41,7 @@ __all__ = [
     "weighted_brier",
     "score",
     "coherence_sum",
+    "join_by_event",
     "prediction_shift",
     "market_forecast_records",
     "parse_forecasts",
@@ -222,6 +224,33 @@ def coherence_sum(mean_forward: float, mean_reversed: float) -> float:
     return mean_forward + mean_reversed
 
 
+def join_by_event(
+    left: Iterable[tuple[str, float]], right: Iterable[tuple[str, float]]
+) -> list[tuple[str, float, float]]:
+    """Join two ``(event_id, probability)`` sets into rows sorted by event id.
+
+    Each side may list an event once (``DuplicateId``), both sides must cover
+    the same events (``MismatchedEventSets``), and they may not be empty
+    (``EmptyInput``).
+    """
+    lhs = _as_unique_map(left)
+    rhs = _as_unique_map(right)
+    if set(lhs) != set(rhs):
+        raise MismatchedEventSets(set(lhs) ^ set(rhs))
+    if not lhs:
+        raise EmptyInput("no forecasts to compare")
+    return [(event_id, lhs[event_id], rhs[event_id]) for event_id in sorted(lhs)]
+
+
+def _as_unique_map(pairs: Iterable[tuple[str, float]]) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for event_id, p in pairs:
+        if event_id in out:
+            raise DuplicateId(event_id)
+        out[event_id] = p
+    return out
+
+
 def prediction_shift(
     just_answer: Iterable[tuple[str, float]],
     with_rationale: Iterable[tuple[str, float]],
@@ -229,26 +258,12 @@ def prediction_shift(
     """Join two forecast sets on event id and report the per-event shift.
 
     Returns rows ``(event_id, p_just, p_rationale, delta)`` sorted by event id,
-    where ``delta = p_rationale - p_just``.  The two sets must cover exactly
-    the same events.
+    where ``delta = p_rationale - p_just``; the join is :func:`join_by_event`.
     """
-    ja = _as_unique_map(just_answer, "just_answer")
-    wr = _as_unique_map(with_rationale, "with_rationale")
-    if set(ja) != set(wr):
-        raise MismatchedEventSets(set(ja) ^ set(wr))
     return [
-        (event_id, ja[event_id], wr[event_id], wr[event_id] - ja[event_id])
-        for event_id in sorted(ja)
+        (event_id, p_just, p_rationale, p_rationale - p_just)
+        for event_id, p_just, p_rationale in join_by_event(just_answer, with_rationale)
     ]
-
-
-def _as_unique_map(pairs: Iterable[tuple[str, float]], side: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for event_id, p in pairs:
-        if event_id in out:
-            raise ValueError(f"{side} lists event {event_id!r} more than once")
-        out[event_id] = p
-    return out
 
 
 def market_forecast_records(

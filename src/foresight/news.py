@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import re
-import tempfile
 import time
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -15,6 +12,8 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 import requests
+
+from .llm import ContentStore, ReplayMiss
 
 __all__ = [
     "DEFAULT_HN_ENDPOINT",
@@ -34,9 +33,7 @@ __all__ = [
     "Source",
     "UpstreamError",
     "format_headlines",
-    "parse_headlines",
-    "query_hackernews",
-    "query_nyt",
+    "query_headlines",
 ]
 
 DEFAULT_HN_ENDPOINT = "https://hn.algolia.com/api/v1/search_by_date"
@@ -69,14 +66,6 @@ class UpstreamError(NewsError):
 
 class MissingApiKey(NewsError):
     """Raised when a client requiring an API key is built without one."""
-
-
-class ReplayMiss(NewsError):
-    """Raised when a replay-only news cache has no entry for a query."""
-
-    def __init__(self, digest: str):
-        self.digest = digest
-        super().__init__(f"no cached headlines for query {digest}")
 
 
 class Source(Enum):
@@ -296,107 +285,67 @@ def _normalize(headlines: Sequence[Headline], window: QueryWindow) -> tuple[Head
     return tuple(unique[: window.max_results])
 
 
-def query_hackernews(client: NewsClient, window: QueryWindow) -> tuple[Headline, ...]:
+def query_headlines(client: NewsClient, window: QueryWindow) -> tuple[Headline, ...]:
     """Search plus cutoff filtering, deduplication, and newest-first ordering."""
     return _normalize(client.search(window), window)
 
 
-def query_nyt(client: NewsClient, window: QueryWindow) -> tuple[Headline, ...]:
-    """Search plus cutoff filtering, deduplication, and newest-first ordering."""
-    return _normalize(client.search(window), window)
+def _headlines_from_entry(entry: dict) -> tuple[Headline, ...]:
+    return tuple(
+        Headline(
+            title=item["title"],
+            date=date.fromisoformat(item["date"]),
+            source=Source(item["source"]),
+        )
+        for item in entry["headlines"]
+    )
 
 
 class CachedNewsClient:
-    """Content-addressed cache over another news client."""
+    """Record/replay cache over another news client, in the completion cache's
+    :class:`~foresight.llm.ContentStore` format."""
 
     def __init__(self, cache_dir: str | Path, client: NewsClient, *, replay_only: bool = False):
-        self.cache_dir = Path(cache_dir)
+        self.store = ContentStore(cache_dir, replay_only=replay_only)
         self.client = client
-        self.replay_only = replay_only
-        self.hits = 0
-        self.misses = 0
+        self.source = client.source
 
     @property
-    def source(self) -> Source:
-        return self.client.source
+    def hits(self) -> int:
+        return self.store.hits
 
-    def _digest(self, window: QueryWindow) -> str:
-        canonical = json.dumps(
-            {
-                "max_results": window.max_results,
-                "source": self.client.source.value,
-                "terms": list(window.terms),
-                "until": window.until.isoformat(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=True,
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _path(self, digest: str) -> Path:
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+    @property
+    def misses(self) -> int:
+        return self.store.misses
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
-        digest = self._digest(window)
-        path = self._path(digest)
-        if path.exists():
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            self.hits += 1
-            return tuple(
-                Headline(
-                    title=item["title"],
-                    date=date.fromisoformat(item["date"]),
-                    source=Source(item["source"]),
-                )
-                for item in payload["headlines"]
-            )
-        if self.replay_only:
-            raise ReplayMiss(digest)
-        self.misses += 1
-        headlines = self.client.search(window)
-        self._store(path, digest, window, headlines)
-        return headlines
-
-    def _store(
-        self,
-        path: Path,
-        digest: str,
-        window: QueryWindow,
-        headlines: tuple[Headline, ...],
-    ) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "digest": digest,
-            "query": {
-                "source": self.client.source.value,
-                "terms": list(window.terms),
-                "until": window.until.isoformat(),
-                "max_results": window.max_results,
-            },
-            "headlines": [
-                {
-                    "title": headline.title,
-                    "date": headline.date.isoformat(),
-                    "source": headline.source.value,
-                }
-                for headline in headlines
-            ],
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+        query = {
+            "max_results": window.max_results,
+            "source": self.client.source.value,
+            "terms": list(window.terms),
+            "until": window.until.isoformat(),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-_HEADLINE_LINE = re.compile(r"^Headline\s+\d+\s+--\s+(\d{4}-\d{2}-\d{2}):\s*(.+)$")
+        canonical = json.dumps(query, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        stored = self.store.load(digest, _headlines_from_entry)
+        if stored is not None:
+            return stored
+        headlines = self.client.search(window)
+        self.store.save(
+            digest,
+            {
+                "query": query,
+                "headlines": [
+                    {
+                        "title": headline.title,
+                        "date": headline.date.isoformat(),
+                        "source": headline.source.value,
+                    }
+                    for headline in headlines
+                ],
+            },
+        )
+        return headlines
 
 
 def format_headlines(headlines: Sequence[Headline]) -> str:
@@ -405,18 +354,3 @@ def format_headlines(headlines: Sequence[Headline]) -> str:
         f"Headline {index} -- {headline.date.isoformat()}: {headline.title}"
         for index, headline in enumerate(headlines, start=1)
     )
-
-
-def parse_headlines(text: str, source: Source) -> tuple[Headline, ...]:
-    """Parse lines produced by format_headlines; other lines are skipped."""
-    headlines = []
-    for line in text.splitlines():
-        match = _HEADLINE_LINE.match(line.strip())
-        if match is None:
-            continue
-        try:
-            when = date.fromisoformat(match.group(1))
-        except ValueError:
-            continue
-        headlines.append(Headline(title=match.group(2), date=when, source=source))
-    return tuple(headlines)

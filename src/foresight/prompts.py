@@ -22,8 +22,8 @@ __all__ = [
     "FORECASTER_SLOT",
     "ExtractionDetail",
     "ExtractionFailed",
-    "NegativeWindow",
     "NoProbabilityFound",
+    "PredictionWindowError",
     "PromptTemplate",
     "RenderContext",
     "Scale",
@@ -80,13 +80,17 @@ class ExtractionFailed(RuntimeError):
         super().__init__(f"could not extract probability from {_preview(raw)!r}: {reason}")
 
 
-class NegativeWindow(ValueError):
-    """Raised when the prediction date does not precede the expiry date."""
+class PredictionWindowError(ValueError):
+    """Raised when the prediction date is not before the event expiry."""
 
-    def __init__(self, today: date, expiry: date):
+    def __init__(self, event_id: str, today: date, expires: date):
+        self.event_id = event_id
         self.today = today
-        self.expiry = expiry
-        super().__init__(f"no days remain before expiry: {today.isoformat()} >= {expiry.isoformat()}")
+        self.expires = expires
+        super().__init__(
+            f"event {event_id!r} expires {expires.isoformat()}, "
+            f"cannot predict on {today.isoformat()}"
+        )
 
 
 def _preview(text: str, limit: int = 80) -> str:
@@ -187,11 +191,11 @@ def get_template(template_id: str) -> PromptTemplate:
         raise TemplateError(f"unknown template id: {template_id!r}") from None
 
 
-def days_remaining(today: date, expiry: date) -> int:
+def days_remaining(event: Event, today: date) -> int:
     """Whole days from the prediction date to expiry; must be positive."""
-    days = (expiry - today).days
+    days = (event.expires - today).days
     if days <= 0:
-        raise NegativeWindow(today, expiry)
+        raise PredictionWindowError(event.id, today, event.expires)
     return days
 
 
@@ -211,7 +215,7 @@ class RenderContext:
             "description": event.description,
             "expiry": event.expires.isoformat(),
             "today": self.today.isoformat(),
-            "number of days": str(days_remaining(self.today, event.expires)),
+            "number of days": str(days_remaining(event, self.today)),
         }
 
 

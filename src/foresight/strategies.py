@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -19,10 +20,11 @@ from .llm import (
     FINAL_SAMPLE_COUNT,
     complete,
 )
-from .metrics import ForecastRecord
-from .news import NewsClient, NewsError, QueryWindow, format_headlines, query_hackernews, query_nyt
+from .metrics import MEAN_TOLERANCE, ForecastRecord
+from .news import NewsClient, NewsError, QueryWindow, format_headlines, query_headlines
 from .prompts import (
     ExtractionFailed,
+    PredictionWindowError,
     aggregate_probabilities,
     extract_probability,
     get_template,
@@ -44,15 +46,13 @@ __all__ = [
     "StrategySpec",
     "UnknownStrategy",
     "load_trace",
-    "run_basic",
-    "run_basic_with_rationale",
     "run_base_rate",
     "run_both_sides",
     "run_crowd",
-    "run_forecaster",
     "run_news",
     "run_reversed",
     "run_sequences",
+    "run_single_prompt",
     "run_strategy",
     "save_partial_trace",
     "save_trace",
@@ -65,8 +65,6 @@ DEFAULT_PERSONA_COUNT = 8
 DEFAULT_KEYWORD_COUNT = 3
 NO_HEADLINES_TEXT = "No relevant headlines were found."
 
-MEAN_TOLERANCE = 1e-9
-
 
 class UnknownStrategy(ValueError):
     """Raised when a strategy id is not registered."""
@@ -78,19 +76,6 @@ class UnknownStrategy(ValueError):
 
 class InvalidParam(ValueError):
     """Raised when a strategy is given a parameter it does not accept."""
-
-
-class PredictionWindowError(ValueError):
-    """Raised when the prediction date is not before the event expiry."""
-
-    def __init__(self, event_id: str, today: date, expires: date):
-        self.event_id = event_id
-        self.today = today
-        self.expires = expires
-        super().__init__(
-            f"event {event_id!r} expires {expires.isoformat()}, "
-            f"cannot predict on {today.isoformat()}"
-        )
 
 
 class ChainError(RuntimeError):
@@ -183,13 +168,12 @@ class _ChainBuilder:
         backend: CompletionBackend,
         extractor: CompletionBackend | None,
     ):
-        if today >= event.expires:
-            raise PredictionWindowError(event.id, today, event.expires)
         self.strategy_id = strategy_id
         self.event = event
         self.today = today
         self.backend = backend
         self.extractor = extractor
+        # raises PredictionWindowError before any call when the window is closed
         self.bindings = RenderContext(event, today).bindings()
         self.steps: list[StepRecord] = []
 
@@ -341,42 +325,17 @@ class _ChainBuilder:
         )
 
 
-def run_basic(
+def run_single_prompt(
+    strategy_id: str,
     event: Event,
     today: date,
     backend: CompletionBackend,
     *,
     extractor: CompletionBackend | None = None,
 ) -> ChainTrace:
-    """Single prediction prompt with no persona or context building."""
-    builder = _ChainBuilder("basic", event, today, backend, extractor)
-    mean, samples = builder.final("predict", "basic/predict")
-    return builder.trace(samples, mean)
-
-
-def run_forecaster(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
-) -> ChainTrace:
-    """The basic prompt preceded by the forecaster persona text."""
-    builder = _ChainBuilder("forecaster", event, today, backend, extractor)
-    mean, samples = builder.final("predict", "forecaster/predict")
-    return builder.trace(samples, mean)
-
-
-def run_basic_with_rationale(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
-) -> ChainTrace:
-    """The basic prompt, but asking for reasoning before the number."""
-    builder = _ChainBuilder("basic_with_rationale", event, today, backend, extractor)
-    mean, samples = builder.final("predict", "basic_with_rationale/predict")
+    """One prediction prompt, the template ``<strategy_id>/predict``."""
+    builder = _ChainBuilder(strategy_id, event, today, backend, extractor)
+    mean, samples = builder.final("predict", f"{strategy_id}/predict")
     return builder.trace(samples, mean)
 
 
@@ -553,14 +512,26 @@ def _parse_keywords(reply: str, limit: int) -> tuple[tuple[str, ...], tuple[str,
     return tuple(terms), warnings
 
 
-def _fetch_headlines(query, client, window):
-    # Degrade to an empty result; the chain still runs without headlines.
+def _fetch_headlines(
+    builder: _ChainBuilder, step_id: str, client: NewsClient | None, window: QueryWindow
+) -> str:
+    """Record a fetch step; returns the formatted headlines, "" when none."""
+    headlines: tuple = ()
+    warnings: tuple[str, ...] = ()
     if client is None:
-        return (), ("no headline client configured",)
-    try:
-        return query(client, window), ()
-    except NewsError as exc:
-        return (), (f"headline fetch failed: {exc}",)
+        warnings = ("no headline client configured",)
+    else:
+        try:
+            headlines = query_headlines(client, window)
+        except NewsError as exc:
+            # A service fault degrades to no headlines; the chain still runs.
+            warnings = (f"headline fetch failed: {exc}",)
+        except BackendError as exc:
+            # A cache fault (replay miss, corrupt entry) fails the chain.
+            raise builder.fail(step_id, str(exc)) from exc
+    text = format_headlines(headlines)
+    builder.non_llm(step_id, text or NO_HEADLINES_TEXT, warnings=warnings)
+    return text
 
 
 def _is_none_reply(reply: str) -> bool:
@@ -591,19 +562,15 @@ def run_news(
         raise builder.fail("keywords", "no search terms parsed from the reply")
     window = QueryWindow(terms=tuple(terms), until=today)
 
-    hn_headlines, hn_warnings = _fetch_headlines(query_hackernews, hn_client, window)
-    hn_text = format_headlines(hn_headlines)
-    builder.non_llm("hn_fetch", hn_text or NO_HEADLINES_TEXT, warnings=hn_warnings)
-    if hn_headlines:
+    hn_text = _fetch_headlines(builder, "hn_fetch", hn_client, window)
+    if hn_text:
         reply = builder.intermediate("hn_filter", "news/hn_filter", {"Hackernews headlines": hn_text})
         filtered_hn = NO_HEADLINES_TEXT if _is_none_reply(reply) else reply
     else:
         filtered_hn = NO_HEADLINES_TEXT
 
-    nyt_headlines, nyt_warnings = _fetch_headlines(query_nyt, nyt_client, window)
-    nyt_text = format_headlines(nyt_headlines)
-    builder.non_llm("nyt_fetch", nyt_text or NO_HEADLINES_TEXT, warnings=nyt_warnings)
-    if nyt_headlines:
+    nyt_text = _fetch_headlines(builder, "nyt_fetch", nyt_client, window)
+    if nyt_text:
         extracted = builder.intermediate("nyt_extract", "news/nyt_extract", {"NYT headlines": nyt_text})
         if _is_none_reply(extracted):
             summarized = NO_HEADLINES_TEXT
@@ -648,8 +615,10 @@ def run_reversed(
 STRATEGIES: dict[str, StrategySpec] = {
     spec.strategy_id: spec
     for spec in (
-        StrategySpec("basic", run_basic),
-        StrategySpec("forecaster", run_forecaster),
+        # basic asks directly, forecaster adds the persona preamble, and
+        # basic_with_rationale asks for reasoning before the number.
+        StrategySpec("basic", partial(run_single_prompt, "basic")),
+        StrategySpec("forecaster", partial(run_single_prompt, "forecaster")),
         StrategySpec("base_rate", run_base_rate),
         StrategySpec("both_sides", run_both_sides),
         StrategySpec("sequences", run_sequences),
@@ -661,7 +630,7 @@ STRATEGIES: dict[str, StrategySpec] = {
             needs_news=True,
         ),
         StrategySpec("reversed", run_reversed),
-        StrategySpec("basic_with_rationale", run_basic_with_rationale),
+        StrategySpec("basic_with_rationale", partial(run_single_prompt, "basic_with_rationale")),
     )
 }
 

@@ -142,58 +142,109 @@ def test_run_replay_miss_is_failure(tmp_path, capsys):
     assert "no cached response" in capsys.readouterr().err
 
 
+NEWS_HITS = [
+    hn_hit("Tesla expands FSD beta to more testers", "2022-07-20T10:00:00Z"),
+    hn_hit("FUTURE LEAK: Tesla achieves L3 everywhere", "2022-09-09T10:00:00Z"),
+]
+NEWS_DOCS = [
+    nyt_doc("Tesla reports progress toward L3 but no regulatory approval", "2022-07-18T08:00:00+0000")
+]
+
+
+def run_news_live(cache, out):
+    with StubNewsServer(hn_hits=NEWS_HITS, nyt_docs=NEWS_DOCS) as server:
+        return main(
+            RUN_BASE
+            + ["--strategy", "news", "--cache", str(cache), "--out", str(out),
+               "--hn-endpoint", server.hn_endpoint, "--nyt-endpoint", server.nyt_endpoint]
+        )
+
+
+def run_news_replay(cache, out):
+    return main(
+        ["run", "--events", EVENTS, "--strategy", "news", "--date", "2022-08-01",
+         "--backend", f"replay:{cache}", "--out", str(out)]
+    )
+
+
 def test_run_news_with_stub_servers_and_replay(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FORESIGHT_NYT_API_KEY", "stub-key")
     cache = tmp_path / "cache"
     live_out = tmp_path / "live"
-    hits = [
-        hn_hit("Tesla expands FSD beta to more testers", "2022-07-20T10:00:00Z"),
-        hn_hit("FUTURE LEAK: Tesla achieves L3 everywhere", "2022-09-09T10:00:00Z"),
-    ]
-    docs = [nyt_doc("Tesla reports progress toward L3 but no regulatory approval", "2022-07-18T08:00:00+0000")]
-    with StubNewsServer(hn_hits=hits, nyt_docs=docs) as server:
-        code = main(
-            RUN_BASE
-            + [
-                "--strategy",
-                "news",
-                "--cache",
-                str(cache),
-                "--out",
-                str(live_out),
-                "--hn-endpoint",
-                server.hn_endpoint,
-                "--nyt-endpoint",
-                server.nyt_endpoint,
-            ]
-        )
-    assert code == 0
+    assert run_news_live(cache, live_out) == 0
     capsys.readouterr()
 
     # nothing future-dated may appear anywhere in the outputs
     for name, data in tree_bytes(live_out).items():
         assert b"FUTURE LEAK" not in data, name
 
-    # replay: no servers, no key, still byte-identical
-    monkeypatch.delenv("FORESIGHT_NYT_API_KEY")
+    # replay: no servers, still byte-identical; the key only says that the
+    # recording queried the New York Times
     replay_out = tmp_path / "replay"
-    code = main(
-        [
-            "run",
-            "--events",
-            EVENTS,
-            "--strategy",
-            "news",
-            "--date",
-            "2022-08-01",
-            "--backend",
-            f"replay:{cache}",
-            "--out",
-            str(replay_out),
-        ]
-    )
-    assert code == 0
+    assert run_news_replay(cache, replay_out) == 0
     assert tree_bytes(live_out) == tree_bytes(replay_out)
+
+
+def test_run_news_without_nyt_key_replays_identically(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FORESIGHT_NYT_API_KEY", raising=False)
+    cache = tmp_path / "cache"
+    live_out = tmp_path / "live"
+    assert run_news_live(cache, live_out) == 0
+    trace = json.loads((live_out / "traces" / "news" / "evt-01.json").read_text())
+    nyt_step = next(step for step in trace["steps"] if step["step_id"] == "nyt_fetch")
+    assert nyt_step["warnings"] == [
+        "headline fetch failed: set FORESIGHT_NYT_API_KEY to query the New York Times"
+    ]
+
+    replay_out = tmp_path / "replay"
+    assert run_news_replay(cache, replay_out) == 0
+    assert tree_bytes(live_out) == tree_bytes(replay_out)
+
+    # with a key, the replay needs NYT entries this recording never made
+    monkeypatch.setenv("FORESIGHT_NYT_API_KEY", "stub-key")
+    capsys.readouterr()
+    assert run_news_replay(cache, tmp_path / "keyed") == 1
+    assert "failed at step 'nyt_fetch': no cached response" in capsys.readouterr().err
+
+
+def news_entries(cache):
+    return sorted((cache / "news").rglob("*.json"))
+
+
+def test_run_news_corrupt_cache_entry_fails_the_event(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FORESIGHT_NYT_API_KEY", raising=False)
+    cache = tmp_path / "cache"
+    assert run_news_live(cache, tmp_path / "first") == 0
+    [entry] = news_entries(cache)  # the mock gives every event the same search terms
+    entry.write_text("{broken", encoding="utf-8")
+    capsys.readouterr()
+
+    out = tmp_path / "second"
+    assert run_news_live(cache, out) == 1
+    captured = capsys.readouterr()
+    assert "0 ok, 10 failed" in captured.out
+    assert "failed at step 'hn_fetch': cache file unreadable" in captured.err
+    failed = sorted((out / "traces" / "news").glob("*.failed.json"))
+    assert len(failed) == 10
+    payload = json.loads(failed[0].read_text())
+    assert payload["failed_step"] == "hn_fetch"
+    assert [step["step_id"] for step in payload["steps"]] == ["keywords"]
+
+
+def test_run_news_replay_miss_fails_the_event(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FORESIGHT_NYT_API_KEY", raising=False)
+    cache = tmp_path / "cache"
+    assert run_news_live(cache, tmp_path / "live") == 0
+    [entry] = news_entries(cache)
+    entry.unlink()
+    capsys.readouterr()
+
+    out = tmp_path / "replay"
+    assert run_news_replay(cache, out) == 1
+    captured = capsys.readouterr()
+    assert "0 ok, 10 failed" in captured.out
+    assert "failed at step 'hn_fetch': no cached response" in captured.err
+    assert len(list((out / "traces" / "news").glob("*.failed.json"))) == 10
 
 
 def test_run_rejects_bad_usage(tmp_path, capsys):
@@ -344,6 +395,32 @@ def test_rationale_shift_table(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0] == "event_id,p_just,p_rationale,delta"
     assert rows[1].startswith("a,0.1,0.4,")
+
+
+def write_forecasts(path, *event_ids):
+    path.write_text(
+        "".join(
+            json.dumps({"event_id": event_id, "strategy": "basic",
+                        "prediction_date": "2022-08-01", "probability": 0.5}) + "\n"
+            for event_id in event_ids
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["bias", "rationale"])
+def test_bias_and_rationale_reject_bad_input(tmp_path, capsys, command):
+    flags = {"bias": ("--forward", "--reversed"), "rationale": ("--just", "--rationale")}[command]
+    cases = [
+        (("a", "a"), ("a",), "duplicate event id 'a'"),
+        ((), (), "no forecasts to compare"),
+        (("a",), ("b",), "event sets differ"),
+    ]
+    for left, right, message in cases:
+        argv = [command, flags[0], write_forecasts(tmp_path / "left.jsonl", *left),
+                flags[1], write_forecasts(tmp_path / "right.jsonl", *right)]
+        assert main(argv) == 2, (left, right)
+        assert message in capsys.readouterr().err
 
 
 def test_safe_filename_collisions():

@@ -1,8 +1,10 @@
-"""Tests for completion backends, the cache wrapper, and rate limiting."""
+"""Tests for completion backends, the content store and its two cache
+wrappers, and rate limiting."""
 
 import json
 import random
 import threading
+from datetime import date
 
 import pytest
 import requests
@@ -14,6 +16,7 @@ from foresight.llm import (
     CachedBackend,
     CompletionRequest,
     CompletionResponse,
+    ContentStore,
     HttpBackend,
     MockBackend,
     MockRule,
@@ -24,10 +27,10 @@ from foresight.llm import (
     ReplayMiss,
     TokenBucket,
     cache_key,
-    cached_complete,
     canonical_request,
     complete,
 )
+from foresight.news import CachedNewsClient, Headline, QueryWindow, Source
 
 
 def test_request_validation():
@@ -132,8 +135,9 @@ def test_canonical_request_is_stable_and_sensitive():
         "stop": ["X"],
         "temperature": 0.5,
     }
-    base = cache_key("b", req).digest
-    assert len(base) == 64
+    base = cache_key("b", req)
+    # pinned: recorded caches stay readable only while the key is unchanged
+    assert base == "cad1b9354dae23dfda0fb1f50e6308c86ff6e80e6704c340b1259dd531e02dd2"
     variants = [
         cache_key("c", req),
         cache_key("b", CompletionRequest("q", temperature=0.5, n_samples=2, max_tokens=64, stop=("X",))),
@@ -142,7 +146,7 @@ def test_canonical_request_is_stable_and_sensitive():
         cache_key("b", CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=65, stop=("X",))),
         cache_key("b", CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=64)),
     ]
-    digests = {base} | {v.digest for v in variants}
+    digests = {base} | set(variants)
     assert len(digests) == 7
 
 
@@ -162,7 +166,7 @@ def test_cached_backend_records_then_replays(tmp_path):
     assert (cache.hits, cache.misses) == (1, 1)
     assert inner.calls == 1
 
-    digest = cache_key(inner.backend_id, req).digest
+    digest = cache_key(inner.backend_id, req)
     stored = tmp_path / digest[:2] / f"{digest}.json"
     assert stored.is_file()
     record = json.loads(stored.read_text(encoding="utf-8"))
@@ -187,8 +191,12 @@ def test_cached_backend_corrupt_entry(tmp_path):
     cache = CachedBackend(tmp_path, inner)
     req = CompletionRequest("p")
     cache.complete(req)
-    digest = cache_key(inner.backend_id, req).digest
-    (tmp_path / digest[:2] / f"{digest}.json").write_text("{broken", encoding="utf-8")
+    digest = cache_key(inner.backend_id, req)
+    entry = tmp_path / digest[:2] / f"{digest}.json"
+    entry.write_text("{broken", encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        cache.complete(req)
+    entry.write_text('{"response": {"texts": ["r"]}}', encoding="utf-8")  # no backend_id
     with pytest.raises(CacheCorrupt):
         cache.complete(req)
 
@@ -202,8 +210,8 @@ def test_cached_complete_round_trip_randomized(tmp_path):
             temperature=rng.choice([0.01, 0.7]),
             n_samples=rng.randrange(1, 5),
         )
-        live = cached_complete(tmp_path, inner, req)
-        replayed = cached_complete(tmp_path, NullBackend("mock"), req, replay_only=True)
+        live = CachedBackend(tmp_path, inner).complete(req)
+        replayed = CachedBackend(tmp_path, NullBackend("mock"), replay_only=True).complete(req)
         assert replayed.texts == live.texts
         assert replayed.cached
 
@@ -355,19 +363,68 @@ def test_http_backend_error_paths():
         backend.complete(CompletionRequest("p", n_samples=3))
 
 
-def test_cached_backend_thread_safe_counters(tmp_path):
-    inner = MockBackend([MockRule("any", None, "r")])
-    cache = CachedBackend(tmp_path, inner)
-    cache.complete(CompletionRequest("warm"))
+class ScriptedNews:
+    source = Source.HACKERNEWS
+
+    def search(self, window):
+        return (Headline("story", date(2022, 7, 1), Source.HACKERNEWS),)
+
+
+def _llm_cache(tmp_path):
+    cache = CachedBackend(tmp_path, MockBackend([MockRule("any", None, "r")]))
+    return cache, lambda: cache.complete(CompletionRequest("warm"))
+
+
+def _news_cache(tmp_path):
+    cache = CachedNewsClient(tmp_path, ScriptedNews())
+    window = QueryWindow(terms=("warm",), until=date(2022, 8, 1))
+    return cache, lambda: cache.search(window)
+
+
+@pytest.mark.parametrize("make_cache", [_llm_cache, _news_cache], ids=["llm", "news"])
+def test_cached_backend_thread_safe_counters(tmp_path, make_cache):
+    cache, lookup = make_cache(tmp_path)
+    lookup()
 
     def hammer():
         for _ in range(50):
-            cache.complete(CompletionRequest("warm"))
+            lookup()
 
     threads = [threading.Thread(target=hammer) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=30)
+        assert not t.is_alive()
     assert cache.hits == 200
     assert cache.misses == 1
+
+
+def test_store_layout_and_entry_format(tmp_path):
+    store = ContentStore(tmp_path / "root")
+    digest = "ab" + "0" * 62
+    assert store.load(digest, dict) is None
+    store.save(digest, {"payload": ["é"]})
+    path = tmp_path / "root" / "ab" / f"{digest}.json"
+    assert store.path(digest) == path
+    assert list(path.parent.iterdir()) == [path]  # no temp file left behind
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(f'{{"digest": "{digest}", "payload": ["é"], "timestamp": "')
+    assert store.load(digest, lambda entry: entry["payload"]) == ["é"]
+    assert (store.hits, store.misses) == (1, 1)
+
+
+def test_store_replay_only_miss_and_corrupt_entry(tmp_path):
+    store = ContentStore(tmp_path, replay_only=True)
+    with pytest.raises(ReplayMiss) as info:
+        store.load("cd" + "1" * 62, dict)
+    assert info.value.digest == "cd" + "1" * 62
+    assert (store.hits, store.misses) == (0, 0)
+    digest = "ef" + "2" * 62
+    store.path(digest).parent.mkdir()
+    store.path(digest).write_text("[1, 2", encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        store.load(digest, dict)
+    store.path(digest).write_text("{}", encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        store.load(digest, lambda entry: entry["missing"])

@@ -11,8 +11,8 @@ from foresight.metrics import EmptyInput
 from foresight.prompts import (
     EXTRACTION_TEMPLATE_ID,
     ExtractionFailed,
-    NegativeWindow,
     NoProbabilityFound,
+    PredictionWindowError,
     PromptTemplate,
     RenderContext,
     Scale,
@@ -109,12 +109,14 @@ def test_template_validation():
 
 
 def test_days_remaining():
-    assert days_remaining(date(2022, 8, 1), date(2022, 12, 31)) == 152
-    assert days_remaining(date(2022, 8, 1), date(2022, 8, 2)) == 1
-    with pytest.raises(NegativeWindow):
-        days_remaining(date(2022, 8, 1), date(2022, 8, 1))  # window must be open
-    with pytest.raises(NegativeWindow):
-        days_remaining(date(2022, 8, 2), date(2022, 8, 1))
+    assert days_remaining(make_event(), date(2022, 8, 1)) == 152
+    assert days_remaining(make_event(expires=date(2022, 8, 2)), date(2022, 8, 1)) == 1
+    closed = make_event(expires=date(2022, 8, 1))
+    with pytest.raises(PredictionWindowError) as info:
+        days_remaining(closed, date(2022, 8, 1))  # window must be open
+    assert info.value.event_id == "e1"
+    with pytest.raises(PredictionWindowError):
+        days_remaining(closed, date(2022, 8, 2))
 
 
 def test_render_context_bindings():
