@@ -9,6 +9,7 @@ import math
 import os
 import re
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
@@ -175,12 +176,8 @@ def build_backend(spec: str, config: dict[str, str]) -> CompletionBackend:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load mock rules from {path}: {exc}") from None
     if spec.startswith("replay:"):
-        directory = spec[len("replay:"):]
-        if not directory:
-            raise ConfigError("the replay backend needs a cache directory: replay:DIR")
-        inner = NullBackend(config.get("replay_backend_id", "mock"))
-        # replay:DIR mirrors --cache DIR, whose completions live under DIR/llm
-        return CachedBackend(Path(directory) / "llm", inner, replay_only=True)
+        # the inner backend only; cmd_run wraps it in the replay-only cache
+        return NullBackend(config.get("replay_backend_id", "mock"))
     raise ConfigError(f"unknown backend spec {spec!r}; use live, mock:PATH, or replay:DIR")
 
 
@@ -215,21 +212,33 @@ def _safe_filename(event_id: str, taken: dict[str, str]) -> str:
     return name
 
 
+def _cache_location(args) -> tuple[Path | None, bool]:
+    """The cache directory of a run, if any, and whether it is replay-only."""
+    replay = args.backend.startswith("replay:")
+    if replay and args.cache:
+        raise ConfigError("replay:DIR already reads a cache; do not combine it with --cache")
+    if args.replay_only and not (args.cache or replay):
+        raise ConfigError("--replay-only needs --cache DIR or a replay:DIR backend")
+    # replay:DIR mirrors --cache DIR --replay-only
+    directory = args.backend[len("replay:"):] if replay else args.cache
+    replay_only = replay or args.replay_only
+    if replay_only and not (directory and Path(directory).is_dir()):
+        raise ConfigError(f"nothing to replay: no cache directory {directory!r}")
+    return (Path(directory) if directory else None), replay_only
+
+
 def cmd_run(args) -> int:
     config = _parse_config(args.config)
     today = _parse_date(args.date, "--date")
     if args.workers < 1:
         raise ConfigError(f"--workers must be positive, got {args.workers}")
-    if args.backend.startswith("replay:") and args.cache:
-        raise ConfigError("replay:DIR already reads a cache; do not combine it with --cache")
-    if args.replay_only and not (args.cache or args.backend.startswith("replay:")):
-        raise ConfigError("--replay-only needs --cache DIR or a replay:DIR backend")
+    cache_dir, replay_only = _cache_location(args)
 
     split = load_dataset(args.events)
     backend = build_backend(args.backend, config)
-    cache_dir = Path(args.cache) if args.cache else None
     if cache_dir is not None:
-        backend = CachedBackend(cache_dir / "llm", backend, replay_only=args.replay_only)
+        # completions live under DIR/llm, headlines under DIR/news
+        backend = CachedBackend(cache_dir / "llm", backend, replay_only=replay_only)
     extractor = backend
 
     params: dict[str, int] = {}
@@ -240,12 +249,7 @@ def cmd_run(args) -> int:
 
     hn_client = nyt_client = None
     if args.strategy == "news":
-        news_cache = cache_dir
-        news_replay = args.replay_only
-        if args.backend.startswith("replay:"):
-            news_cache = Path(args.backend[len("replay:"):])
-            news_replay = True
-        hn_client, nyt_client = _build_news_clients(args, news_cache, news_replay)
+        hn_client, nyt_client = _build_news_clients(args, cache_dir, replay_only)
 
     active = active_events(split, today)
     skipped = len(split.events) - len(active)
@@ -280,6 +284,13 @@ def cmd_run(args) -> int:
             failures.append((event.id, str(exc)))
         except PredictionWindowError as exc:
             failures.append((event.id, str(exc)))
+        except _INPUT_ERRORS:  # a bad invocation, not a bad event
+            raise
+        except Exception as exc:
+            # One event's unexpected fault must not cost the other events'
+            # results; its traceback goes to stderr.
+            traceback.print_exception(exc)
+            failures.append((event.id, f"{type(exc).__name__}: {exc}"))
         else:
             ref = f"traces/{args.strategy}/{name}.json"
             save_trace(trace, out / ref)

@@ -401,7 +401,8 @@ class ContentStore:
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        if not replay_only:  # a replay-only store never writes
+            self.root.mkdir(parents=True, exist_ok=True)
         self.replay_only = replay_only
         self.hits = 0
         self.misses = 0

@@ -35,6 +35,7 @@ from .prompts import (
 __all__ = [
     "DEFAULT_KEYWORD_COUNT",
     "DEFAULT_PERSONA_COUNT",
+    "LINEAR_CHAINS",
     "NO_HEADLINES_TEXT",
     "STRATEGY_IDS",
     "ChainError",
@@ -46,13 +47,10 @@ __all__ = [
     "StrategySpec",
     "UnknownStrategy",
     "load_trace",
-    "run_base_rate",
-    "run_both_sides",
     "run_crowd",
     "run_news",
     "run_reversed",
     "run_sequences",
-    "run_single_prompt",
     "run_strategy",
     "save_partial_trace",
     "save_trace",
@@ -204,13 +202,8 @@ class _ChainBuilder:
         """One single-sample step; returns the reply, or its parsed form."""
         _, prompt = self._render(template_id, extra)
         reply = self._complete(step_id, prompt, 1)[0]
-        parsed: object = reply
-        warnings: tuple[str, ...] = ()
-        if parse is not None:
-            parsed, warnings = parse(reply)
-        self.steps.append(
-            StepRecord(step_id, prompt, (reply,), parsed=parsed, warnings=warnings)
-        )
+        parsed, warnings = parse(reply) if parse else (reply, ())
+        self.steps.append(StepRecord(step_id, prompt, (reply,), parsed=parsed, warnings=warnings))
         return parsed
 
     def sampled(
@@ -218,101 +211,61 @@ class _ChainBuilder:
         step_id: str,
         template_id: str,
         n_samples: int,
-        extra: Mapping[str, str] | None = None,
-        parse: Callable[[str], str] | None = None,
+        parse: Callable[[str], str],
     ) -> tuple[str, ...]:
-        """One multi-sample step; returns each reply, optionally cleaned."""
-        _, prompt = self._render(template_id, extra)
+        """One multi-sample step; returns each reply, cleaned by ``parse``."""
+        _, prompt = self._render(template_id, None)
         replies = self._complete(step_id, prompt, n_samples)
-        parsed = tuple(parse(reply) if parse else reply for reply in replies)
+        parsed = tuple(parse(reply) for reply in replies)
         self.steps.append(StepRecord(step_id, prompt, replies, parsed=parsed))
         return parsed
 
     def non_llm(self, step_id: str, parsed: object, warnings: Sequence[str] = ()) -> None:
-        self.steps.append(
-            StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings))
-        )
+        self.steps.append(StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings)))
 
-    def final(
+    def predict(
         self,
         step_id: str,
         template_id: str,
         extra: Mapping[str, str] | None = None,
-    ) -> tuple[float, tuple[float, ...]]:
-        """The prediction step: sample, extract each reply, aggregate."""
+        *,
+        n_samples: int = FINAL_SAMPLE_COUNT,
+        drop_failed: bool = False,
+    ) -> tuple[float, tuple[float, ...]] | None:
+        """A prediction step: sample, extract each reply, aggregate.
+
+        A reply with no probability fails the chain; with ``drop_failed`` the
+        step is recorded as dropped instead and the result is None.
+        """
         template, prompt = self._render(template_id, extra)
-        replies = self._complete(step_id, prompt, FINAL_SAMPLE_COUNT)
+        replies = self._complete(step_id, prompt, n_samples)
         samples: list[float] = []
         extractions: list[SampleExtraction] = []
         warnings: list[str] = []
+        failure: ExtractionFailed | None = None
         for index, raw in enumerate(replies):
             try:
-                value, detail = extract_probability(
-                    raw, scale=template.scale, extractor=self.extractor
-                )
+                value, detail = extract_probability(raw, scale=template.scale, extractor=self.extractor)
             except ExtractionFailed as exc:
-                partial = StepRecord(
-                    step_id,
-                    prompt,
-                    replies,
-                    parsed=None,
-                    extractions=tuple(extractions),
-                    warnings=tuple(warnings) + (f"sample {index}: {exc}",),
-                )
-                raise ChainError(
-                    self.event.id, step_id, str(exc), self.steps + [partial]
-                ) from exc
+                failure = exc
+                label = "dropped" if drop_failed else f"sample {index}"
+                warnings.append(f"{label}: {exc}")
+                break
             samples.append(value)
-            extractions.append(
-                SampleExtraction(
-                    index, detail.prompt, detail.response, value,
-                    detail.fallback_used, detail.error,
-                )
-            )
+            extractions.append(SampleExtraction(
+                index, detail.prompt, detail.response, value, detail.fallback_used, detail.error
+            ))
             if detail.error:
                 warnings.append(f"sample {index}: {detail.error}")
-        mean = aggregate_probabilities(samples)
+        mean = aggregate_probabilities(samples) if failure is None else None
         self.steps.append(
-            StepRecord(
-                step_id,
-                prompt,
-                replies,
-                parsed=mean,
-                extractions=tuple(extractions),
-                warnings=tuple(warnings),
-            )
+            StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings))
         )
-        return mean, tuple(samples)
-
-    def single_probability(
-        self,
-        step_id: str,
-        template_id: str,
-        extra: Mapping[str, str] | None = None,
-    ) -> float | None:
-        """One single-sample prediction; None when extraction fails."""
-        template, prompt = self._render(template_id, extra)
-        raw = self._complete(step_id, prompt, 1)[0]
-        try:
-            value, detail = extract_probability(
-                raw, scale=template.scale, extractor=self.extractor
-            )
-        except ExtractionFailed as exc:
-            self.steps.append(
-                StepRecord(step_id, prompt, (raw,), parsed=None, warnings=(f"dropped: {exc}",))
-            )
+        if failure is None:
+            return mean, tuple(samples)
+        if drop_failed:
             return None
-        extraction = SampleExtraction(
-            0, detail.prompt, detail.response, value, detail.fallback_used, detail.error
-        )
-        warnings = (f"sample 0: {detail.error}",) if detail.error else ()
-        self.steps.append(
-            StepRecord(
-                step_id, prompt, (raw,), parsed=value,
-                extractions=(extraction,), warnings=warnings,
-            )
-        )
-        return value
+        raise self.fail(step_id, str(failure)) from failure
 
     def trace(self, samples: tuple[float, ...], final: float) -> ChainTrace:
         return ChainTrace(
@@ -325,7 +278,29 @@ class _ChainBuilder:
         )
 
 
-def run_single_prompt(
+# The linear strategies: single-sample steps, then the prediction. Each step
+# is a step id plus {placeholder: earlier step id}, whose reply fills the
+# placeholder; step ``s`` of strategy ``x`` renders the template ``x/s``.
+LINEAR_CHAINS: dict[str, tuple[tuple[str, Mapping[str, str]], ...]] = {
+    # basic asks directly, forecaster adds the persona preamble, and
+    # basic_with_rationale asks for reasoning before the number.
+    "basic": (("predict", {}),),
+    "forecaster": (("predict", {}),),
+    "base_rate": (
+        ("question", {}),
+        ("answer", {"base rate question": "question"}),
+        ("predict", {"base rate": "answer"}),
+    ),
+    "both_sides": (
+        ("pros", {}),
+        ("cons", {}),
+        ("predict", {"pros": "pros", "cons": "cons"}),
+    ),
+    "basic_with_rationale": (("predict", {}),),
+}
+
+
+def _run_linear(
     strategy_id: str,
     event: Event,
     today: date,
@@ -333,39 +308,17 @@ def run_single_prompt(
     *,
     extractor: CompletionBackend | None = None,
 ) -> ChainTrace:
-    """One prediction prompt, the template ``<strategy_id>/predict``."""
+    """Run the steps ``LINEAR_CHAINS`` lists for ``strategy_id``."""
     builder = _ChainBuilder(strategy_id, event, today, backend, extractor)
-    mean, samples = builder.final("predict", f"{strategy_id}/predict")
-    return builder.trace(samples, mean)
+    *steps, (predict_id, predict_inputs) = LINEAR_CHAINS[strategy_id]
+    replies: dict[str, str] = {}
 
+    def bind(inputs: Mapping[str, str]) -> dict[str, str]:
+        return {placeholder: replies[step] for placeholder, step in inputs.items()}
 
-def run_base_rate(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
-) -> ChainTrace:
-    """Pose a base-rate question, answer it, then predict with the answer."""
-    builder = _ChainBuilder("base_rate", event, today, backend, extractor)
-    question = builder.intermediate("question", "base_rate/question")
-    answer = builder.intermediate("answer", "base_rate/answer", {"base rate question": question})
-    mean, samples = builder.final("predict", "base_rate/predict", {"base rate": answer})
-    return builder.trace(samples, mean)
-
-
-def run_both_sides(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
-) -> ChainTrace:
-    """Collect supporting and opposing evidence, then predict with both."""
-    builder = _ChainBuilder("both_sides", event, today, backend, extractor)
-    pros = builder.intermediate("pros", "both_sides/pros")
-    cons = builder.intermediate("cons", "both_sides/cons")
-    mean, samples = builder.final("predict", "both_sides/predict", {"pros": pros, "cons": cons})
+    for step_id, inputs in steps:
+        replies[step_id] = builder.intermediate(step_id, f"{strategy_id}/{step_id}", bind(inputs))
+    mean, samples = builder.predict(predict_id, f"{strategy_id}/{predict_id}", bind(predict_inputs))
     return builder.trace(samples, mean)
 
 
@@ -429,6 +382,14 @@ def _compose_sequences(blocks: Sequence[str], *, positive: bool) -> str:
     )
 
 
+def _opposite(builder: _ChainBuilder) -> str:
+    """The ``opposite`` step of sequences and reversed: the event, negated."""
+    opposite = builder.intermediate("opposite", "sequences/opposite", parse=_parse_opposite_reply)
+    if not opposite:
+        raise builder.fail("opposite", "reworded event text was empty")
+    return opposite
+
+
 def run_sequences(
     event: Event,
     today: date,
@@ -441,14 +402,12 @@ def run_sequences(
     positive_blocks = builder.intermediate(
         "positive", "sequences/positive", parse=_parse_sequence_blocks
     )
-    opposite = builder.intermediate("opposite", "sequences/opposite", parse=_parse_opposite_reply)
-    if not opposite:
-        raise builder.fail("opposite", "reworded event text was empty")
+    opposite = _opposite(builder)
     negative_blocks = builder.intermediate(
         "negative", "sequences/negative", {"Opposite Event": opposite},
         parse=_parse_sequence_blocks,
     )
-    mean, samples = builder.final(
+    mean, samples = builder.predict(
         "predict",
         "sequences/predict",
         {
@@ -477,8 +436,6 @@ def run_crowd(
     persona_count: int = DEFAULT_PERSONA_COUNT,
 ) -> ChainTrace:
     """Pick experts, ask each for a windowed probability, average them."""
-    if persona_count < 1:
-        raise InvalidParam(f"persona_count must be positive, got {persona_count}")
     builder = _ChainBuilder("crowd", event, today, backend, extractor)
     jobs = builder.sampled("expert", "crowd/expert", persona_count, parse=_clean_job)
     values: list[float] = []
@@ -488,9 +445,11 @@ def run_crowd(
                 f"persona_{index}", None, warnings=("dropped: empty expert description",)
             )
             continue
-        value = builder.single_probability(f"persona_{index}", "crowd/predict", {"job": job})
-        if value is not None:
-            values.append(value)
+        result = builder.predict(
+            f"persona_{index}", "crowd/predict", {"job": job}, n_samples=1, drop_failed=True
+        )
+        if result is not None:
+            values.append(result[0])
     if not values:
         raise builder.fail("predict", "every persona prediction failed")
     final = aggregate_probabilities(values)
@@ -538,6 +497,7 @@ def _is_none_reply(reply: str) -> bool:
     return not reply.strip() or reply.strip().upper() == "NONE"
 
 
+
 def run_news(
     event: Event,
     today: date,
@@ -549,8 +509,6 @@ def run_news(
     keyword_count: int = DEFAULT_KEYWORD_COUNT,
 ) -> ChainTrace:
     """Search the news up to the prediction date, then predict from it."""
-    if keyword_count < 1:
-        raise InvalidParam(f"keyword_count must be positive, got {keyword_count}")
     builder = _ChainBuilder("news", event, today, backend, extractor)
     terms = builder.intermediate(
         "keywords",
@@ -582,7 +540,7 @@ def run_news(
     else:
         summarized = NO_HEADLINES_TEXT
 
-    mean, samples = builder.final(
+    mean, samples = builder.predict(
         "predict",
         "news/predict",
         {
@@ -602,11 +560,9 @@ def run_reversed(
 ) -> ChainTrace:
     """Reword the event as its opposite, predict that, and complement."""
     builder = _ChainBuilder("reversed", event, today, backend, extractor)
-    opposite = builder.intermediate("opposite", "sequences/opposite", parse=_parse_opposite_reply)
-    if not opposite:
-        raise builder.fail("opposite", "reworded event text was empty")
+    opposite = _opposite(builder)
     # the prediction step's parsed value keeps the raw, unflipped mean
-    _, raw_samples = builder.final("predict", "basic/predict", {"condition": opposite})
+    _, raw_samples = builder.predict("predict", "basic/predict", {"condition": opposite})
     samples = tuple(1.0 - value for value in raw_samples)
     final = aggregate_probabilities(samples)
     return builder.trace(samples, final)
@@ -615,22 +571,11 @@ def run_reversed(
 STRATEGIES: dict[str, StrategySpec] = {
     spec.strategy_id: spec
     for spec in (
-        # basic asks directly, forecaster adds the persona preamble, and
-        # basic_with_rationale asks for reasoning before the number.
-        StrategySpec("basic", partial(run_single_prompt, "basic")),
-        StrategySpec("forecaster", partial(run_single_prompt, "forecaster")),
-        StrategySpec("base_rate", run_base_rate),
-        StrategySpec("both_sides", run_both_sides),
+        *(StrategySpec(strategy_id, partial(_run_linear, strategy_id)) for strategy_id in LINEAR_CHAINS),
         StrategySpec("sequences", run_sequences),
         StrategySpec("crowd", run_crowd, allowed_params=frozenset({"persona_count"})),
-        StrategySpec(
-            "news",
-            run_news,
-            allowed_params=frozenset({"keyword_count"}),
-            needs_news=True,
-        ),
+        StrategySpec("news", run_news, frozenset({"keyword_count"}), needs_news=True),
         StrategySpec("reversed", run_reversed),
-        StrategySpec("basic_with_rationale", partial(run_single_prompt, "basic_with_rationale")),
     )
 }
 
@@ -660,12 +605,8 @@ def run_strategy(
     for name, value in params.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InvalidParam(f"{name} must be a positive integer, got {value!r}")
-    kwargs: dict = {"extractor": extractor}
-    kwargs.update(params)
-    if spec.needs_news:
-        kwargs["hn_client"] = hn_client
-        kwargs["nyt_client"] = nyt_client
-    return spec.runner(event, today, backend, **kwargs)
+    news = {"hn_client": hn_client, "nyt_client": nyt_client} if spec.needs_news else {}
+    return spec.runner(event, today, backend, extractor=extractor, **params, **news)
 
 
 def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> ForecastRecord:
@@ -751,12 +692,16 @@ def trace_from_dict(payload: dict) -> ChainTrace:
     )
 
 
-def save_trace(trace: ChainTrace, path: str | Path) -> None:
-    """Write a trace as stable, diffable JSON."""
+def _write_json(payload: dict, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(trace_to_dict(trace), indent=2, sort_keys=True, ensure_ascii=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def save_trace(trace: ChainTrace, path: str | Path) -> None:
+    """Write a trace as stable, diffable JSON."""
+    _write_json(trace_to_dict(trace), path)
 
 
 def load_trace(path: str | Path) -> ChainTrace:
@@ -770,15 +715,14 @@ def save_partial_trace(
     path: str | Path,
 ) -> None:
     """Record the completed steps of a failed chain for later inspection."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "event_id": error.event_id,
-        "strategy": strategy,
-        "prediction_date": prediction_date.isoformat(),
-        "failed_step": error.step_id,
-        "error": str(error),
-        "steps": [_step_to_dict(step) for step in error.partial_steps],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    _write_json(
+        {
+            "event_id": error.event_id,
+            "strategy": strategy,
+            "prediction_date": prediction_date.isoformat(),
+            "failed_step": error.step_id,
+            "error": str(error),
+            "steps": [_step_to_dict(step) for step in error.partial_steps],
+        },
+        path,
+    )

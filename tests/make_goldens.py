@@ -1,18 +1,29 @@
-"""Regenerate the frozen rendered-prompt fixtures under fixtures/golden/.
+"""Regenerate the frozen fixtures under fixtures/golden/ and fixtures/golden_traces/.
 
-Run from the repository root: python3 tests/make_goldens.py
-The acceptance suite compares fresh renders byte-for-byte against these files,
-so regenerate only when a template or binding deliberately changes.
+Run from the repository root: PYTHONPATH=src python3 tests/make_goldens.py
+The acceptance suite compares fresh renders and fresh trace files
+byte-for-byte against these files, so regenerate only when a template, a
+binding or the trace format deliberately changes.
 """
 
 from datetime import date
 from pathlib import Path
 
 from foresight.events import load_dataset
+from foresight.llm import MockBackend, MockRule
+from foresight.news import Headline, Source
 from foresight.prompts import RenderContext, load_templates, render
+from foresight.strategies import (
+    STRATEGY_IDS,
+    ChainError,
+    run_strategy,
+    save_partial_trace,
+    save_trace,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = FIXTURES / "golden"
+GOLDEN_TRACE_DIR = FIXTURES / "golden_traces"
 
 GOLDEN_EVENT_ID = "evt-01"
 GOLDEN_DATE = date(2022, 8, 1)
@@ -60,10 +71,37 @@ GOLDEN_EXTRA = {
 }
 
 
+# Headlines dated up to the prediction date, so every news step runs.
+GOLDEN_HEADLINES = {
+    Source.HACKERNEWS: (
+        Headline("Tesla expands FSD beta to more testers", date(2022, 7, 20), Source.HACKERNEWS),
+    ),
+    Source.NYT: (
+        Headline(
+            "Tesla reports progress toward L3 but no regulatory approval",
+            date(2022, 7, 18),
+            Source.NYT,
+        ),
+    ),
+}
+
+
+class FixedNews:
+    """In-memory headline client that always answers with the same headlines."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def search(self, window):
+        return GOLDEN_HEADLINES[self.source]
+
+
+def golden_event():
+    return load_dataset(FIXTURES / "events_val.jsonl").event_by_id(GOLDEN_EVENT_ID)
+
+
 def golden_bindings():
-    split = load_dataset(FIXTURES / "events_val.jsonl")
-    event = split.event_by_id(GOLDEN_EVENT_ID)
-    context = RenderContext(event=event, today=GOLDEN_DATE)
+    context = RenderContext(event=golden_event(), today=GOLDEN_DATE)
     return {**context.bindings(), **GOLDEN_EXTRA}
 
 
@@ -79,11 +117,64 @@ def render_all():
     }
 
 
+def _run(strategy, backend, **params):
+    return run_strategy(
+        strategy,
+        golden_event(),
+        GOLDEN_DATE,
+        backend,
+        extractor=backend,
+        hn_client=FixedNews(Source.HACKERNEWS),
+        nyt_client=FixedNews(Source.NYT),
+        params=params,
+    )
+
+
+def write_traces(directory):
+    """Write the golden trace files into ``directory``; returns their names.
+
+    One ``save_trace`` file per strategy on the scripted backend; one crowd
+    trace whose personas are dropped both ways (empty job, reply without a
+    number); and one ``save_partial_trace`` file whose prediction step fails
+    on its second sample.
+    """
+    directory = Path(directory)
+    backend = MockBackend.from_file(FIXTURES / "mock.rules")
+    names = []
+    for strategy in STRATEGY_IDS:
+        save_trace(_run(strategy, backend), directory / f"{strategy}.json")
+        names.append(f"{strategy}.json")
+
+    flaky = MockBackend(
+        [
+            MockRule("substring", "You must ask an expert", ("an engineer", "", "a regulator")),
+            MockRule("substring", "a regulator", "no number here"),
+            *backend.rules,
+        ]
+    )
+    save_trace(_run("crowd", flaky, persona_count=3), directory / "crowd.dropped.json")
+    names.append("crowd.dropped.json")
+
+    failing = MockBackend(
+        [MockRule("substring", "Predict the likelihood", ("10%", "no number here")), *backend.rules]
+    )
+    try:
+        _run("basic", failing)
+    except ChainError as exc:
+        save_partial_trace(exc, "basic", GOLDEN_DATE, directory / "basic.failed.json")
+    else:
+        raise AssertionError("the failing basic chain did not fail")
+    names.append("basic.failed.json")
+    return names
+
+
 def main():
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for template_id, text in sorted(render_all().items()):
         golden_path(template_id).write_text(text, encoding="utf-8")
         print(f"wrote {golden_path(template_id).relative_to(FIXTURES.parent)}")
+    for name in write_traces(GOLDEN_TRACE_DIR):
+        print(f"wrote {(GOLDEN_TRACE_DIR / name).relative_to(FIXTURES.parent)}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from foresight.metrics import brier, weighted_brier
 from foresight.news import HackerNewsClient, NYTClient
 from foresight.prompts import NoProbabilityFound, Scale, parse_probability
 from foresight.strategies import STRATEGY_IDS, run_strategy, trace_to_dict
-from make_goldens import golden_path, render_all
+from make_goldens import GOLDEN_TRACE_DIR, golden_path, render_all, write_traces
 from stubserver import StubNewsServer, hn_hit, nyt_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -110,6 +110,17 @@ def test_criterion_04_golden_prompt_renders_byte_identical():
     for template_id, text in rendered.items():
         frozen = golden_path(template_id).read_text(encoding="utf-8")
         assert text == frozen, f"render drifted: {template_id}"
+
+
+def test_criterion_04b_golden_traces_byte_identical(tmp_path):
+    # the trace file of every strategy, a crowd trace with dropped personas
+    # and a failed chain's partial trace equal their frozen fixtures
+    names = write_traces(tmp_path)
+    assert len(names) == len(STRATEGY_IDS) + 2
+    assert sorted(names) == sorted(path.name for path in GOLDEN_TRACE_DIR.iterdir())
+    for name in names:
+        frozen = (GOLDEN_TRACE_DIR / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == frozen, f"trace drifted: {name}"
 
 
 def test_criterion_05_end_to_end_determinism_all_strategies(tmp_path):

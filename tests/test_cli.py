@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from foresight import cli
 from foresight.cli import _safe_filename, main
 from stubserver import StubNewsServer, hn_hit, nyt_doc
 
@@ -57,7 +58,7 @@ def test_run_skips_inactive_events(tmp_path, capsys):
             "--strategy",
             "basic",
             "--date",
-            "2022-08-01",
+            "2022-07-01",
             "--backend",
             MOCK,
             "--out",
@@ -66,8 +67,9 @@ def test_run_skips_inactive_events(tmp_path, capsys):
     )
     assert code == 0
     printed = capsys.readouterr().out
-    # e2 expired for this date? no: e1 and e2 active, e3 active from July 10
-    assert "3 ok" in printed or "ok" in printed
+    # e3 is created on 2022-07-10, after this prediction date
+    assert "2 ok, 0 failed, 1 inactive skipped" in printed.splitlines()[0]
+    assert sorted(p.name for p in (out / "traces" / "basic").iterdir()) == ["e1.json", "e2.json"]
 
 
 def test_run_reports_failures(tmp_path, capsys):
@@ -140,6 +142,50 @@ def test_run_replay_miss_is_failure(tmp_path, capsys):
     )
     assert code == 1
     assert "no cached response" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cache_flags", ["replay", "cache-replay-only"])
+def test_run_missing_replay_cache_is_an_input_error(tmp_path, capsys, cache_flags):
+    missing = tmp_path / "no" / "such" / "dir"
+    out = tmp_path / "out"
+    if cache_flags == "replay":
+        flags = ["--backend", f"replay:{missing}"]
+    else:
+        flags = ["--backend", MOCK, "--cache", str(missing), "--replay-only"]
+    argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01", "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    # nothing is created: neither the cache directory nor the output tree
+    assert not (tmp_path / "no").exists()
+    assert not out.exists()
+
+
+def test_run_unexpected_error_fails_only_its_event(tmp_path, monkeypatch, capsys):
+    class RaisesOnOneEvent:
+        """Wraps the mock backend; raises a non-chain error on one event's prompts."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.backend_id = inner.backend_id
+
+        def complete(self, request):
+            if "Artemis I" in request.prompt:
+                raise RuntimeError("wrapper bug")
+            return self.inner.complete(request)
+
+    build_backend = cli.build_backend
+    monkeypatch.setattr(
+        cli, "build_backend", lambda spec, config: RaisesOnOneEvent(build_backend(spec, config))
+    )
+    out = tmp_path / "out"
+    assert main(RUN_BASE + ["--strategy", "basic", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "10 events: 9 ok, 1 failed" in captured.out
+    assert "FAILED evt-04: RuntimeError: wrapper bug" in captured.err
+    lines = [json.loads(l) for l in (out / "basic.jsonl").read_text().splitlines()]
+    assert [l["event_id"] for l in lines] == [f"evt-{i:02d}" for i in range(1, 11) if i != 4]
+    traces = sorted(p.name for p in (out / "traces" / "basic").iterdir())
+    assert traces == [f"evt-{i:02d}.json" for i in range(1, 11) if i != 4]
 
 
 NEWS_HITS = [

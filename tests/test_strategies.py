@@ -2,14 +2,18 @@
 
 import json
 import math
+import tempfile
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foresight.events import Category, Event, load_dataset
 from foresight.llm import MockBackend, MockRule
 from foresight.news import Headline, NewsError, Source
+from foresight.prompts import aggregate_probabilities
 from foresight.strategies import (
     ChainError,
     ChainTrace,
@@ -17,6 +21,7 @@ from foresight.strategies import (
     NO_HEADLINES_TEXT,
     PredictionWindowError,
     STRATEGY_IDS,
+    SampleExtraction,
     StepRecord,
     UnknownStrategy,
     load_trace,
@@ -326,6 +331,72 @@ def test_trace_round_trip_byte_identical(tmp_path):
     second = tmp_path / "second.json"
     save_trace(again, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+# Text with non-ASCII letters, quotes, newlines and control characters.
+_TEXT = st.text(
+    alphabet=st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from("éü中ж 😀")),
+    max_size=12,
+)
+_PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
+_PARSED = st.one_of(
+    st.none(),
+    _TEXT,
+    _PROBABILITY,
+    st.tuples(_TEXT, _TEXT),
+    st.lists(_PROBABILITY, max_size=3).map(tuple),
+)
+_EXTRACTION = st.builds(
+    SampleExtraction,
+    sample_index=st.integers(0, 7),
+    prompt=st.none() | _TEXT,
+    response=st.none() | _TEXT,
+    probability=_PROBABILITY,
+    fallback_used=st.booleans(),
+    error=st.none() | _TEXT,
+)
+
+
+@st.composite
+def _steps(draw):
+    if draw(st.booleans()):
+        prompt, responses = None, ()  # a step that made no model call
+    else:
+        prompt, responses = draw(_TEXT), tuple(draw(st.lists(_TEXT, min_size=1, max_size=3)))
+    return StepRecord(
+        draw(_TEXT.filter(bool)),
+        prompt,
+        responses,
+        parsed=draw(_PARSED),
+        extractions=tuple(draw(st.lists(_EXTRACTION, max_size=3))),
+        warnings=tuple(draw(st.lists(_TEXT, max_size=2))),
+    )
+
+
+@st.composite
+def _traces(draw):
+    samples = tuple(draw(st.lists(_PROBABILITY, min_size=1, max_size=8)))
+    return ChainTrace(
+        event_id=draw(_TEXT),
+        strategy=draw(_TEXT),
+        prediction_date=draw(st.dates()),
+        steps=tuple(draw(st.lists(_steps(), min_size=1, max_size=4))),
+        final_samples=samples,
+        final_probability=aggregate_probabilities(samples),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_traces())
+def test_trace_codec_round_trips(trace):
+    assert trace_from_dict(json.loads(json.dumps(trace_to_dict(trace)))) == trace
+    with tempfile.TemporaryDirectory() as scratch:
+        first, second = Path(scratch) / "first.json", Path(scratch) / "second.json"
+        save_trace(trace, first)
+        loaded = load_trace(first)
+        assert loaded == trace
+        save_trace(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_trace_dict_rejects_inconsistent_payloads():
