@@ -59,9 +59,9 @@ def main():
     just_answer = []
     with_rationale = []
     for event in EVENTS:
-        basic = run_strategy("basic", event, TODAY, BACKEND, extractor=BACKEND)
-        reversed_trace = run_strategy("reversed", event, TODAY, BACKEND, extractor=BACKEND)
-        rationale = run_strategy("basic_with_rationale", event, TODAY, BACKEND, extractor=BACKEND)
+        basic = run_strategy("basic", event, TODAY, BACKEND)
+        reversed_trace = run_strategy("reversed", event, TODAY, BACKEND)
+        rationale = run_strategy("basic_with_rationale", event, TODAY, BACKEND)
         forward.append(basic.final_probability)
         flipped.append(reversed_trace.final_probability)
         just_answer.append((event.id, basic.final_probability))

@@ -61,7 +61,7 @@ def main():
     strategies = ("basic", "forecaster", "base_rate")
     for strategy in strategies:
         forecasts = [
-            trace_to_forecast(run_strategy(strategy, event, TODAY, BACKEND, extractor=BACKEND))
+            trace_to_forecast(run_strategy(strategy, event, TODAY, BACKEND))
             for event in split.events
         ]
         print(render_report(score(forecasts, split), title=f"Scores for {strategy}"))

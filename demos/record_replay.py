@@ -36,7 +36,7 @@ def main():
         cache_dir = Path(tmp) / "cache"
 
         recording = CachedBackend(cache_dir, LIVE)
-        first = run_strategy("basic", EVENT, today, recording, extractor=recording)
+        first = run_strategy("basic", EVENT, today, recording)
         print(f"recorded run:  p = {first.final_probability:.4f}")
         print(f"  live calls: {LIVE.calls}, cache misses: {recording.misses}")
         entries = len(list(cache_dir.rglob("*.json")))
@@ -46,7 +46,7 @@ def main():
         # whole chain was served from disk.
         null = NullBackend(LIVE.backend_id)
         replaying = CachedBackend(cache_dir, null, replay_only=True)
-        second = run_strategy("basic", EVENT, today, replaying, extractor=replaying)
+        second = run_strategy("basic", EVENT, today, replaying)
         print(f"replayed run:  p = {second.final_probability:.4f}")
         print(f"  inner backend calls during replay: {null.calls}")
         print(f"  cache hits: {replaying.hits}")

@@ -63,7 +63,7 @@ def show(trace):
 def main():
     today = date(2022, 8, 1)
     for strategy in ("basic", "both_sides"):
-        trace = run_strategy(strategy, EVENT, today, BACKEND, extractor=BACKEND)
+        trace = run_strategy(strategy, EVENT, today, BACKEND)
         show(trace)
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
 
-from .events import DatasetError, UnresolvedEvent, active_events, load_dataset
+from .events import DatasetError, UnresolvedEvent, active_events, load_dataset, parse_date
 from .llm import (
     API_KEY_ENV,
     BASE_URL_ENV,
@@ -58,6 +58,7 @@ from .strategies import (
     InvalidParam,
     PredictionWindowError,
     UnknownStrategy,
+    check_params,
     run_strategy,
     save_partial_trace,
     save_trace,
@@ -111,11 +112,11 @@ class _UnconfiguredNewsClient:
         raise NewsError(self.reason)
 
 
-def _parse_date(value: str, flag: str) -> date:
+def _date_flag(value: str) -> date:
     try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise ConfigError(f"{flag} expects YYYY-MM-DD, got {value!r}") from None
+        return parse_date(value, "--date")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_config(items) -> dict[str, str]:
@@ -229,9 +230,15 @@ def _cache_location(args) -> tuple[Path | None, bool]:
 
 def cmd_run(args) -> int:
     config = _parse_config(args.config)
-    today = _parse_date(args.date, "--date")
+    today = _date_flag(args.date)
     if args.workers < 1:
         raise ConfigError(f"--workers must be positive, got {args.workers}")
+    params: dict[str, int] = {}
+    if args.persona_count is not None:
+        params["persona_count"] = args.persona_count
+    if args.keyword_count is not None:
+        params["keyword_count"] = args.keyword_count
+    check_params(args.strategy, params)  # once, before any event is submitted
     cache_dir, replay_only = _cache_location(args)
 
     split = load_dataset(args.events)
@@ -239,13 +246,6 @@ def cmd_run(args) -> int:
     if cache_dir is not None:
         # completions live under DIR/llm, headlines under DIR/news
         backend = CachedBackend(cache_dir / "llm", backend, replay_only=replay_only)
-    extractor = backend
-
-    params: dict[str, int] = {}
-    if args.persona_count is not None:
-        params["persona_count"] = args.persona_count
-    if args.keyword_count is not None:
-        params["keyword_count"] = args.keyword_count
 
     hn_client = nyt_client = None
     if args.strategy == "news":
@@ -265,7 +265,6 @@ def cmd_run(args) -> int:
                 event,
                 today,
                 backend,
-                extractor=extractor,
                 hn_client=hn_client,
                 nyt_client=nyt_client,
                 params=params,
@@ -315,7 +314,7 @@ def cmd_score(args) -> int:
     if args.from_market:
         if not args.date:
             raise ConfigError("--from-market needs --date")
-        on = _parse_date(args.date, "--date")
+        on = _date_flag(args.date)
         candidates = [event for event in active_events(split, on) if event.resolved]
         records = market_forecast_records(split, on, events=candidates)
     else:

@@ -9,12 +9,12 @@ key.  Parsing is strict: one malformed line rejects the whole file.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Collection, Iterable, TypeVar
 
 __all__ = [
     "Category",
@@ -26,6 +26,8 @@ __all__ = [
     "MalformedRecord",
     "DuplicateId",
     "UnresolvedEvent",
+    "parse_date",
+    "read_json_lines",
     "parse_dataset",
     "load_dataset",
     "serialize_dataset",
@@ -33,6 +35,8 @@ __all__ = [
     "market_point_prediction",
     "outcome_indicator",
 ]
+
+_T = TypeVar("_T")
 
 
 class Category(Enum):
@@ -138,9 +142,10 @@ class MarketSnapshot:
 class DatasetSplit:
     """An ordered collection of events plus their market snapshots.
 
-    ``label`` is free-form ("val", "test", or any custom name).  Every snapshot
-    must reference an event in the split and fall inside that event's market
-    window [created, resolved_at or expires].
+    ``label`` is free-form ("val", "test", or any custom name).  Event ids are
+    unique.  Every snapshot must reference an event in the split, fall inside
+    that event's market window [created, resolved_at or expires], and be the
+    event's only snapshot on its date.
     """
 
     label: str
@@ -148,39 +153,42 @@ class DatasetSplit:
     snapshots: tuple[MarketSnapshot, ...] = ()
 
     def __post_init__(self) -> None:
-        by_id = {e.id: e for e in self.events}
-        if len(by_id) != len(self.events):
-            seen: set[str] = set()
-            for e in self.events:
-                if e.id in seen:
-                    raise DuplicateId(e.id)
-                seen.add(e.id)
+        by_id: dict[str, Event] = {}
+        for e in self.events:
+            if e.id in by_id:
+                raise DuplicateId(e.id)
+            by_id[e.id] = e
+        # {event id: {date: snapshot}}, each in file order
+        market: dict[str, dict[date, MarketSnapshot]] = {}
         for s in self.snapshots:
             event = by_id.get(s.event_id)
             if event is None:
                 raise ValueError(f"snapshot references unknown event {s.event_id!r}")
-            last = event.resolved_at if event.resolved_at is not None else event.expires
-            if not (event.created <= s.date <= last):
-                raise ValueError(
-                    f"snapshot for {s.event_id!r} dated {s.date} outside market window "
-                    f"[{event.created}, {last}]"
-                )
-
-    @cached_property
-    def _by_id(self) -> Mapping[str, Event]:
-        return {e.id: e for e in self.events}
+            _add_snapshot(market.setdefault(s.event_id, {}), event, s)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_market", market)
 
     def event_by_id(self, event_id: str) -> Event | None:
         return self._by_id.get(event_id)
 
     def snapshots_for(self, event_id: str) -> tuple[MarketSnapshot, ...]:
-        return tuple(s for s in self.snapshots if s.event_id == event_id)
+        return tuple(self._market.get(event_id, {}).values())
 
     def snapshot_on(self, event_id: str, on: date) -> MarketSnapshot | None:
-        for s in self.snapshots:
-            if s.event_id == event_id and s.date == on:
-                return s
-        return None
+        return self._market.get(event_id, {}).get(on)
+
+
+def _add_snapshot(by_date: dict[date, MarketSnapshot], event: Event, s: MarketSnapshot) -> None:
+    """File ``s`` under its date: one per date, inside ``event``'s market window."""
+    last = event.resolved_at if event.resolved_at is not None else event.expires
+    if not (event.created <= s.date <= last):
+        raise ValueError(
+            f"snapshot for {s.event_id!r} dated {s.date} outside market window "
+            f"[{event.created}, {last}]"
+        )
+    if s.date in by_date:
+        raise ValueError(f"event {s.event_id!r} has two snapshots dated {s.date}")
+    by_date[s.date] = s
 
 
 _EVENT_KEYS = (
@@ -194,38 +202,75 @@ _EVENT_KEYS = (
     "resolved_at",
     "resolution",
 )
-_SNAPSHOT_KEYS = ("date", "lower", "upper")
+_SNAPSHOT_KEYS = frozenset({"date", "lower", "upper"})
 _CATEGORY_BY_VALUE = {c.value: c for c in Category}
 
 
-def _parse_date(value: object, field: str) -> date:
-    if not isinstance(value, str):
-        raise ValueError(f"field {field!r} must be an ISO date string")
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(value: object, name: str = "date") -> date:
+    """A calendar date written exactly ``YYYY-MM-DD``.
+
+    From Python 3.11 the standard ISO parser also takes other ISO 8601 forms
+    (``20220801``, ``2022-W31-1``), so the shape is checked first.
+    """
     try:
-        return date.fromisoformat(value)
+        if isinstance(value, str) and _ISO_DATE.fullmatch(value):
+            return date.fromisoformat(value)
     except ValueError:
-        raise ValueError(f"field {field!r} is not a valid ISO date: {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be a YYYY-MM-DD date, got {value!r}")
 
 
-def _parse_record(obj: object) -> tuple[Event, list[MarketSnapshot]]:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    missing = [k for k in _EVENT_KEYS if k not in obj]
-    if missing:
-        raise ValueError(f"missing field {missing[0]!r}")
-    extra = [k for k in obj if k not in _EVENT_KEYS and k != "market"]
-    if extra:
-        raise ValueError(f"unexpected field {extra[0]!r}")
+def read_json_lines(
+    text: str,
+    build: Callable[[dict], _T],
+    required: Collection[str],
+    optional: Collection[str] = (),
+) -> list[_T]:
+    """Parse strict JSON lines: one object per nonblank line, built by ``build``.
+
+    Invalid JSON, a non-object, a missing ``required`` field, a field that is
+    neither required nor ``optional``, and a ``ValueError`` or ``TypeError``
+    from ``build`` all raise :class:`MalformedRecord` with the 1-based line.
+    """
+    records: list[_T] = []
+    # Only "\n" ends a record: JSON strings may hold U+2028 and other
+    # characters that str.splitlines would also break on.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise MalformedRecord(lineno, "record is not a JSON object")
+        missing = [k for k in required if k not in obj]
+        if missing:
+            raise MalformedRecord(lineno, f"missing field {missing[0]!r}")
+        extra = [k for k in obj if k not in required and k not in optional]
+        if extra:
+            raise MalformedRecord(lineno, f"unexpected field {extra[0]!r}")
+        try:
+            records.append(build(obj))
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(lineno, str(exc)) from None
+    return records
+
+
+def _parse_record(obj: dict) -> tuple[Event, list[MarketSnapshot]]:
     for key in ("id", "name", "condition", "description"):
         if not isinstance(obj[key], str):
             raise ValueError(f"field {key!r} must be a string")
     category = _CATEGORY_BY_VALUE.get(obj["category"])
     if category is None:
         raise ValueError(f"unknown category {obj['category']!r}")
-    created = _parse_date(obj["created"], "created")
-    expires = _parse_date(obj["expires"], "expires")
+    created = parse_date(obj["created"], "created")
+    expires = parse_date(obj["expires"], "expires")
     resolved_raw = obj["resolved_at"]
-    resolved_at = None if resolved_raw is None else _parse_date(resolved_raw, "resolved_at")
+    resolved_at = None if resolved_raw is None else parse_date(resolved_raw, "resolved_at")
     resolution_raw = obj["resolution"]
     if resolution_raw is None:
         resolution = Resolution.UNRESOLVED
@@ -245,26 +290,26 @@ def _parse_record(obj: object) -> tuple[Event, list[MarketSnapshot]]:
         resolution=resolution,
     )
 
-    snapshots: list[MarketSnapshot] = []
+    # checked here as well as in DatasetSplit, so an error names its line
+    by_date: dict[date, MarketSnapshot] = {}
     market = obj.get("market")
     if market is not None:
         if not isinstance(market, list):
             raise ValueError("field 'market' must be a list")
         for i, entry in enumerate(market):
-            if not isinstance(entry, dict) or sorted(entry) != sorted(_SNAPSHOT_KEYS):
-                raise ValueError(f"market entry {i} must have exactly keys {_SNAPSHOT_KEYS}")
+            if not isinstance(entry, dict) or entry.keys() != _SNAPSHOT_KEYS:
+                raise ValueError(f"market entry {i} must have exactly keys date, lower, upper")
             for bound in ("lower", "upper"):
                 if isinstance(entry[bound], bool) or not isinstance(entry[bound], (int, float)):
                     raise ValueError(f"market entry {i}: {bound!r} must be a number")
-            snapshots.append(
-                MarketSnapshot(
-                    event_id=event.id,
-                    date=_parse_date(entry["date"], "market.date"),
-                    lower=float(entry["lower"]),
-                    upper=float(entry["upper"]),
-                )
+            snapshot = MarketSnapshot(
+                event_id=event.id,
+                date=parse_date(entry["date"], "market.date"),
+                lower=float(entry["lower"]),
+                upper=float(entry["upper"]),
             )
-    return event, snapshots
+            _add_snapshot(by_date, event, snapshot)
+    return event, list(by_date.values())
 
 
 def parse_dataset(source: str | IO[str], *, label: str = "custom") -> DatasetSplit:
@@ -274,33 +319,12 @@ def parse_dataset(source: str | IO[str], *, label: str = "custom") -> DatasetSpl
     carries the 1-based line number) or repeated event id (``DuplicateId``).
     """
     text = source if isinstance(source, str) else source.read()
-    events: list[Event] = []
-    snapshots: list[MarketSnapshot] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
-        try:
-            event, event_snapshots = _parse_record(obj)
-        except ValueError as exc:
-            raise MalformedRecord(lineno, str(exc)) from None
-        if event.id in seen:
-            raise DuplicateId(event.id)
-        seen.add(event.id)
-        for s in event_snapshots:
-            last = event.resolved_at if event.resolved_at is not None else event.expires
-            if not (event.created <= s.date <= last):
-                raise MalformedRecord(
-                    lineno,
-                    f"snapshot dated {s.date} outside market window [{event.created}, {last}]",
-                )
-        events.append(event)
-        snapshots.extend(event_snapshots)
-    return DatasetSplit(label=label, events=tuple(events), snapshots=tuple(snapshots))
+    records = read_json_lines(text, _parse_record, _EVENT_KEYS, ("market",))
+    return DatasetSplit(
+        label=label,
+        events=tuple(event for event, _ in records),
+        snapshots=tuple(s for _, snapshots in records for s in snapshots),
+    )
 
 
 def load_dataset(path: str | Path, *, label: str | None = None) -> DatasetSplit:

@@ -16,8 +16,6 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .events import (
     Category,
     DatasetSplit,
@@ -27,6 +25,8 @@ from .events import (
     UnresolvedEvent,
     market_point_prediction,
     outcome_indicator,
+    parse_date,
+    read_json_lines,
 )
 
 __all__ = [
@@ -148,14 +148,12 @@ def brier(pairs: Sequence[tuple[float, int]]) -> float:
     """Mean squared error of (probability, outcome) pairs.  Outcomes are 0/1."""
     if len(pairs) == 0:
         raise EmptyInput("brier needs at least one (probability, outcome) pair")
-    arr = np.asarray(pairs, dtype=float)
-    probs = arr[:, 0]
-    outcomes = arr[:, 1]
-    if np.any((probs < 0.0) | (probs > 1.0)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if not np.all((outcomes == 0.0) | (outcomes == 1.0)):
-        raise ValueError("outcomes must be 0 or 1")
-    return float(np.mean((probs - outcomes) ** 2))
+    for p, o in pairs:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("probabilities must lie in [0, 1]")
+        if o not in (0, 1):
+            raise ValueError("outcomes must be 0 or 1")
+    return math.fsum((p - o) ** 2 for p, o in pairs) / len(pairs)
 
 
 def weighted_brier(
@@ -271,7 +269,6 @@ def market_forecast_records(
     on: date,
     *,
     events: Sequence[Event] | None = None,
-    strategy: str = "market",
 ) -> list[ForecastRecord]:
     """Build forecasts from market spread midpoints on a single date.
 
@@ -285,7 +282,7 @@ def market_forecast_records(
         records.append(
             ForecastRecord(
                 event_id=event.id,
-                strategy=strategy,
+                strategy="market",
                 prediction_date=on,
                 probability=market_point_prediction(snapshot),
             )
@@ -296,38 +293,20 @@ def market_forecast_records(
 _FORECAST_KEYS = ("event_id", "strategy", "prediction_date", "probability")
 
 
+def _forecast_record(obj: dict) -> ForecastRecord:
+    return ForecastRecord(
+        event_id=obj["event_id"],
+        strategy=obj["strategy"],
+        prediction_date=parse_date(obj["prediction_date"], "prediction_date"),
+        probability=float(obj["probability"]),
+        samples=tuple(float(s) for s in obj.get("samples", ())),
+        trace_ref=obj.get("trace_ref"),
+    )
+
+
 def parse_forecasts(text: str) -> list[ForecastRecord]:
     """Parse a JSON-lines forecast file."""
-    records: list[ForecastRecord] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object")
-        missing = [k for k in _FORECAST_KEYS if k not in obj]
-        if missing:
-            raise MalformedRecord(lineno, f"missing field {missing[0]!r}")
-        extra = [k for k in obj if k not in _FORECAST_KEYS and k not in ("samples", "trace_ref")]
-        if extra:
-            raise MalformedRecord(lineno, f"unexpected field {extra[0]!r}")
-        try:
-            records.append(
-                ForecastRecord(
-                    event_id=obj["event_id"],
-                    strategy=obj["strategy"],
-                    prediction_date=date.fromisoformat(obj["prediction_date"]),
-                    probability=float(obj["probability"]),
-                    samples=tuple(float(s) for s in obj.get("samples", ())),
-                    trace_ref=obj.get("trace_ref"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecord(lineno, str(exc)) from None
-    return records
+    return read_json_lines(text, _forecast_record, _FORECAST_KEYS, ("samples", "trace_ref"))
 
 
 def load_forecasts(path: str | Path) -> list[ForecastRecord]:

@@ -13,6 +13,7 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
+from .events import parse_date
 from .llm import ContentStore, ReplayMiss
 
 __all__ = [
@@ -111,11 +112,6 @@ class NewsClient(Protocol):
     def search(self, window: QueryWindow) -> tuple[Headline, ...]: ...
 
 
-def _parse_date(value: str) -> date:
-    # Timestamps vary by service; only the calendar date matters here.
-    return date.fromisoformat(value[:10])
-
-
 def _get_json(
     session: requests.Session,
     url: str,
@@ -201,7 +197,8 @@ class HackerNewsClient:
             if not title or not created:
                 continue
             try:
-                when = _parse_date(created)
+                # timestamps vary by service; only the calendar date matters
+                when = parse_date(created[:10])
             except ValueError:
                 continue
             headlines.append(Headline(title=title, date=when, source=Source.HACKERNEWS))
@@ -259,7 +256,7 @@ class NYTClient:
                 if not title or not published:
                     continue
                 try:
-                    when = _parse_date(published)
+                    when = parse_date(published[:10])
                 except ValueError:
                     continue
                 headlines.append(Headline(title=title, date=when, source=Source.NYT))
@@ -294,7 +291,7 @@ def _headlines_from_entry(entry: dict) -> tuple[Headline, ...]:
     return tuple(
         Headline(
             title=item["title"],
-            date=date.fromisoformat(item["date"]),
+            date=parse_date(item["date"]),
             source=Source(item["source"]),
         )
         for item in entry["headlines"]

@@ -274,7 +274,7 @@ def parse_probability(text: str, *, scale: Scale = Scale.PERCENT) -> float:
 class ExtractionDetail:
     """How one sample's probability was obtained."""
 
-    prompt: str | None
+    prompt: str
     response: str | None
     fallback_used: bool
     error: str | None = None
@@ -284,38 +284,33 @@ def extract_probability(
     raw: str,
     *,
     scale: Scale,
-    extractor: CompletionBackend | None = None,
+    extractor: CompletionBackend,
 ) -> tuple[float, ExtractionDetail]:
     """Turn one raw model reply into a probability.
 
-    When an extractor backend is given, an extraction prompt is tried first
-    and its reply parsed on the unit scale. Any failure on that route falls
-    back to parsing the raw reply directly.
+    An extraction prompt is sent to ``extractor`` first and its reply parsed
+    on the unit scale. Any failure on that route falls back to parsing the
+    raw reply directly.
     """
-    prompt = None
+    template = get_template(EXTRACTION_TEMPLATE_ID)
+    prompt = render(template, {"response": raw})
     response = None
-    error = None
-    if extractor is not None:
-        template = get_template(EXTRACTION_TEMPLATE_ID)
-        prompt = render(template, {"response": raw})
-        request = CompletionRequest(prompt=prompt, n_samples=1)
+    try:
+        result = complete(extractor, CompletionRequest(prompt=prompt, n_samples=1))
+    except BackendError as exc:
+        error = f"extractor backend failed: {exc}"
+    else:
+        response = result.texts[0]
         try:
-            result = complete(extractor, request)
-        except BackendError as exc:
-            error = f"extractor backend failed: {exc}"
+            value = parse_probability(response, scale=template.scale)
+        except NoProbabilityFound:
+            error = f"extractor reply had no probability: {_preview(response)!r}"
         else:
-            response = result.texts[0]
-            try:
-                value = parse_probability(response, scale=template.scale)
-            except NoProbabilityFound:
-                error = f"extractor reply had no probability: {_preview(response)!r}"
-            else:
-                return value, ExtractionDetail(prompt, response, fallback_used=False)
+            return value, ExtractionDetail(prompt, response, fallback_used=False)
     try:
         value = parse_probability(raw, scale=scale)
     except NoProbabilityFound as exc:
-        reason = str(exc) if error is None else f"{error}; {exc}"
-        raise ExtractionFailed(raw, reason) from None
+        raise ExtractionFailed(raw, f"{error}; {exc}") from None
     return value, ExtractionDetail(prompt, response, fallback_used=True, error=error)
 
 

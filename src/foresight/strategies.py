@@ -11,7 +11,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .events import Event
+from .events import Event, parse_date
 from .llm import (
     BackendError,
     CompletionBackend,
@@ -46,6 +46,7 @@ __all__ = [
     "StepRecord",
     "StrategySpec",
     "UnknownStrategy",
+    "check_params",
     "load_trace",
     "run_crowd",
     "run_news",
@@ -164,13 +165,11 @@ class _ChainBuilder:
         event: Event,
         today: date,
         backend: CompletionBackend,
-        extractor: CompletionBackend | None,
     ):
         self.strategy_id = strategy_id
         self.event = event
         self.today = today
         self.backend = backend
-        self.extractor = extractor
         # raises PredictionWindowError before any call when the window is closed
         self.bindings = RenderContext(event, today).bindings()
         self.steps: list[StepRecord] = []
@@ -245,7 +244,7 @@ class _ChainBuilder:
         failure: ExtractionFailed | None = None
         for index, raw in enumerate(replies):
             try:
-                value, detail = extract_probability(raw, scale=template.scale, extractor=self.extractor)
+                value, detail = extract_probability(raw, scale=template.scale, extractor=self.backend)
             except ExtractionFailed as exc:
                 failure = exc
                 label = "dropped" if drop_failed else f"sample {index}"
@@ -305,11 +304,9 @@ def _run_linear(
     event: Event,
     today: date,
     backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
 ) -> ChainTrace:
     """Run the steps ``LINEAR_CHAINS`` lists for ``strategy_id``."""
-    builder = _ChainBuilder(strategy_id, event, today, backend, extractor)
+    builder = _ChainBuilder(strategy_id, event, today, backend)
     *steps, (predict_id, predict_inputs) = LINEAR_CHAINS[strategy_id]
     replies: dict[str, str] = {}
 
@@ -394,11 +391,9 @@ def run_sequences(
     event: Event,
     today: date,
     backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
 ) -> ChainTrace:
     """Generate paths toward and away from the event, then weigh them."""
-    builder = _ChainBuilder("sequences", event, today, backend, extractor)
+    builder = _ChainBuilder("sequences", event, today, backend)
     positive_blocks = builder.intermediate(
         "positive", "sequences/positive", parse=_parse_sequence_blocks
     )
@@ -432,11 +427,10 @@ def run_crowd(
     today: date,
     backend: CompletionBackend,
     *,
-    extractor: CompletionBackend | None = None,
     persona_count: int = DEFAULT_PERSONA_COUNT,
 ) -> ChainTrace:
     """Pick experts, ask each for a windowed probability, average them."""
-    builder = _ChainBuilder("crowd", event, today, backend, extractor)
+    builder = _ChainBuilder("crowd", event, today, backend)
     jobs = builder.sampled("expert", "crowd/expert", persona_count, parse=_clean_job)
     values: list[float] = []
     for index, job in enumerate(jobs):
@@ -503,13 +497,12 @@ def run_news(
     today: date,
     backend: CompletionBackend,
     *,
-    extractor: CompletionBackend | None = None,
     hn_client: NewsClient | None = None,
     nyt_client: NewsClient | None = None,
     keyword_count: int = DEFAULT_KEYWORD_COUNT,
 ) -> ChainTrace:
     """Search the news up to the prediction date, then predict from it."""
-    builder = _ChainBuilder("news", event, today, backend, extractor)
+    builder = _ChainBuilder("news", event, today, backend)
     terms = builder.intermediate(
         "keywords",
         "news/keywords",
@@ -555,11 +548,9 @@ def run_reversed(
     event: Event,
     today: date,
     backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
 ) -> ChainTrace:
     """Reword the event as its opposite, predict that, and complement."""
-    builder = _ChainBuilder("reversed", event, today, backend, extractor)
+    builder = _ChainBuilder("reversed", event, today, backend)
     opposite = _opposite(builder)
     # the prediction step's parsed value keeps the raw, unflipped mean
     _, raw_samples = builder.predict("predict", "basic/predict", {"condition": opposite})
@@ -582,22 +573,12 @@ STRATEGIES: dict[str, StrategySpec] = {
 STRATEGY_IDS = tuple(STRATEGIES)
 
 
-def run_strategy(
-    strategy_id: str,
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    extractor: CompletionBackend | None = None,
-    hn_client: NewsClient | None = None,
-    nyt_client: NewsClient | None = None,
-    params: Mapping[str, int] | None = None,
-) -> ChainTrace:
-    """Dispatch to a registered strategy, validating its parameters."""
+def check_params(strategy_id: str, params: Mapping[str, int] | None) -> StrategySpec:
+    """The registry entry of ``strategy_id``, once ``params`` suit it."""
     spec = STRATEGIES.get(strategy_id)
     if spec is None:
         raise UnknownStrategy(strategy_id)
-    params = dict(params or {})
+    params = params or {}
     unknown = set(params) - spec.allowed_params
     if unknown:
         names = ", ".join(sorted(unknown))
@@ -605,8 +586,26 @@ def run_strategy(
     for name, value in params.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InvalidParam(f"{name} must be a positive integer, got {value!r}")
+    return spec
+
+
+def run_strategy(
+    strategy_id: str,
+    event: Event,
+    today: date,
+    backend: CompletionBackend,
+    *,
+    hn_client: NewsClient | None = None,
+    nyt_client: NewsClient | None = None,
+    params: Mapping[str, int] | None = None,
+) -> ChainTrace:
+    """Dispatch to a registered strategy, validating its parameters.
+
+    Every step, extraction included, completes against ``backend``.
+    """
+    spec = check_params(strategy_id, params)
     news = {"hn_client": hn_client, "nyt_client": nyt_client} if spec.needs_news else {}
-    return spec.runner(event, today, backend, extractor=extractor, **params, **news)
+    return spec.runner(event, today, backend, **(params or {}), **news)
 
 
 def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> ForecastRecord:
@@ -685,7 +684,7 @@ def trace_from_dict(payload: dict) -> ChainTrace:
     return ChainTrace(
         event_id=payload["event_id"],
         strategy=payload["strategy"],
-        prediction_date=date.fromisoformat(payload["prediction_date"]),
+        prediction_date=parse_date(payload["prediction_date"], "prediction_date"),
         steps=tuple(_step_from_dict(item) for item in payload["steps"]),
         final_samples=tuple(payload["final_samples"]),
         final_probability=payload["final_probability"],

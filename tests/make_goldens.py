@@ -123,7 +123,6 @@ def _run(strategy, backend, **params):
         golden_event(),
         GOLDEN_DATE,
         backend,
-        extractor=backend,
         hn_client=FixedNews(Source.HACKERNEWS),
         nyt_client=FixedNews(Source.NYT),
         params=params,

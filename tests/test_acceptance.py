@@ -175,7 +175,7 @@ def test_criterion_06_eight_sample_averaging_is_exact():
         ]
     )
     event = load_dataset(FIXTURES / "events_val.jsonl").event_by_id("evt-01")
-    trace = run_strategy("basic", event, TODAY, backend, extractor=backend)
+    trace = run_strategy("basic", event, TODAY, backend)
     assert trace.final_samples == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
     assert trace.final_probability == 0.35
 
@@ -207,7 +207,6 @@ def test_criterion_07_leakage_guard_randomized():
                 rng.choice(events),
                 TODAY,
                 backend,
-                extractor=backend,
                 hn_client=hn,
                 nyt_client=nyt,
             )
@@ -221,7 +220,7 @@ def test_criterion_08_reversed_forecast_is_exact_complement():
     split = load_dataset(FIXTURES / "events_val.jsonl")
     backend = MockBackend.from_file(FIXTURES / "mock.rules")
     for event in split.events:
-        trace = run_strategy("reversed", event, TODAY, backend, extractor=backend)
+        trace = run_strategy("reversed", event, TODAY, backend)
         predict = trace.steps[-1]
         assert trace.final_probability == 1.0 - predict.parsed
         for sample, extraction in zip(trace.final_samples, predict.extractions):
@@ -278,7 +277,7 @@ def test_criterion_09_replay_issues_zero_backend_calls(tmp_path):
     null = NullBackend("mock")
     replay_backend = CachedBackend(cache / "llm", null, replay_only=True)
     event = load_dataset(EVENTS).event_by_id("evt-05")
-    run_strategy("both_sides", event, TODAY, replay_backend, extractor=replay_backend)
+    run_strategy("both_sides", event, TODAY, replay_backend)
     assert null.calls == 0
     assert replay_backend.misses == 0
     assert replay_backend.hits > 0

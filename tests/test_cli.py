@@ -298,6 +298,7 @@ def test_run_rejects_bad_usage(tmp_path, capsys):
     cases = [
         RUN_BASE + ["--strategy", "basic", "--out", out, "--workers", "0"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--date", "yesterday"],
+        RUN_BASE + ["--strategy", "basic", "--out", out, "--date", "20220801"],
         ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
          "--backend", "replay:/tmp/x", "--cache", "/tmp/y", "--out", out],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--replay-only"],
@@ -312,6 +313,15 @@ def test_run_rejects_bad_usage(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_bad_params_before_submitting(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_strategy", lambda *args, **kwargs: calls.append(args))
+    argv = RUN_BASE + ["--strategy", "crowd", "--out", str(tmp_path / "out"), "--persona-count", "0"]
+    assert main(argv) == 2
+    assert calls == []
+    assert "persona_count must be a positive integer" in capsys.readouterr().err
 
 
 def test_run_live_backend_needs_model_and_url(tmp_path, capsys, monkeypatch):
@@ -345,7 +355,7 @@ def test_score_from_forecast_file(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "Scores for hand" in printed
-    assert "Brier Score           0.0823" in printed
+    assert "Brier Score           0.0822" in printed
     assert "Weighted Brier Score  0.0877" in printed
     data = json.loads(report_path.read_text())
     assert data["brier"] == pytest.approx(0.08225, abs=1e-12)
@@ -374,9 +384,11 @@ def test_score_from_market(tmp_path, capsys):
 
 
 def test_score_market_needs_date(tmp_path, capsys):
-    code = main(["score", "--events", EVENTS, "--from-market", "--out", str(tmp_path / "m.json")])
-    assert code == 2
+    argv = ["score", "--events", EVENTS, "--from-market", "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
     assert "--date" in capsys.readouterr().err
+    assert main(argv + ["--date", "2022-W31-1"]) == 2
+    assert "--date must be a YYYY-MM-DD date" in capsys.readouterr().err
 
 
 def test_bias_reports_coherence(tmp_path, capsys):

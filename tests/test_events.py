@@ -6,6 +6,8 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foresight.events import (
     Category,
@@ -21,6 +23,7 @@ from foresight.events import (
     market_point_prediction,
     outcome_indicator,
     parse_dataset,
+    parse_date,
     serialize_dataset,
 )
 
@@ -87,6 +90,12 @@ def test_split_rejects_orphan_and_out_of_window_snapshots():
     # window closes at resolution, not expiry
     with pytest.raises(ValueError):
         DatasetSplit("t", (resolved,), (MarketSnapshot("e1", date(2022, 10, 1), 0.1, 0.2),))
+    twice = (
+        MarketSnapshot("e1", date(2022, 8, 1), 0.1, 0.2),
+        MarketSnapshot("e1", date(2022, 8, 1), 0.5, 0.6),
+    )
+    with pytest.raises(ValueError, match="two snapshots dated 2022-08-01"):
+        DatasetSplit("t", (event,), twice)
 
 
 def test_split_rejects_duplicate_ids():
@@ -96,6 +105,7 @@ def test_split_rejects_duplicate_ids():
 
 def test_parse_rejects_malformed_lines_with_line_numbers():
     good = serialize_dataset(DatasetSplit("t", (make_event(),))).strip()
+    snapshot = '{"date": "2022-08-01", "lower": 0.1, "upper": 0.2}'
     cases = [
         "not json",
         "[1, 2]",
@@ -103,6 +113,10 @@ def test_parse_rejects_malformed_lines_with_line_numbers():
         good.replace('"misc"', '"politics"'),
         good.replace('"resolution": null', '"resolution": "maybe"'),
         good.replace('"2022-06-01"', '"June first"'),
+        good.replace('"2022-06-01"', '"20220601"'),
+        good.replace('"2022-12-31"', '"2022-W52-6"'),
+        good[:-1] + ', "market": [' + snapshot.replace("2022-08-01", "20220801") + "]}",
+        good[:-1] + ', "market": [' + snapshot + ", " + snapshot + "]}",
     ]
     for bad in cases:
         with pytest.raises(MalformedRecord) as info:
@@ -134,46 +148,72 @@ def test_serialize_round_trip_is_stable():
     assert serialize_dataset(again) == text
 
 
-def test_round_trip_random_datasets():
-    rng = random.Random(407)
-    for _ in range(25):
-        events = []
-        snapshots = []
-        for i in range(rng.randrange(1, 8)):
-            created = date(2022, 1, 1) + timedelta(days=rng.randrange(0, 90))
-            expires = created + timedelta(days=rng.randrange(30, 400))
-            resolved_at = None
-            resolution = Resolution.UNRESOLVED
-            if rng.random() < 0.5:
-                span = (expires - created).days
-                resolved_at = created + timedelta(days=rng.randrange(0, span + 1))
-                resolution = rng.choice([Resolution.YES, Resolution.NO])
-            event = Event(
-                id=f"ev-{i}",
-                name=f"Event {i}",
-                condition=f"Condition {i} holds",
-                description="Synthetic event for round-trip checks.",
-                category=rng.choice(list(Category)),
-                created=created,
-                expires=expires,
-                resolved_at=resolved_at,
-                resolution=resolution,
-            )
-            events.append(event)
-            last = resolved_at if resolved_at is not None else expires
-            for _ in range(rng.randrange(0, 3)):
-                day = created + timedelta(days=rng.randrange(0, (last - created).days + 1))
-                lo = round(rng.random() * 0.5, 3)
-                hi = round(lo + rng.random() * (1 - lo), 3)
-                snapshots.append(MarketSnapshot(event.id, day, lo, hi))
-        split = DatasetSplit("rand", tuple(events), tuple(snapshots))
-        text = serialize_dataset(split)
-        again = parse_dataset(text, label="rand")
-        assert again.events == split.events
-        assert sorted(again.snapshots, key=lambda s: (s.event_id, s.date)) == sorted(
-            split.snapshots, key=lambda s: (s.event_id, s.date)
+# Any text but lone surrogates, which UTF-8 cannot encode.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def datasets(draw):
+    events = []
+    snapshots = []
+    for i in range(draw(st.integers(1, 6))):
+        created = date(2022, 1, 1) + timedelta(days=draw(st.integers(0, 90)))
+        expires = created + timedelta(days=draw(st.integers(30, 400)))
+        resolved_at = None
+        resolution = Resolution.UNRESOLVED
+        if draw(st.booleans()):
+            resolved_at = created + timedelta(days=draw(st.integers(0, (expires - created).days)))
+            resolution = draw(st.sampled_from([Resolution.YES, Resolution.NO]))
+        event = Event(
+            id=f"{i}{draw(_TEXT)}",
+            name=draw(_TEXT),
+            condition=draw(_TEXT),
+            description=draw(_TEXT),
+            category=draw(st.sampled_from(list(Category))),
+            created=created,
+            expires=expires,
+            resolved_at=resolved_at,
+            resolution=resolution,
         )
-        assert serialize_dataset(again) == text
+        events.append(event)
+        last = resolved_at if resolved_at is not None else expires
+        days = draw(st.lists(st.integers(0, (last - created).days), unique=True, max_size=4))
+        for day in days:
+            lower = draw(st.floats(0.0, 1.0))
+            upper = draw(st.floats(lower, 1.0))
+            snapshots.append(MarketSnapshot(event.id, created + timedelta(days=day), lower, upper))
+    return DatasetSplit("rand", tuple(events), tuple(snapshots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets())
+def test_round_trip_random_datasets(split):
+    text = serialize_dataset(split)
+    again = parse_dataset(text, label="rand")
+    assert again == split  # snapshot order included
+    assert serialize_dataset(again) == text
+
+
+def test_round_trip_keeps_unicode_line_separators():
+    # json.dumps leaves U+2028, U+2029 and U+0085 unescaped; a reader that
+    # split on them as line breaks would cut the record in two.
+    split = DatasetSplit("t", (make_event(name="a\u2028b\u2029c\x85d"),))
+    assert parse_dataset(serialize_dataset(split), label="t") == split
+
+
+@pytest.mark.parametrize("text", ["2022-08-01", "2024-02-29"])
+def test_parse_date_accepts_calendar_dates(text):
+    assert parse_date(text) == date.fromisoformat(text)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["20220801", "2022-W31-1", "2022-213", "2022-8-1", " 2022-08-01", "2022-08-01T00:00",
+     "2023-02-29", "\uff12\uff10\uff12\uff12-08-01", "", None, 20220801],
+)
+def test_parse_date_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="YYYY-MM-DD"):
+        parse_date(value, "created")
 
 
 def test_active_window_boundaries():
@@ -237,3 +277,16 @@ def test_snapshot_lookup_helpers():
     assert snap is not None and (snap.lower, snap.upper) == (0.55, 0.65)
     assert split.snapshot_on("e1", date(2022, 8, 2)) is None
     assert split.snapshot_on("nope", date(2022, 8, 1)) is None
+    assert split.snapshots_for("nope") == ()
+
+
+def test_snapshots_for_keeps_file_order_per_event():
+    a, b = make_event(id="a"), make_event(id="b")
+    snaps = (
+        MarketSnapshot("a", date(2022, 9, 1), 0.1, 0.2),
+        MarketSnapshot("b", date(2022, 7, 1), 0.3, 0.4),
+        MarketSnapshot("a", date(2022, 7, 1), 0.5, 0.6),
+    )
+    split = DatasetSplit("t", (a, b), snaps)
+    assert split.snapshots_for("a") == (snaps[0], snaps[2])
+    assert split.snapshots_for("b") == (snaps[1],)

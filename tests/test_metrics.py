@@ -56,6 +56,10 @@ def test_brier_validates_inputs():
         brier([(-0.1, 0)])
     with pytest.raises(ValueError):
         brier([(0.5, 2)])
+    with pytest.raises(ValueError):
+        brier([(math.nan, 1)])
+    with pytest.raises(ValueError):
+        brier([(0.5, math.nan)])
 
 
 def test_brier_matches_loop_oracle_randomized():
@@ -231,6 +235,8 @@ def test_parse_forecasts_rejects_malformed():
         "[]",
         good.replace('"probability": 0.5', '"probability": 1.7'),
         good.replace('"strategy"', '"strategery"'),
+        good.replace("2022-08-01", "20220801"),
+        good.replace("2022-08-01", "2022-W31-1"),
         good + "\n" + good.replace("0.5", "0.5, \"surprise\": 1"),
     ]:
         with pytest.raises((MalformedRecord, ValueError)):
@@ -244,7 +250,7 @@ def test_render_report_layout():
     assert text == (
         "Scores for hand\n"
         "n = 10 (resolve yes 4, resolve no 6)\n"
-        "Brier Score           0.0823\n"
+        "Brier Score           0.0822\n"
         "Brier (resolve yes)   0.1150\n"
         "Brier (resolve no)    0.0604\n"
         "Weighted Brier Score  0.0877\n"

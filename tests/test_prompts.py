@@ -229,13 +229,6 @@ class ScriptedExtractor:
         return CompletionResponse(texts=(self.reply,) * request.n_samples, backend_id=self.backend_id)
 
 
-def test_extract_probability_without_extractor():
-    value, detail = extract_probability("I estimate 35%", scale=Scale.PERCENT)
-    assert value == pytest.approx(0.35)
-    assert detail.fallback_used
-    assert detail.prompt is None
-
-
 def test_extract_probability_with_extractor():
     extractor = ScriptedExtractor("0.35")
     value, detail = extract_probability(

@@ -45,11 +45,8 @@ def tesla_event():
     return load_dataset(FIXTURES / "events_val.jsonl").event_by_id("evt-01")
 
 
-def run(strategy, *, backend=None, extractor="backend", **kwargs):
-    backend = backend or mock_backend()
-    if extractor == "backend":
-        extractor = backend
-    return run_strategy(strategy, tesla_event(), TODAY, backend, extractor=extractor, **kwargs)
+def run(strategy, *, backend=None, **kwargs):
+    return run_strategy(strategy, tesla_event(), TODAY, backend or mock_backend(), **kwargs)
 
 
 class ScriptedNews:
@@ -297,7 +294,7 @@ def test_unknown_strategy_and_bad_params():
 def test_backend_failure_carries_partial_steps(tmp_path):
     # no rules at all: the first completion call fails
     with pytest.raises(ChainError) as info:
-        run("base_rate", backend=MockBackend([]), extractor=None)
+        run("base_rate", backend=MockBackend([]))
     err = info.value
     assert err.event_id == "evt-01"
     assert err.step_id == "question"
@@ -316,7 +313,7 @@ def test_extraction_failure_is_a_chain_error():
     backend = mock_backend()
     rules = [MockRule("substring", "Predict the likelihood", "no digits at all"), *backend.rules]
     with pytest.raises(ChainError) as info:
-        run("basic", backend=MockBackend(rules), extractor=None)
+        run("basic", backend=MockBackend(rules))
     assert info.value.step_id == "predict"
     # the failing step is preserved with the raw responses for debugging
     assert info.value.partial_steps[-1].responses
