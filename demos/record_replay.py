@@ -38,7 +38,7 @@ def main():
         recording = CachedBackend(cache_dir, LIVE)
         first = run_strategy("basic", EVENT, today, recording)
         print(f"recorded run:  p = {first.final_probability:.4f}")
-        print(f"  live calls: {LIVE.calls}, cache misses: {recording.misses}")
+        print(f"  live calls: {LIVE.calls}, cache misses: {recording.store.misses}")
         entries = len(list(cache_dir.rglob("*.json")))
         print(f"  cache now holds {entries} entries")
 
@@ -49,7 +49,7 @@ def main():
         second = run_strategy("basic", EVENT, today, replaying)
         print(f"replayed run:  p = {second.final_probability:.4f}")
         print(f"  inner backend calls during replay: {null.calls}")
-        print(f"  cache hits: {replaying.hits}")
+        print(f"  cache hits: {replaying.store.hits}")
         assert second == first
         print("replay reproduced the recorded trace exactly")
 

@@ -71,16 +71,20 @@ EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
 EXIT_CONFIG = 2
 
-_KNOWN_CONFIG = frozenset(
-    {
-        "model",
-        "replay_backend_id",
-        "requests_per_second",
-        "supports_multi_sample",
-        "timeout",
-        "max_retries",
-    }
-)
+
+def _positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+# --config key -> (parser, check of the parsed value, what the check expects)
+_CONFIG_KEYS = {
+    "model": (str, bool, "a non-empty name"),
+    "replay_backend_id": (str, bool, "a non-empty id"),
+    "requests_per_second": (float, _positive, "a positive number"),
+    "timeout": (float, _positive, "a positive number of seconds"),
+    "max_retries": (int, lambda value: value >= 0, "a non-negative integer"),
+    "supports_multi_sample": ({"0": False, "1": True}.__getitem__, None, "0 or 1"),
+}
 
 # Errors that mean the invocation or its inputs are wrong, not the run.
 _INPUT_ERRORS = (
@@ -119,40 +123,28 @@ def _date_flag(value: str) -> date:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_config(items) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _parse_config(items) -> dict:
+    """--config KEY=VALUE items, each parsed and range-checked by _CONFIG_KEYS."""
+    config = {}
     for item in items or ():
-        key, sep, value = item.partition("=")
-        key = key.strip()
+        key, sep, text = item.partition("=")
+        key, text = key.strip(), text.strip()
         if not sep or not key:
             raise ConfigError(f"--config expects KEY=VALUE, got {item!r}")
-        config[key] = value.strip()
-    unknown = set(config) - _KNOWN_CONFIG
-    if unknown:
-        names = ", ".join(sorted(unknown))
-        raise ConfigError(f"unknown --config keys: {names}")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown --config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+        parse, check, expected = _CONFIG_KEYS[key]
+        try:
+            value = parse(text)
+        except (KeyError, ValueError):
+            value = None
+        if value is None or (check is not None and not check(value)):
+            raise ConfigError(f"--config {key} must be {expected}, got {text!r}")
+        config[key] = value
     return config
 
 
-def _config_float(config: dict[str, str], key: str, default: float) -> float:
-    if key not in config:
-        return default
-    try:
-        return float(config[key])
-    except ValueError:
-        raise ConfigError(f"--config {key} must be a number, got {config[key]!r}") from None
-
-
-def _config_int(config: dict[str, str], key: str, default: int) -> int:
-    if key not in config:
-        return default
-    try:
-        return int(config[key])
-    except ValueError:
-        raise ConfigError(f"--config {key} must be an integer, got {config[key]!r}") from None
-
-
-def build_backend(spec: str, config: dict[str, str]) -> CompletionBackend:
+def build_backend(spec: str, config: dict) -> CompletionBackend:
     """Turn a --backend spec (live, mock:PATH, replay:DIR) into a backend."""
     if spec == "live":
         model = config.get("model")
@@ -163,10 +155,10 @@ def build_backend(spec: str, config: dict[str, str]) -> CompletionBackend:
         return HttpBackend(
             model,
             api_key=os.environ.get(API_KEY_ENV),
-            timeout=_config_float(config, "timeout", 30.0),
-            requests_per_second=_config_float(config, "requests_per_second", 1.0),
-            max_retries=_config_int(config, "max_retries", 3),
-            supports_multi_sample=config.get("supports_multi_sample", "") == "1",
+            timeout=config.get("timeout", 30.0),
+            requests_per_second=config.get("requests_per_second", 1.0),
+            max_retries=config.get("max_retries", 3),
+            supports_multi_sample=config.get("supports_multi_sample", False),
         )
     if spec.startswith("mock:"):
         path = spec[len("mock:"):]

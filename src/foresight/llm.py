@@ -5,7 +5,8 @@ JSON API, a deterministic scripted mock for offline runs, and a
 content-addressed record/replay cache that wraps either.  Cache keys are the
 SHA-256 of the backend id plus the canonicalized request, so any change to
 prompt or sampling parameters is a distinct entry.  The cache's
-:class:`ContentStore` also backs the news cache.
+:class:`ContentStore` and the HTTP retry policy of :func:`send_with_retries`
+also serve the news clients.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
 
+from .events import read_json_lines
+
 __all__ = [
     "CompletionRequest",
     "CompletionResponse",
@@ -37,6 +40,7 @@ __all__ = [
     "complete",
     "canonical_request",
     "cache_key",
+    "key_digest",
     "MockRule",
     "MockBackend",
     "HttpBackend",
@@ -44,6 +48,7 @@ __all__ = [
     "CachedBackend",
     "ContentStore",
     "TokenBucket",
+    "send_with_retries",
     "DEFAULT_TEMPERATURE",
     "FINAL_SAMPLE_COUNT",
 ]
@@ -131,10 +136,18 @@ class CompletionBackend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
-def canonical_request(backend_id: str, request: CompletionRequest) -> str:
-    """Stable JSON form hashed into the cache key.  Key order is fixed by
-    sorting, so logically equal requests canonicalize identically."""
-    payload = {
+def _canonical_json(key: object) -> str:
+    # Sorted keys fix the order, so logically equal keys serialize identically.
+    return json.dumps(key, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def key_digest(key: object) -> str:
+    """SHA-256 hex digest of ``key`` as canonical JSON: the one cache-key hash."""
+    return hashlib.sha256(_canonical_json(key).encode("utf-8")).hexdigest()
+
+
+def _request_key(backend_id: str, request: CompletionRequest) -> dict:
+    return {
         "backend_id": backend_id,
         "max_tokens": request.max_tokens,
         "n_samples": request.n_samples,
@@ -142,12 +155,16 @@ def canonical_request(backend_id: str, request: CompletionRequest) -> str:
         "stop": None if request.stop is None else list(request.stop),
         "temperature": request.temperature,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def canonical_request(backend_id: str, request: CompletionRequest) -> str:
+    """Stable JSON form hashed into the cache key."""
+    return _canonical_json(_request_key(backend_id, request))
 
 
 def cache_key(backend_id: str, request: CompletionRequest) -> str:
     """SHA-256 hex digest of the canonical request."""
-    return hashlib.sha256(canonical_request(backend_id, request).encode("utf-8")).hexdigest()
+    return key_digest(_request_key(backend_id, request))
 
 
 def complete(backend: CompletionBackend, request: CompletionRequest) -> CompletionResponse:
@@ -198,6 +215,20 @@ class MockRule:
         return tuple(self.response[i % len(self.response)] for i in range(n))
 
 
+def _rule_from_object(obj: dict) -> MockRule:
+    pattern = obj.get("pattern")
+    match = obj.get("match", "substring" if pattern is not None else "any")
+    response = obj["response"]
+    if isinstance(response, list):
+        response = tuple(response)
+    texts = response if isinstance(response, tuple) else (response,)
+    if not all(isinstance(text, str) for text in texts):
+        raise ValueError("response must be a string or a list of strings")
+    if not isinstance(pattern, (str, type(None))):
+        raise ValueError("pattern must be a string")
+    return MockRule(match=match, pattern=pattern, response=response)
+
+
 class MockBackend:
     """Deterministic scripted backend: ordered rules, first match wins."""
 
@@ -209,28 +240,17 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, *, backend_id: str = "mock") -> "MockBackend":
-        """Load rules from a JSON-lines script.
+        """Load rules from a JSON-lines script; lines starting ``#`` are comments.
 
-        Each line is ``{"match": ..., "pattern": ..., "response": ...}``;
-        ``match`` defaults to "substring" when a pattern is given, else "any".
+        Each line is ``{"match": ..., "pattern": ..., "response": ...}``, where
+        only ``response`` is required; ``match`` defaults to "substring" when a
+        pattern is given, else "any".  A bad line raises
+        :class:`~foresight.events.MalformedRecord` with its line number.
         """
-        rules = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from None
-            pattern = obj.get("pattern")
-            match = obj.get("match", "substring" if pattern is not None else "any")
-            response = obj["response"]
-            if isinstance(response, list):
-                response = tuple(response)
-            try:
-                rules.append(MockRule(match=match, pattern=pattern, response=response))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        # Blank, not drop, comment lines, so that line numbers match the file.
+        text = "\n".join("" if line.lstrip().startswith("#") else line for line in lines)
+        rules = read_json_lines(text, _rule_from_object, ("response",), ("match", "pattern"))
         return cls(rules, backend_id=backend_id)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
@@ -291,14 +311,56 @@ class NullBackend:
         raise BackendUnavailable("replay backend cannot issue live calls")
 
 
+def _retry_delay(response: requests.Response | None, attempt: int) -> float:
+    """Seconds to wait after failed attempt ``attempt`` (0-based): the
+    response's Retry-After when it gives one, else 0.5 * 2**attempt."""
+    header = None if response is None else response.headers.get("Retry-After")
+    if header is not None:
+        try:
+            return max(0.0, float(header))
+        except ValueError:
+            pass
+    return 0.5 * 2**attempt
+
+
+def send_with_retries(
+    send: Callable[[], requests.Response],
+    *,
+    max_retries: int,
+    sleep: Callable[[float], None],
+) -> requests.Response:
+    """Call ``send`` until its outcome is final; the one HTTP retry policy.
+
+    A connection error or timeout, HTTP 429 and HTTP 5xx are retried up to
+    ``max_retries`` times, each after :func:`_retry_delay`.  Returns the last
+    response, whatever its status, or re-raises the last connection error;
+    the caller maps either to its own error types.
+    """
+    attempt = 0
+    while True:
+        response = None
+        try:
+            response = send()
+        except (requests.ConnectionError, requests.Timeout):
+            if attempt >= max_retries:
+                raise
+        else:
+            status = response.status_code
+            if attempt >= max_retries or not (status == 429 or status >= 500):
+                return response
+        sleep(_retry_delay(response, attempt))
+        attempt += 1
+
+
 class HttpBackend:
     """Live backend over a chat/completions-style HTTP JSON endpoint.
 
     The provider is assumed to lack native multi-sample support, so an
     ``n_samples > 1`` request issues one HTTP call per sample (set
     ``supports_multi_sample=True`` to send a single call with ``n``).
-    A token bucket paces calls; HTTP 429 honors Retry-After for up to
-    ``max_retries`` attempts before surfacing ``RateLimited``.
+    A token bucket paces every attempt; :func:`send_with_retries` retries
+    connection errors, 429 and 5xx up to ``max_retries`` times before
+    surfacing ``BackendUnavailable``, ``RateLimited`` or ``ProviderError``.
     """
 
     def __init__(
@@ -352,51 +414,36 @@ class HttpBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        retry_after = 1.0
-        for attempt in range(self.max_retries + 1):
+        def send() -> requests.Response:
             self._bucket.acquire()
             self.calls += 1
-            try:
-                resp = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                raise BackendUnavailable(str(exc)) from exc
-            if resp.status_code == 429:
-                retry_after = _retry_after_seconds(resp)
-                if attempt < self.max_retries:
-                    self._sleep(retry_after)
-                    continue
-                raise RateLimited(retry_after)
-            if resp.status_code >= 400:
-                raise ProviderError(resp.status_code, resp.text)
-            try:
-                choices = resp.json()["choices"]
-                texts = [c["message"]["content"] for c in choices]
-            except (ValueError, KeyError, TypeError):
-                raise ProviderError(resp.status_code, f"unexpected response shape: {resp.text[:200]}")
-            if len(texts) != n:
-                raise ProviderError(resp.status_code, f"expected {n} choices, got {len(texts)}")
-            return texts
-        raise RateLimited(retry_after)
+            return self._session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
 
-
-def _retry_after_seconds(resp: requests.Response) -> float:
-    header = resp.headers.get("Retry-After")
-    if header is not None:
         try:
-            return max(0.0, float(header))
-        except ValueError:
-            pass
-    return 1.0
+            resp = send_with_retries(send, max_retries=self.max_retries, sleep=self._sleep)
+        except requests.RequestException as exc:
+            raise BackendUnavailable(str(exc)) from exc
+        if resp.status_code == 429:
+            raise RateLimited(_retry_delay(resp, self.max_retries))
+        if resp.status_code >= 400:
+            raise ProviderError(resp.status_code, resp.text)
+        try:
+            choices = resp.json()["choices"]
+            texts = [c["message"]["content"] for c in choices]
+        except (ValueError, KeyError, TypeError):
+            raise ProviderError(resp.status_code, f"unexpected response shape: {resp.text[:200]}")
+        if len(texts) != n:
+            raise ProviderError(resp.status_code, f"expected {n} choices, got {len(texts)}")
+        return texts
 
 
 class ContentStore:
     """Content-addressed JSON entries, shared by the completion and news caches.
 
-    Layout: ``<root>/<first 2 hex>/<digest>.json``, one file per key, written
-    atomically (temp file + rename).  In replay-only mode a miss raises
-    :class:`ReplayMiss`, so the caller never computes a fresh value.
+    Layout: ``<root>/<first 2 hex>/<digest>.json``, one file per key digest
+    (:func:`key_digest`), written atomically (temp file + rename).  In
+    replay-only mode a miss raises :class:`ReplayMiss`, so the caller never
+    computes a fresh value.
     """
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
@@ -450,6 +497,27 @@ class ContentStore:
             raise
         os.replace(tmp, path)
 
+    def get_or_compute(
+        self,
+        key: object,
+        compute: Callable[[], _T],
+        *,
+        decode: Callable[[dict], _T],
+        encode: Callable[[_T], dict],
+    ) -> _T:
+        """The entry recorded for ``key``, or ``compute()`` recorded as one.
+
+        ``decode`` reads a stored entry back; ``encode`` turns a fresh value
+        into the payload :meth:`save` writes.
+        """
+        digest = key_digest(key)
+        stored = self.load(digest, decode)
+        if stored is not None:
+            return stored
+        value = compute()
+        self.save(digest, encode(value))
+        return value
+
 
 def _response_from_entry(entry: dict) -> CompletionResponse:
     response = entry["response"]
@@ -470,23 +538,9 @@ class CachedBackend:
         self.backend = backend
         self.backend_id = backend.backend_id
 
-    @property
-    def hits(self) -> int:
-        return self.store.hits
-
-    @property
-    def misses(self) -> int:
-        return self.store.misses
-
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = cache_key(self.backend_id, request)
-        stored = self.store.load(digest, _response_from_entry)
-        if stored is not None:
-            return stored
-        response = complete(self.backend, request)
-        self.store.save(
-            digest,
-            {
+        def entry(response: CompletionResponse) -> dict:
+            return {
                 "request": {
                     "prompt": request.prompt,
                     "temperature": request.temperature,
@@ -498,6 +552,11 @@ class CachedBackend:
                     "texts": list(response.texts),
                     "backend_id": response.backend_id,
                 },
-            },
+            }
+
+        return self.store.get_or_compute(
+            _request_key(self.backend_id, request),
+            lambda: complete(self.backend, request),
+            decode=_response_from_entry,
+            encode=entry,
         )
-        return response

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -14,7 +12,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .events import parse_date
-from .llm import ContentStore, ReplayMiss
+from .llm import ContentStore, ReplayMiss, send_with_retries
 
 __all__ = [
     "DEFAULT_HN_ENDPOINT",
@@ -112,46 +110,13 @@ class NewsClient(Protocol):
     def search(self, window: QueryWindow) -> tuple[Headline, ...]: ...
 
 
-def _get_json(
-    session: requests.Session,
-    url: str,
-    params: dict,
-    *,
-    timeout: float,
-    max_retries: int,
-    sleep: Callable[[float], None],
-):
-    last: NewsError | None = None
-    for attempt in range(max_retries + 1):
-        try:
-            response = session.get(url, params=params, timeout=timeout)
-        except requests.RequestException as exc:
-            last = NetworkError(f"request to {url} failed: {exc}")
-        else:
-            if response.status_code == 200:
-                try:
-                    return response.json()
-                except ValueError as exc:
-                    raise UpstreamError(response.status_code, f"invalid json: {exc}") from None
-            body = response.text[:200]
-            if response.status_code == 429 or response.status_code >= 500:
-                last = UpstreamError(response.status_code, body)
-            else:
-                raise UpstreamError(response.status_code, body)
-        if attempt < max_retries:
-            sleep(0.5 * (2**attempt))
-    assert last is not None
-    raise last
-
-
-class HackerNewsClient:
-    """Story search against the Hacker News Algolia API."""
-
-    source = Source.HACKERNEWS
+class _JsonService:
+    """GET of a JSON search endpoint under the HTTP retry policy of
+    :func:`~foresight.llm.send_with_retries`, failing with :class:`NewsError`."""
 
     def __init__(
         self,
-        endpoint: str = DEFAULT_HN_ENDPOINT,
+        endpoint: str,
         *,
         timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = 2,
@@ -163,6 +128,31 @@ class HackerNewsClient:
         self.max_retries = max_retries
         self.session = session or requests.Session()
         self._sleep = sleep
+
+    def _get_json(self, params: dict):
+        try:
+            response = send_with_retries(
+                lambda: self.session.get(self.endpoint, params=params, timeout=self.timeout),
+                max_retries=self.max_retries,
+                sleep=self._sleep,
+            )
+        except requests.RequestException as exc:
+            raise NetworkError(f"request to {self.endpoint} failed: {exc}") from None
+        if response.status_code != 200:
+            raise UpstreamError(response.status_code, response.text[:200])
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise UpstreamError(response.status_code, f"invalid json: {exc}") from None
+
+
+class HackerNewsClient(_JsonService):
+    """Story search against the Hacker News Algolia API."""
+
+    source = Source.HACKERNEWS
+
+    def __init__(self, endpoint: str = DEFAULT_HN_ENDPOINT, **options):
+        super().__init__(endpoint, **options)
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
         cutoff = int(
@@ -182,14 +172,7 @@ class HackerNewsClient:
             "hitsPerPage": str(window.max_results),
             "numericFilters": f"created_at_i<={cutoff}",
         }
-        payload = _get_json(
-            self.session,
-            self.endpoint,
-            params,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            sleep=self._sleep,
-        )
+        payload = self._get_json(params)
         headlines = []
         for hit in payload.get("hits", []):
             title = hit.get("title") or hit.get("story_title")
@@ -205,29 +188,16 @@ class HackerNewsClient:
         return tuple(headlines)
 
 
-class NYTClient:
+class NYTClient(_JsonService):
     """Article search against the New York Times archive."""
 
     source = Source.NYT
 
-    def __init__(
-        self,
-        api_key: str,
-        endpoint: str = DEFAULT_NYT_ENDPOINT,
-        *,
-        timeout: float = DEFAULT_TIMEOUT,
-        max_retries: int = 2,
-        session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, api_key: str, endpoint: str = DEFAULT_NYT_ENDPOINT, **options):
         if not api_key:
             raise MissingApiKey(f"an API key is required; set {NYT_API_KEY_ENV}")
+        super().__init__(endpoint, **options)
         self.api_key = api_key
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.session = session or requests.Session()
-        self._sleep = sleep
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
         headlines: list[Headline] = []
@@ -239,14 +209,7 @@ class NYTClient:
                 "api-key": self.api_key,
                 "page": str(page),
             }
-            payload = _get_json(
-                self.session,
-                self.endpoint,
-                params,
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                sleep=self._sleep,
-            )
+            payload = self._get_json(params)
             docs = payload.get("response", {}).get("docs", [])
             if not docs:
                 break
@@ -307,14 +270,6 @@ class CachedNewsClient:
         self.client = client
         self.source = client.source
 
-    @property
-    def hits(self) -> int:
-        return self.store.hits
-
-    @property
-    def misses(self) -> int:
-        return self.store.misses
-
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
         query = {
             "max_results": window.max_results,
@@ -322,15 +277,9 @@ class CachedNewsClient:
             "terms": list(window.terms),
             "until": window.until.isoformat(),
         }
-        canonical = json.dumps(query, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        stored = self.store.load(digest, _headlines_from_entry)
-        if stored is not None:
-            return stored
-        headlines = self.client.search(window)
-        self.store.save(
-            digest,
-            {
+
+        def entry(headlines: tuple[Headline, ...]) -> dict:
+            return {
                 "query": query,
                 "headlines": [
                     {
@@ -340,9 +289,14 @@ class CachedNewsClient:
                     }
                     for headline in headlines
                 ],
-            },
+            }
+
+        return self.store.get_or_compute(
+            query,
+            lambda: self.client.search(window),
+            decode=_headlines_from_entry,
+            encode=entry,
         )
-        return headlines
 
 
 def format_headlines(headlines: Sequence[Headline]) -> str:

@@ -32,7 +32,6 @@ __all__ = [
     "aggregate_probabilities",
     "days_remaining",
     "extract_probability",
-    "forecaster_preamble",
     "get_template",
     "load_templates",
     "parse_probability",
@@ -135,19 +134,9 @@ def _template_root():
 
 
 @lru_cache(maxsize=1)
-def _load_preamble() -> str:
-    return _strip_one_newline((_template_root() / _PREAMBLE_FILE).read_text(encoding="utf-8"))
-
-
-def forecaster_preamble() -> str:
-    """The persona text inlined wherever a template carries the forecaster slot."""
-    return _load_preamble()
-
-
-@lru_cache(maxsize=1)
 def load_templates() -> Mapping[str, PromptTemplate]:
     """Load every packaged template, keyed by '<group>/<step>'."""
-    preamble = _load_preamble()
+    preamble = _strip_one_newline((_template_root() / _PREAMBLE_FILE).read_text(encoding="utf-8"))
     registry: dict[str, PromptTemplate] = {}
     for entry in sorted(_template_root().iterdir(), key=lambda item: item.name):
         if not entry.is_dir():

@@ -279,8 +279,8 @@ def test_criterion_09_replay_issues_zero_backend_calls(tmp_path):
     event = load_dataset(EVENTS).event_by_id("evt-05")
     run_strategy("both_sides", event, TODAY, replay_backend)
     assert null.calls == 0
-    assert replay_backend.misses == 0
-    assert replay_backend.hits > 0
+    assert replay_backend.store.misses == 0
+    assert replay_backend.store.hits > 0
 
 
 PARSE_TABLE = [

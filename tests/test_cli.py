@@ -293,9 +293,22 @@ def test_run_news_replay_miss_fails_the_event(tmp_path, monkeypatch, capsys):
     assert len(list((out / "traces" / "news").glob("*.failed.json"))) == 10
 
 
-def test_run_rejects_bad_usage(tmp_path, capsys):
+def test_run_rejects_bad_usage(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
+    no_response = tmp_path / "no_response.rules"
+    no_response.write_text('{"match": "any"}\n', encoding="utf-8")
+    unknown_key = tmp_path / "unknown_key.rules"
+    unknown_key.write_text('{"response": "r", "weight": 2}\n', encoding="utf-8")
+    monkeypatch.setenv("FORESIGHT_LLM_BASE_URL", "http://127.0.0.1:9/v1")
+    live = RUN_BASE + ["--strategy", "basic", "--out", out, "--cache", str(tmp_path / "cache"),
+                       "--backend", "live", "--config", "model=m"]
     cases = [
+        RUN_BASE + ["--strategy", "basic", "--out", out, "--backend", f"mock:{no_response}"],
+        RUN_BASE + ["--strategy", "basic", "--out", out, "--backend", f"mock:{unknown_key}"],
+        live + ["--config", "requests_per_second=0"],
+        live + ["--config", "timeout=-1"],
+        live + ["--config", "max_retries=-1"],
+        live + ["--config", "supports_multi_sample=true"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--workers", "0"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--date", "yesterday"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--date", "20220801"],
@@ -310,9 +323,11 @@ def test_run_rejects_bad_usage(tmp_path, capsys):
         RUN_BASE + ["--strategy", "basic", "--out", out, "--backend", "telepathy"],
         RUN_BASE + ["--strategy", "crowd", "--out", out, "--persona-count", "0"],
     ]
+    before = sorted(tmp_path.iterdir())
     for argv in cases:
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before, argv  # nothing created
 
 
 def test_run_rejects_bad_params_before_submitting(tmp_path, monkeypatch, capsys):

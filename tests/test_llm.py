@@ -9,6 +9,7 @@ from datetime import date
 import pytest
 import requests
 
+from foresight.events import MalformedRecord
 from foresight.llm import (
     BackendError,
     BackendUnavailable,
@@ -107,10 +108,34 @@ def test_mock_backend_from_file(tmp_path):
     )
 
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"response": "ok"}\nnot json\n', encoding="utf-8")
+    bad.write_text('{"response": "ok"}\n# comment\nnot json\n', encoding="utf-8")
     with pytest.raises(ValueError) as info:
         MockBackend.from_file(bad)
-    assert "line 2" in str(info.value)
+    assert "line 3" in str(info.value)
+
+
+def test_mock_backend_from_file_keeps_unicode_line_separators(tmp_path):
+    script = tmp_path / "rules.jsonl"
+    script.write_text('{"pattern": "a\u2028b", "response": "x\u2029y"}\n', encoding="utf-8")
+    (rule,) = MockBackend.from_file(script).rules
+    assert (rule.pattern, rule.response) == ("a\u2028b", "x\u2029y")
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"match": "any"}', "missing field 'response'"),
+        ('{"response": "r", "weight": 2}', "unexpected field 'weight'"),
+        ('{"response": 5}', "response must be a string or a list of strings"),
+        ('{"pattern": 5, "response": "r"}', "pattern must be a string"),
+    ],
+)
+def test_mock_backend_from_file_rejects_bad_rules(tmp_path, line, reason):
+    script = tmp_path / "rules.jsonl"
+    script.write_text(f'# comment\n{line}\n', encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        MockBackend.from_file(script)
+    assert str(info.value) == f"line 2: {reason}"
 
 
 def test_complete_enforces_sample_count():
@@ -158,12 +183,12 @@ def test_cached_backend_records_then_replays(tmp_path):
     first = cache.complete(req)
     assert first.texts == ("r1", "r2")
     assert not first.cached
-    assert (cache.hits, cache.misses) == (0, 1)
+    assert (cache.store.hits, cache.store.misses) == (0, 1)
 
     second = cache.complete(req)
     assert second.texts == ("r1", "r2")
     assert second.cached
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert (cache.store.hits, cache.store.misses) == (1, 1)
     assert inner.calls == 1
 
     digest = cache_key(inner.backend_id, req)
@@ -341,15 +366,43 @@ def test_http_backend_rate_limit_exhausted():
     assert len(session.posts) == 3
 
 
+@pytest.mark.parametrize(
+    "failure",
+    [
+        lambda: FakeResponse(status_code=503, text="busy"),
+        lambda: requests.ConnectionError("refused"),
+    ],
+    ids=["503", "connection-error"],
+)
+def test_http_backend_retries_transient_failures(failure):
+    sleeps = []
+    session = FakeSession([failure(), failure(), FakeResponse(payload=chat_payload("ok"))])
+    backend = make_backend(session, sleep=sleeps.append)
+    assert complete(backend, CompletionRequest("p")).texts == ("ok",)
+    assert sleeps == [0.5, 1.0]
+    assert backend.calls == len(session.posts) == 3
+
+
 def test_http_backend_error_paths():
-    backend = make_backend(FakeSession([FakeResponse(status_code=500, text="boom")]))
+    session = FakeSession([FakeResponse(status_code=500, text="boom") for _ in range(2)])
+    backend = make_backend(session, max_retries=1)
     with pytest.raises(ProviderError) as info:
         backend.complete(CompletionRequest("p"))
     assert info.value.status == 500
+    assert len(session.posts) == 2
 
-    backend = make_backend(FakeSession([requests.ConnectionError("refused")]))
+    session = FakeSession([requests.ConnectionError("refused") for _ in range(2)])
+    backend = make_backend(session, max_retries=1)
     with pytest.raises(BackendUnavailable):
         backend.complete(CompletionRequest("p"))
+    assert len(session.posts) == 2
+
+    session = FakeSession([FakeResponse(status_code=400, text="bad request")])
+    backend = make_backend(session)
+    with pytest.raises(ProviderError) as info:
+        backend.complete(CompletionRequest("p"))
+    assert info.value.status == 400
+    assert len(session.posts) == 1  # other 4xx are never retried
 
     backend = make_backend(FakeSession([FakeResponse(payload={"weird": 1})]))
     with pytest.raises(ProviderError):
@@ -396,8 +449,8 @@ def test_cached_backend_thread_safe_counters(tmp_path, make_cache):
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()
-    assert cache.hits == 200
-    assert cache.misses == 1
+    assert cache.store.hits == 200
+    assert cache.store.misses == 1
 
 
 def test_store_layout_and_entry_format(tmp_path):

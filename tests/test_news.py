@@ -1,10 +1,11 @@
 """Tests for headline retrieval, the date-cutoff guard, and the news cache."""
 
-import random
+import json
 from datetime import date, timedelta
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foresight.news import (
     CachedNewsClient,
@@ -54,27 +55,34 @@ def test_headline_guard_filters_sorts_dedups_truncates():
     assert all(h.date <= UNTIL for h in got)
 
 
-def test_headline_guard_randomized_leak_check():
-    rng = random.Random(1999)
-    for _ in range(100):
-        headlines = []
-        for i in range(rng.randrange(0, 30)):
-            day = UNTIL + timedelta(days=rng.randrange(-40, 40))
-            headlines.append(Headline(f"story {i}", day, Source.NYT))
-        rng.shuffle(headlines)
-        limit = rng.randrange(1, 10)
+_headline = st.builds(
+    Headline,
+    title=st.sampled_from(["a", "b", "story", "Ünïcode \u2028 title"]),
+    date=st.dates(min_value=UNTIL - timedelta(days=5), max_value=UNTIL + timedelta(days=5)),
+    source=st.sampled_from(Source),
+)
+# every list also repeats some of its own headlines, in arbitrary order
+_service_output = st.lists(_headline, max_size=30).flatmap(
+    lambda items: st.permutations(items + items[::3])
+)
 
-        class Scripted:
-            source = Source.NYT
 
-            def search(self, w):
-                return tuple(headlines)
+@settings(max_examples=200, deadline=None)
+@given(headlines=_service_output, limit=st.integers(min_value=1, max_value=12))
+def test_headline_guard_randomized_leak_check(headlines, limit):
+    class Scripted:
+        source = Source.NYT
 
-        got = query_headlines(Scripted(), window(max_results=limit))
-        assert len(got) <= limit
-        assert all(h.date <= UNTIL for h in got)
-        assert [h.date for h in got] == sorted((h.date for h in got), reverse=True)
-        assert len({(h.title, h.date) for h in got}) == len(got)
+        def search(self, w):
+            return tuple(headlines)
+
+    got = query_headlines(Scripted(), window(max_results=limit))
+    assert all(h.date <= UNTIL for h in got)
+    assert [h.date for h in got] == sorted((h.date for h in got), reverse=True)
+    keys = [(h.title, h.date) for h in got]
+    assert len(set(keys)) == len(keys)
+    eligible = {(h.title, h.date) for h in headlines if h.date <= UNTIL}
+    assert len(got) == min(limit, len(eligible))
 
 
 def test_hackernews_client_query_shape():
@@ -123,6 +131,53 @@ def test_hackernews_client_client_errors_not_retried():
         with pytest.raises(UpstreamError):
             client.search(window())
         assert server.count("/hn") == 1
+
+
+class ScriptedSession:
+    """Stand-in for requests.Session that answers GETs from a script."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.gets = 0
+
+    def get(self, url, params=None, timeout=None):
+        self.gets += 1
+        return self.responses.pop(0)
+
+
+class ScriptedResponse:
+    def __init__(self, status_code, payload, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.text = json.dumps(payload)
+        self._payload = payload
+
+    def json(self):
+        return self._payload
+
+
+@pytest.mark.parametrize(
+    "make_client, payload",
+    [
+        (HackerNewsClient, {"hits": [hn_hit("t", "2022-07-01T00:00:00Z")]}),
+        (lambda **kw: NYTClient("test-key", **kw),
+         {"response": {"docs": [nyt_doc("t", "2022-07-01T00:00:00+0000")]}}),
+    ],
+    ids=["hn", "nyt"],
+)
+def test_news_clients_honour_retry_after(make_client, payload):
+    sleeps = []
+    session = ScriptedSession(
+        [
+            ScriptedResponse(429, {"error": "slow down"}, headers={"Retry-After": "3"}),
+            ScriptedResponse(503, {"error": "busy"}),
+            ScriptedResponse(200, payload),
+        ]
+    )
+    client = make_client(session=session, sleep=sleeps.append)
+    assert [h.title for h in client.search(window())] == ["t"]
+    assert sleeps == [3.0, 1.0]  # Retry-After, then the backoff of the second attempt
+    assert session.gets == 3
 
 
 def test_hackernews_client_network_error():
@@ -176,7 +231,7 @@ def test_cached_news_client_records_then_replays(tmp_path):
         second = live.search(window())
         assert first == second
         assert server.count("/hn") == 1
-        assert (live.hits, live.misses) == (1, 1)
+        assert (live.store.hits, live.store.misses) == (1, 1)
     # pinned: recorded caches stay readable only while the key is unchanged
     digest = "e21c607099848b81f68fe2b9df6e49f92307a7ccaec2d2942fef4b330e53f3e9"
     assert (tmp_path / digest[:2] / f"{digest}.json").is_file()
@@ -201,7 +256,7 @@ def test_cached_news_client_distinguishes_windows(tmp_path):
         cached.search(window("a", until=date(2022, 8, 2)))
         cached.search(window("a", max_results=5))
         assert server.count("/hn") == 3
-        assert cached.misses == 3
+        assert cached.store.misses == 3
 
 
 def test_format_headlines_layout():
