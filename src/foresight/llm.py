@@ -5,12 +5,14 @@ JSON API, a deterministic scripted mock for offline runs, and a
 content-addressed record/replay cache that wraps either.  Cache keys are the
 SHA-256 of the backend id plus the canonicalized request, so any change to
 prompt or sampling parameters is a distinct entry.  The cache's
-:class:`ContentStore` and the HTTP retry policy of :func:`send_with_retries`
-also serve the news clients.
+:class:`ContentStore`, the HTTP retry policy of :func:`send_with_retries` and
+the sessions of :func:`http_session` also serve the news clients.  Calls that
+do not depend on each other go out concurrently through :func:`fan_out`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
@@ -18,11 +20,13 @@ import re
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .events import read_json_lines
 
@@ -38,7 +42,6 @@ __all__ = [
     "ReplayMiss",
     "CacheCorrupt",
     "complete",
-    "canonical_request",
     "cache_key",
     "key_digest",
     "MockRule",
@@ -49,6 +52,8 @@ __all__ = [
     "ContentStore",
     "TokenBucket",
     "send_with_retries",
+    "fan_out",
+    "http_session",
     "DEFAULT_TEMPERATURE",
     "FINAL_SAMPLE_COUNT",
 ]
@@ -58,6 +63,7 @@ FINAL_SAMPLE_COUNT = 8
 DEFAULT_MAX_TOKENS = 1024
 
 _T = TypeVar("_T")
+_R = TypeVar("_R")
 
 BASE_URL_ENV = "FORESIGHT_LLM_BASE_URL"
 API_KEY_ENV = "FORESIGHT_LLM_API_KEY"
@@ -131,6 +137,10 @@ class CompletionResponse:
 
 
 class CompletionBackend(Protocol):
+    """What every backend offers.  A backend whose calls wait on the network
+    also sets ``waits_on_network = True``; strategies then send its
+    independent calls concurrently through :func:`fan_out`."""
+
     backend_id: str
 
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
@@ -157,11 +167,6 @@ def _request_key(backend_id: str, request: CompletionRequest) -> dict:
     }
 
 
-def canonical_request(backend_id: str, request: CompletionRequest) -> str:
-    """Stable JSON form hashed into the cache key."""
-    return _canonical_json(_request_key(backend_id, request))
-
-
 def cache_key(backend_id: str, request: CompletionRequest) -> str:
     """SHA-256 hex digest of the canonical request."""
     return key_digest(_request_key(backend_id, request))
@@ -176,6 +181,35 @@ def complete(backend: CompletionBackend, request: CompletionRequest) -> Completi
             f"for n_samples={request.n_samples}"
         )
     return response
+
+
+FAN_OUT_THREADS = 32
+
+_pool_thread = threading.local()
+# Threads start on first use, not at import.
+_fan_out_pool = ThreadPoolExecutor(
+    max_workers=FAN_OUT_THREADS,
+    thread_name_prefix="foresight-fan-out",
+    initializer=lambda: setattr(_pool_thread, "active", True),
+)
+
+
+def fan_out(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
+    """``[fn(item) for item in items]``, run concurrently on one shared pool
+    of ``FAN_OUT_THREADS`` threads.
+
+    Results come back in index order.  Every item runs to its end, then the
+    first failure by index is re-raised.  Each task runs in a copy of the
+    caller's context variables.  With at most one item, or on a pool thread,
+    the items run inline, one after another, stopping at the first failure,
+    so that a nested fan-out never waits on the pool it runs in.
+    """
+    items = list(items)
+    if len(items) <= 1 or getattr(_pool_thread, "active", False):
+        return [fn(item) for item in items]
+    futures = [_fan_out_pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -305,9 +339,11 @@ class NullBackend:
     def __init__(self, backend_id: str):
         self.backend_id = backend_id
         self.calls = 0
+        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         raise BackendUnavailable("replay backend cannot issue live calls")
 
 
@@ -352,16 +388,40 @@ def send_with_retries(
         attempt += 1
 
 
+def http_session(url: str) -> requests.Session:
+    """A session for requests to ``url`` that reads the environment once.
+
+    ``requests`` looks up proxies, the CA bundle and netrc credentials in the
+    environment on every request.  This session resolves them for ``url``
+    when it is built, as ``requests`` would, and then stops looking.  Its
+    connection pool holds one connection per :func:`fan_out` thread.
+    """
+    session = requests.Session()
+    settings = session.merge_environment_settings(url, {}, None, None, None)
+    session.proxies = settings["proxies"]
+    session.verify = settings["verify"]
+    session.auth = requests.utils.get_netrc_auth(url)
+    session.trust_env = False
+    adapter = HTTPAdapter(pool_maxsize=FAN_OUT_THREADS)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
 class HttpBackend:
     """Live backend over a chat/completions-style HTTP JSON endpoint.
 
     The provider is assumed to lack native multi-sample support, so an
     ``n_samples > 1`` request issues one HTTP call per sample (set
-    ``supports_multi_sample=True`` to send a single call with ``n``).
-    A token bucket paces every attempt; :func:`send_with_retries` retries
-    connection errors, 429 and 5xx up to ``max_retries`` times before
-    surfacing ``BackendUnavailable``, ``RateLimited`` or ``ProviderError``.
+    ``supports_multi_sample=True`` to send a single call with ``n``); those
+    calls go out concurrently through :func:`fan_out`.  A token bucket paces
+    every attempt; :func:`send_with_retries` retries connection errors, 429
+    and 5xx up to ``max_retries`` times before surfacing
+    ``BackendUnavailable``, ``RateLimited`` or ``ProviderError``.  Without a
+    ``session`` it builds one with :func:`http_session`.
     """
+
+    waits_on_network = True
 
     def __init__(
         self,
@@ -387,7 +447,8 @@ class HttpBackend:
         self.supports_multi_sample = supports_multi_sample
         self.backend_id = f"http:{model}"
         self.calls = 0
-        self._session = session or requests.Session()
+        self._calls_lock = threading.Lock()
+        self._session = session or http_session(self.url)
         self._sleep = sleep
         self._bucket = TokenBucket(requests_per_second)
 
@@ -395,9 +456,7 @@ class HttpBackend:
         if self.supports_multi_sample:
             texts = self._call(request, request.n_samples)
         else:
-            texts = []
-            for _ in range(request.n_samples):
-                texts.extend(self._call(request, 1))
+            texts = fan_out(lambda _: self._call(request, 1)[0], range(request.n_samples))
         return CompletionResponse(texts=tuple(texts), backend_id=self.backend_id)
 
     def _call(self, request: CompletionRequest, n: int) -> list[str]:
@@ -416,7 +475,8 @@ class HttpBackend:
 
         def send() -> requests.Response:
             self._bucket.acquire()
-            self.calls += 1
+            with self._calls_lock:
+                self.calls += 1
             return self._session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
 
         try:
@@ -443,7 +503,7 @@ class ContentStore:
     Layout: ``<root>/<first 2 hex>/<digest>.json``, one file per key digest
     (:func:`key_digest`), written atomically (temp file + rename).  In
     replay-only mode a miss raises :class:`ReplayMiss`, so the caller never
-    computes a fresh value.
+    computes a fresh value.  :meth:`get_or_compute` is single-flight.
     """
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
@@ -454,6 +514,7 @@ class ContentStore:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
+        self._in_flight: dict[str, threading.Lock] = {}
 
     def path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.json"
@@ -508,15 +569,34 @@ class ContentStore:
         """The entry recorded for ``key``, or ``compute()`` recorded as one.
 
         ``decode`` reads a stored entry back; ``encode`` turns a fresh value
-        into the payload :meth:`save` writes.
+        into the payload :meth:`save` writes.  A caller whose digest is in
+        flight in another thread waits for it, then looks the digest up
+        again: it finds the entry that caller recorded, or takes the same
+        error path.  So concurrent callers make one ``compute()`` call, and
+        hits and misses count as in a serial run.
         """
         digest = key_digest(key)
-        stored = self.load(digest, decode)
-        if stored is not None:
-            return stored
-        value = compute()
-        self.save(digest, encode(value))
-        return value
+        while True:
+            with self._lock:
+                flight = self._in_flight.get(digest)
+                if flight is None:
+                    # held until this caller is done with the digest
+                    self._in_flight[digest] = done = threading.Lock()
+                    done.acquire()
+                    break
+            with flight:
+                pass
+        try:
+            stored = self.load(digest, decode)
+            if stored is not None:
+                return stored
+            value = compute()
+            self.save(digest, encode(value))
+            return value
+        finally:
+            with self._lock:
+                del self._in_flight[digest]
+            done.release()
 
 
 def _response_from_entry(entry: dict) -> CompletionResponse:
@@ -537,6 +617,10 @@ class CachedBackend:
         self.store = ContentStore(cache_dir, replay_only=replay_only)
         self.backend = backend
         self.backend_id = backend.backend_id
+
+    @property
+    def waits_on_network(self) -> bool:
+        return getattr(self.backend, "waits_on_network", False)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         def entry(response: CompletionResponse) -> dict:

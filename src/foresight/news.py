@@ -12,7 +12,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .events import parse_date
-from .llm import ContentStore, ReplayMiss, send_with_retries
+from .llm import ContentStore, ReplayMiss, http_session, send_with_retries
 
 __all__ = [
     "DEFAULT_HN_ENDPOINT",
@@ -112,7 +112,8 @@ class NewsClient(Protocol):
 
 class _JsonService:
     """GET of a JSON search endpoint under the HTTP retry policy of
-    :func:`~foresight.llm.send_with_retries`, failing with :class:`NewsError`."""
+    :func:`~foresight.llm.send_with_retries`, failing with :class:`NewsError`;
+    without a ``session`` it builds one with :func:`~foresight.llm.http_session`."""
 
     def __init__(
         self,
@@ -126,7 +127,7 @@ class _JsonService:
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
-        self.session = session or requests.Session()
+        self.session = session or http_session(endpoint)
         self._sleep = sleep
 
     def _get_json(self, params: dict):

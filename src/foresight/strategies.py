@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .events import Event, parse_date
 from .llm import (
@@ -19,6 +19,7 @@ from .llm import (
     DEFAULT_TEMPERATURE,
     FINAL_SAMPLE_COUNT,
     complete,
+    fan_out,
 )
 from .metrics import MEAN_TOLERANCE, ForecastRecord
 from .news import NewsClient, NewsError, QueryWindow, format_headlines, query_headlines
@@ -156,6 +157,16 @@ class StrategySpec:
     needs_news: bool = False
 
 
+class _Prediction(NamedTuple):
+    """A prediction step's outcome before it is recorded."""
+
+    step_id: str
+    step: StepRecord | None  # None when sampling failed
+    samples: tuple[float, ...]
+    failure: BackendError | ExtractionFailed | None
+    drop_failed: bool
+
+
 class _ChainBuilder:
     """Accumulates step records while a chain runs."""
 
@@ -173,6 +184,13 @@ class _ChainBuilder:
         # raises PredictionWindowError before any call when the window is closed
         self.bindings = RenderContext(event, today).bindings()
         self.steps: list[StepRecord] = []
+        self.parallel = getattr(backend, "waits_on_network", False)
+
+    def each(self, fn: Callable, items: Iterable) -> Iterable:
+        """``fn`` over ``items``: all at once through :func:`fan_out` when the
+        backend waits on the network, else one by one as the caller iterates,
+        so a caller that stops early makes no further calls."""
+        return fan_out(fn, items) if self.parallel else map(fn, items)
 
     def fail(self, step_id: str, message: str) -> ChainError:
         return ChainError(self.event.id, step_id, message, self.steps)
@@ -222,7 +240,11 @@ class _ChainBuilder:
     def non_llm(self, step_id: str, parsed: object, warnings: Sequence[str] = ()) -> None:
         self.steps.append(StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings)))
 
-    def predict(
+    def predict(self, *args, **kwargs) -> tuple[float, tuple[float, ...]] | None:
+        """A recorded :meth:`prediction`; returns :meth:`record`'s result."""
+        return self.record(self.prediction(*args, **kwargs))
+
+    def prediction(
         self,
         step_id: str,
         template_id: str,
@@ -230,26 +252,37 @@ class _ChainBuilder:
         *,
         n_samples: int = FINAL_SAMPLE_COUNT,
         drop_failed: bool = False,
-    ) -> tuple[float, tuple[float, ...]] | None:
-        """A prediction step: sample, extract each reply, aggregate.
+    ) -> _Prediction:
+        """A prediction step: sample, extract each reply, aggregate; nothing
+        is recorded, so that independent predictions can run at once.
 
         A reply with no probability fails the chain; with ``drop_failed`` the
         step is recorded as dropped instead and the result is None.
         """
         template, prompt = self._render(template_id, extra)
-        replies = self._complete(step_id, prompt, n_samples)
+        request = CompletionRequest(prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples)
+        try:
+            replies = complete(self.backend, request).texts
+        except BackendError as exc:
+            return _Prediction(step_id, None, (), exc, drop_failed)
+
+        def extract(raw: str):
+            try:
+                return extract_probability(raw, scale=template.scale, extractor=self.backend)
+            except ExtractionFailed as exc:
+                return exc
+
         samples: list[float] = []
         extractions: list[SampleExtraction] = []
         warnings: list[str] = []
         failure: ExtractionFailed | None = None
-        for index, raw in enumerate(replies):
-            try:
-                value, detail = extract_probability(raw, scale=template.scale, extractor=self.backend)
-            except ExtractionFailed as exc:
-                failure = exc
+        for index, outcome in enumerate(self.each(extract, replies)):
+            if isinstance(outcome, ExtractionFailed):
+                failure = outcome
                 label = "dropped" if drop_failed else f"sample {index}"
-                warnings.append(f"{label}: {exc}")
+                warnings.append(f"{label}: {outcome}")
                 break
+            value, detail = outcome
             samples.append(value)
             extractions.append(SampleExtraction(
                 index, detail.prompt, detail.response, value, detail.fallback_used, detail.error
@@ -257,14 +290,20 @@ class _ChainBuilder:
             if detail.error:
                 warnings.append(f"sample {index}: {detail.error}")
         mean = aggregate_probabilities(samples) if failure is None else None
-        self.steps.append(
-            StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings))
-        )
+        step = StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings))
+        return _Prediction(step_id, step, tuple(samples), failure, drop_failed)
+
+    def record(self, prediction: _Prediction) -> tuple[float, tuple[float, ...]] | None:
+        """Append a prediction's step; returns its mean and samples, or None
+        for a dropped step, and raises :class:`ChainError` for a failed one."""
+        failure = prediction.failure
+        if prediction.step is not None:
+            self.steps.append(prediction.step)
         if failure is None:
-            return mean, tuple(samples)
-        if drop_failed:
+            return prediction.step.parsed, prediction.samples
+        if isinstance(failure, ExtractionFailed) and prediction.drop_failed:
             return None
-        raise self.fail(step_id, str(failure)) from failure
+        raise self.fail(prediction.step_id, str(failure)) from failure
 
     def trace(self, samples: tuple[float, ...], final: float) -> ChainTrace:
         return ChainTrace(
@@ -432,16 +471,24 @@ def run_crowd(
     """Pick experts, ask each for a windowed probability, average them."""
     builder = _ChainBuilder("crowd", event, today, backend)
     jobs = builder.sampled("expert", "crowd/expert", persona_count, parse=_clean_job)
-    values: list[float] = []
-    for index, job in enumerate(jobs):
+
+    def persona(item: tuple[int, str]) -> _Prediction | None:
+        index, job = item
         if not job:
+            return None
+        return builder.prediction(
+            f"persona_{index}", "crowd/predict", {"job": job}, n_samples=1, drop_failed=True
+        )
+
+    values: list[float] = []
+    # the personas run at once, but their steps are recorded in persona order
+    for index, prediction in enumerate(builder.each(persona, enumerate(jobs))):
+        if prediction is None:
             builder.non_llm(
                 f"persona_{index}", None, warnings=("dropped: empty expert description",)
             )
             continue
-        result = builder.predict(
-            f"persona_{index}", "crowd/predict", {"job": job}, n_samples=1, drop_failed=True
-        )
+        result = builder.record(prediction)
         if result is not None:
             values.append(result[0])
     if not values:

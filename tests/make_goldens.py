@@ -129,19 +129,19 @@ def _run(strategy, backend, **params):
     )
 
 
-def write_traces(directory):
+def write_traces(directory, wrap=lambda backend: backend):
     """Write the golden trace files into ``directory``; returns their names.
 
     One ``save_trace`` file per strategy on the scripted backend; one crowd
     trace whose personas are dropped both ways (empty job, reply without a
     number); and one ``save_partial_trace`` file whose prediction step fails
-    on its second sample.
+    on its second sample.  Each chain runs on ``wrap(backend)``.
     """
     directory = Path(directory)
     backend = MockBackend.from_file(FIXTURES / "mock.rules")
     names = []
     for strategy in STRATEGY_IDS:
-        save_trace(_run(strategy, backend), directory / f"{strategy}.json")
+        save_trace(_run(strategy, wrap(backend)), directory / f"{strategy}.json")
         names.append(f"{strategy}.json")
 
     flaky = MockBackend(
@@ -151,14 +151,14 @@ def write_traces(directory):
             *backend.rules,
         ]
     )
-    save_trace(_run("crowd", flaky, persona_count=3), directory / "crowd.dropped.json")
+    save_trace(_run("crowd", wrap(flaky), persona_count=3), directory / "crowd.dropped.json")
     names.append("crowd.dropped.json")
 
     failing = MockBackend(
         [MockRule("substring", "Predict the likelihood", ("10%", "no number here")), *backend.rules]
     )
     try:
-        _run("basic", failing)
+        _run("basic", wrap(failing))
     except ChainError as exc:
         save_partial_trace(exc, "basic", GOLDEN_DATE, directory / "basic.failed.json")
     else:

@@ -253,6 +253,20 @@ def test_run_news_without_nyt_key_replays_identically(tmp_path, monkeypatch, cap
     assert "failed at step 'nyt_fetch': no cached response" in capsys.readouterr().err
 
 
+def test_run_news_concurrent_identical_searches_share_one_request(tmp_path, monkeypatch, capsys):
+    # the mock gives every event the same search terms, so a recording makes
+    # one HN and one NYT request, however many workers search at once
+    monkeypatch.setenv("FORESIGHT_NYT_API_KEY", "stub-key")
+    with StubNewsServer(hn_hits=NEWS_HITS, nyt_docs=NEWS_DOCS) as server:
+        code = main(
+            RUN_BASE
+            + ["--strategy", "news", "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out"),
+               "--workers", "4", "--hn-endpoint", server.hn_endpoint, "--nyt-endpoint", server.nyt_endpoint]
+        )
+        assert code == 0
+        assert (server.count("/hn"), server.count("/nyt")) == (1, 1)
+
+
 def news_entries(cache):
     return sorted((cache / "news").rglob("*.json"))
 

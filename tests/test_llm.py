@@ -1,9 +1,12 @@
 """Tests for completion backends, the content store and its two cache
 wrappers, and rate limiting."""
 
+import contextvars
 import json
 import random
+import sys
 import threading
+import time
 from datetime import date
 
 import pytest
@@ -28,8 +31,10 @@ from foresight.llm import (
     ReplayMiss,
     TokenBucket,
     cache_key,
-    canonical_request,
     complete,
+    fan_out,
+    http_session,
+    key_digest,
 )
 from foresight.news import CachedNewsClient, Headline, QueryWindow, Source
 
@@ -151,16 +156,15 @@ def test_complete_enforces_sample_count():
 
 def test_canonical_request_is_stable_and_sensitive():
     req = CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=64, stop=("X",))
-    text = canonical_request("b", req)
-    assert json.loads(text) == {
+    base = cache_key("b", req)
+    assert base == key_digest({
         "backend_id": "b",
         "max_tokens": 64,
         "n_samples": 2,
         "prompt": "p",
         "stop": ["X"],
         "temperature": 0.5,
-    }
-    base = cache_key("b", req)
+    })
     # pinned: recorded caches stay readable only while the key is unchanged
     assert base == "cad1b9354dae23dfda0fb1f50e6308c86ff6e80e6704c340b1259dd531e02dd2"
     variants = [
@@ -281,15 +285,27 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Scripted stand-in for requests.Session; records each POST payload."""
+    """Scripted stand-in for requests.Session; records each POST payload.
 
-    def __init__(self, responses):
+    Concurrent POSTs take the scripted replies in the order they arrive.
+    """
+
+    def __init__(self, responses, *, delay=0.0):
         self.responses = list(responses)
         self.posts = []
+        self.delay = delay
+        self.in_flight = self.peak_in_flight = 0
+        self._lock = threading.Lock()
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "payload": json, "headers": headers})
-        item = self.responses.pop(0)
+        with self._lock:
+            self.posts.append({"url": url, "payload": json, "headers": headers})
+            item = self.responses.pop(0)
+            self.in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        time.sleep(self.delay)
+        with self._lock:
+            self.in_flight -= 1
         if isinstance(item, Exception):
             raise item
         return item
@@ -333,8 +349,46 @@ def test_http_backend_fans_out_samples():
     session = FakeSession([FakeResponse(payload=chat_payload(f"t{i}")) for i in range(3)])
     backend = make_backend(session)
     resp = complete(backend, CompletionRequest("p", n_samples=3))
-    assert resp.texts == ("t0", "t1", "t2")
+    # the samples go out concurrently, so which reply lands at which index is
+    # not fixed here; test_fan_out_returns_index_order covers the order
+    assert sorted(resp.texts) == ["t0", "t1", "t2"]
     assert [p["payload"]["n"] for p in session.posts] == [1, 1, 1]
+
+
+def test_http_backend_samples_overlap():
+    session = FakeSession([FakeResponse(payload=chat_payload("t")) for _ in range(8)], delay=0.05)
+    backend = make_backend(session)
+    started = time.perf_counter()
+    assert complete(backend, CompletionRequest("p", n_samples=8)).texts == ("t",) * 8
+    assert time.perf_counter() - started < 0.5 * 8 * 0.05
+    assert session.peak_in_flight > 1
+    assert len(session.posts) == 8
+
+
+def test_backend_call_counts_are_exact_across_threads():
+    session = FakeSession([FakeResponse(payload=chat_payload("t")) for _ in range(200)])
+    http = make_backend(session)
+    null = NullBackend("x")
+
+    def hammer():
+        for _ in range(25):
+            http.complete(CompletionRequest("p"))
+            with pytest.raises(BackendUnavailable):
+                null.complete(CompletionRequest("p"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert http.calls == len(session.posts) == 200
+    assert null.calls == 200
 
 
 def test_http_backend_native_multi_sample():
@@ -481,3 +535,154 @@ def test_store_replay_only_miss_and_corrupt_entry(tmp_path):
     store.path(digest).write_text("{}", encoding="utf-8")
     with pytest.raises(CacheCorrupt):
         store.load(digest, lambda entry: entry["missing"])
+
+
+def test_fan_out_returns_index_order():
+    def finish_in_reverse(index):
+        time.sleep(0.01 * (8 - index))
+        return index
+
+    assert fan_out(finish_in_reverse, range(8)) == list(range(8))
+    assert fan_out(finish_in_reverse, []) == []
+
+
+def test_fan_out_raises_first_failure_by_index_after_every_item():
+    finished = []
+
+    def task(index):
+        time.sleep(0.01 * (8 - index))
+        finished.append(index)
+        if index in (3, 5):
+            raise ValueError(f"item {index}")
+        return index
+
+    with pytest.raises(ValueError, match="item 3"):
+        fan_out(task, range(8))
+    assert sorted(finished) == list(range(8))
+
+
+def test_fan_out_nests_without_deadlock_and_keeps_context():
+    var = contextvars.ContextVar("var", default="unset")
+    var.set("caller")
+    result = []
+    # more outer items than pool threads, each fanning out again
+    worker = threading.Thread(
+        target=lambda: result.append(fan_out(lambda i: fan_out(lambda j: (i, j, var.get()), range(3)), range(40)))
+    )
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    # a thread starts with an empty context, so the tasks see its default
+    assert result == [[[(i, j, "unset") for j in range(3)] for i in range(40)]]
+    assert fan_out(lambda i: var.get(), range(4)) == ["caller"] * 4
+
+
+class SlowMock(MockBackend):
+    """The scripted mock, taking ``delay`` seconds per call."""
+
+    def __init__(self, rules, delay):
+        super().__init__(rules)
+        self.delay = delay
+
+    def complete(self, request):
+        time.sleep(self.delay)
+        return super().complete(request)
+
+
+def run_together(fn, count=8):
+    """``fn()`` on ``count`` threads released at once; their results or errors."""
+    barrier = threading.Barrier(count)
+    outcomes = [None] * count
+
+    def run(index):
+        barrier.wait(timeout=30)
+        try:
+            outcomes[index] = fn()
+        except Exception as exc:
+            outcomes[index] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    return outcomes
+
+
+def test_store_single_flights_concurrent_misses(tmp_path):
+    inner = SlowMock([MockRule("any", None, "r")], delay=0.1)
+    cache = CachedBackend(tmp_path, inner)
+    outcomes = run_together(lambda: cache.complete(CompletionRequest("same")).texts)
+    assert outcomes == [("r",)] * 8
+    assert inner.calls == 1
+    assert (cache.store.hits, cache.store.misses) == (7, 1)
+
+    replay = CachedBackend(tmp_path, NullBackend("mock"), replay_only=True)
+    outcomes = run_together(lambda: replay.complete(CompletionRequest("never recorded")))
+    assert all(isinstance(outcome, ReplayMiss) for outcome in outcomes)
+    assert replay.backend.calls == 0
+
+
+def canned_send(adapter, request, **kwargs):
+    """Stand-in for HTTPAdapter.send: a chat reply, without a socket."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = json.dumps(chat_payload("ok")).encode("utf-8")
+    response.url = request.url
+    response.request = request
+    return response
+
+
+def test_http_backend_reads_proxy_environment_once(monkeypatch):
+    scans = []
+    original = requests.utils.get_environ_proxies
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return original(*args, **kwargs)
+
+    # sessions.py imports the function by name, so patch both bindings
+    monkeypatch.setattr(requests.utils, "get_environ_proxies", counting)
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting)
+    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", canned_send)
+    backend = HttpBackend("m", base_url="http://provider.test/v1", requests_per_second=10000.0)
+    scans.clear()
+    for _ in range(3):
+        assert complete(backend, CompletionRequest("p", n_samples=4)).texts == ("ok",) * 4
+    assert backend.calls == 12
+    assert scans == []
+
+
+@pytest.mark.parametrize(
+    "url, proxies",
+    [
+        # requests also passes the NO_PROXY list on, under the key "no"
+        (
+            "https://provider.test/v1/chat/completions",
+            {"https": "http://proxy.test:3128", "no": "internal.test"},
+        ),
+        ("https://internal.test/v1/chat/completions", {}),
+    ],
+    ids=["proxied", "no-proxy"],
+)
+def test_http_session_resolves_environment_like_requests(monkeypatch, tmp_path, url, proxies):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", "http://proxy.test:3128")
+    monkeypatch.setenv("NO_PROXY", "internal.test")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "bundle.pem"))
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine provider.test login user password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+
+    session = http_session(url)
+    resolved = session.merge_environment_settings(url, {}, None, None, None)
+    expected = requests.Session().merge_environment_settings(url, {}, None, None, None)
+    assert not session.trust_env
+    assert resolved["proxies"] == expected["proxies"] == proxies
+    assert resolved["verify"] == expected["verify"] == str(tmp_path / "bundle.pem")
+    assert session.auth == requests.utils.get_netrc_auth(url)
+    assert (session.auth is not None) == ("provider" in url)

@@ -1,17 +1,21 @@
 """Tests for the forecasting prompt chains and their trace records."""
 
+import itertools
 import json
 import math
 import tempfile
+import threading
+import time
 from datetime import date
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foresight.events import Category, Event, load_dataset
-from foresight.llm import MockBackend, MockRule
+from foresight.llm import CachedBackend, HttpBackend, MockBackend, MockRule, NullBackend, ProviderError
 from foresight.news import Headline, NewsError, Source
 from foresight.prompts import aggregate_probabilities
 from foresight.strategies import (
@@ -32,6 +36,8 @@ from foresight.strategies import (
     trace_to_dict,
     trace_to_forecast,
 )
+
+from make_goldens import GOLDEN_TRACE_DIR, write_traces
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TODAY = date(2022, 8, 1)
@@ -437,3 +443,143 @@ def test_chain_trace_mean_invariant():
             final_samples=(0.2, 0.4),
             final_probability=0.5,
         )
+
+
+class Networked:
+    """A backend that says it waits on the network, so chains fan out its
+    calls; ``concurrent=False`` keeps them serial.  Each call first sleeps
+    ``delay(prompt)`` seconds; a prompt holding ``fail_on`` raises
+    ProviderError, else ``inner`` answers."""
+
+    def __init__(self, inner, *, delay=lambda prompt: 0.0, fail_on=None, concurrent=True):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.waits_on_network = concurrent
+        self.delay = delay
+        self.fail_on = fail_on
+        self.in_flight = self.peak_in_flight = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        try:
+            time.sleep(self.delay(request.prompt))
+            if self.fail_on is not None and self.fail_on in request.prompt:
+                raise ProviderError(503, "persona service down")
+            return self.inner.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def reverse_arrivals(marker, count, step=0.02):
+    """A delay under which each run of ``count`` calls whose prompt holds
+    ``marker`` finishes in the reverse of the order the calls arrived."""
+    arrivals = itertools.count()
+
+    def delay(prompt):
+        return step * (count - next(arrivals) % count) if marker in prompt else 0.0
+
+    return delay
+
+
+def test_parallel_chains_reproduce_golden_traces(tmp_path):
+    wrapped = []
+
+    def networked(backend):
+        wrapped.append(Networked(backend, delay=reverse_arrivals("Using your expertise", 8)))
+        return wrapped[-1]
+
+    names = write_traces(tmp_path, wrap=networked)
+    assert len(names) == len(STRATEGY_IDS) + 2
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_TRACE_DIR / name).read_bytes(), name
+    assert max(backend.peak_in_flight for backend in wrapped) > 1
+
+
+CROWD_JOBS = ("an astronomer", "a banker", "a chemist", "a diver")
+
+
+def crowd_rules():
+    return [
+        MockRule("substring", "You must ask an expert", CROWD_JOBS),
+        *(MockRule("substring", job, f"Within the window, 0.{i + 1}") for i, job in enumerate(CROWD_JOBS)),
+        *mock_backend().rules,
+    ]
+
+
+def test_parallel_crowd_records_personas_in_index_order():
+    serial = run("crowd", backend=MockBackend(crowd_rules()), params={"persona_count": 4})
+    assert serial.final_samples == (0.1, 0.2, 0.3, 0.4)
+    # the first persona answers last
+    backend = Networked(MockBackend(crowd_rules()), delay=lambda prompt: 0.1 * ("an astronomer" in prompt))
+    parallel = run("crowd", backend=backend, params={"persona_count": 4})
+    assert trace_to_dict(parallel) == trace_to_dict(serial)
+    assert backend.peak_in_flight > 1
+
+
+def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
+    partial = {}
+    for concurrent in (False, True):
+        backend = Networked(
+            MockBackend(crowd_rules()),
+            delay=reverse_arrivals("Using your expertise", 4),
+            fail_on="a banker",
+            concurrent=concurrent,
+        )
+        with pytest.raises(ChainError) as info:
+            run("crowd", backend=backend, params={"persona_count": 4})
+        path = tmp_path / f"{concurrent}.json"
+        save_partial_trace(info.value, "crowd", TODAY, path)
+        partial[concurrent] = path.read_bytes()
+    assert partial[True] == partial[False]
+    payload = json.loads(partial[True])
+    assert payload["failed_step"] == "persona_1"
+    assert [step["step_id"] for step in payload["steps"]] == ["expert", "persona_0"]
+    assert backend.peak_in_flight > 1
+
+
+class ChatSession:
+    """A fake provider behind ``requests.Session.post``, 20 ms per POST: "10%"
+    to every forecast prompt, and a new reply to each extraction prompt, as
+    a sampling model might give."""
+
+    def __init__(self):
+        self.posts = self.extractions = 0
+        self.in_flight = self.peak_in_flight = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, **kwargs):
+        with self._lock:
+            self.posts += 1
+            self.in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+            text = "10%"
+            if "emit only the final probability value" in kwargs["json"]["messages"][0]["content"]:
+                self.extractions += 1
+                text = f"0.1{self.extractions}"
+        time.sleep(0.02)
+        with self._lock:
+            self.in_flight -= 1
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8")
+        return response
+
+
+def test_identical_parallel_samples_replay_byte_identical(tmp_path):
+    session = ChatSession()
+    http = HttpBackend("m", base_url="http://provider.test/v1", requests_per_second=10000.0, session=session)
+    recorded = run("basic", backend=CachedBackend(tmp_path / "cache", http))
+    # the 8 identical replies share one extraction call
+    assert session.posts == 9
+    assert session.peak_in_flight > 1
+    assert {extraction.response for extraction in recorded.steps[-1].extractions} == {"0.11"}
+
+    replay = CachedBackend(tmp_path / "cache", NullBackend(http.backend_id), replay_only=True)
+    replayed = run("basic", backend=replay)
+    save_trace(recorded, tmp_path / "recorded.json")
+    save_trace(replayed, tmp_path / "replayed.json")
+    assert (tmp_path / "recorded.json").read_bytes() == (tmp_path / "replayed.json").read_bytes()
