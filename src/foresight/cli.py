@@ -268,10 +268,15 @@ def cmd_run(args) -> int:
     failures = []
     for event, future in zip(active, futures):
         name = _safe_filename(event.id, taken)
+        failed_path = trace_dir / f"{name}.failed.json"
+        ref = f"traces/{args.strategy}/{name}.json"
+        # a rerun into the same --out keeps no trace of an earlier outcome
+        failed_path.unlink(missing_ok=True)
+        (out / ref).unlink(missing_ok=True)
         try:
             trace = future.result()
         except ChainError as exc:
-            save_partial_trace(exc, args.strategy, today, trace_dir / f"{name}.failed.json")
+            save_partial_trace(exc, args.strategy, today, failed_path)
             failures.append((event.id, str(exc)))
         except PredictionWindowError as exc:
             failures.append((event.id, str(exc)))
@@ -283,7 +288,6 @@ def cmd_run(args) -> int:
             traceback.print_exception(exc)
             failures.append((event.id, f"{type(exc).__name__}: {exc}"))
         else:
-            ref = f"traces/{args.strategy}/{name}.json"
             save_trace(trace, out / ref)
             records.append(trace_to_forecast(trace, trace_ref=ref))
 

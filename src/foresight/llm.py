@@ -42,7 +42,6 @@ __all__ = [
     "ReplayMiss",
     "CacheCorrupt",
     "complete",
-    "cache_key",
     "key_digest",
     "MockRule",
     "MockBackend",
@@ -165,11 +164,6 @@ def _request_key(backend_id: str, request: CompletionRequest) -> dict:
         "stop": None if request.stop is None else list(request.stop),
         "temperature": request.temperature,
     }
-
-
-def cache_key(backend_id: str, request: CompletionRequest) -> str:
-    """SHA-256 hex digest of the canonical request."""
-    return key_digest(_request_key(backend_id, request))
 
 
 def complete(backend: CompletionBackend, request: CompletionRequest) -> CompletionResponse:

@@ -19,8 +19,6 @@ from .metrics import EmptyInput
 
 __all__ = [
     "EXTRACTION_TEMPLATE_ID",
-    "FORECASTER_SLOT",
-    "ExtractionDetail",
     "ExtractionFailed",
     "NoProbabilityFound",
     "PredictionWindowError",

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .events import Event, parse_date
@@ -34,9 +35,9 @@ from .prompts import (
 )
 
 __all__ = [
+    "CHAINS",
     "DEFAULT_KEYWORD_COUNT",
     "DEFAULT_PERSONA_COUNT",
-    "LINEAR_CHAINS",
     "NO_HEADLINES_TEXT",
     "STRATEGY_IDS",
     "ChainError",
@@ -45,14 +46,9 @@ __all__ = [
     "PredictionWindowError",
     "SampleExtraction",
     "StepRecord",
-    "StrategySpec",
     "UnknownStrategy",
     "check_params",
     "load_trace",
-    "run_crowd",
-    "run_news",
-    "run_reversed",
-    "run_sequences",
     "run_strategy",
     "save_partial_trace",
     "save_trace",
@@ -145,16 +141,6 @@ class ChainTrace:
                 f"final probability {self.final_probability!r} does not match "
                 f"sample mean {mean!r}"
             )
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """Registry entry binding a strategy id to its runner."""
-
-    strategy_id: str
-    runner: Callable[..., ChainTrace]
-    allowed_params: frozenset[str] = frozenset()
-    needs_news: bool = False
 
 
 class _Prediction(NamedTuple):
@@ -316,48 +302,6 @@ class _ChainBuilder:
         )
 
 
-# The linear strategies: single-sample steps, then the prediction. Each step
-# is a step id plus {placeholder: earlier step id}, whose reply fills the
-# placeholder; step ``s`` of strategy ``x`` renders the template ``x/s``.
-LINEAR_CHAINS: dict[str, tuple[tuple[str, Mapping[str, str]], ...]] = {
-    # basic asks directly, forecaster adds the persona preamble, and
-    # basic_with_rationale asks for reasoning before the number.
-    "basic": (("predict", {}),),
-    "forecaster": (("predict", {}),),
-    "base_rate": (
-        ("question", {}),
-        ("answer", {"base rate question": "question"}),
-        ("predict", {"base rate": "answer"}),
-    ),
-    "both_sides": (
-        ("pros", {}),
-        ("cons", {}),
-        ("predict", {"pros": "pros", "cons": "cons"}),
-    ),
-    "basic_with_rationale": (("predict", {}),),
-}
-
-
-def _run_linear(
-    strategy_id: str,
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-) -> ChainTrace:
-    """Run the steps ``LINEAR_CHAINS`` lists for ``strategy_id``."""
-    builder = _ChainBuilder(strategy_id, event, today, backend)
-    *steps, (predict_id, predict_inputs) = LINEAR_CHAINS[strategy_id]
-    replies: dict[str, str] = {}
-
-    def bind(inputs: Mapping[str, str]) -> dict[str, str]:
-        return {placeholder: replies[step] for placeholder, step in inputs.items()}
-
-    for step_id, inputs in steps:
-        replies[step_id] = builder.intermediate(step_id, f"{strategy_id}/{step_id}", bind(inputs))
-    mean, samples = builder.predict(predict_id, f"{strategy_id}/{predict_id}", bind(predict_inputs))
-    return builder.trace(samples, mean)
-
-
 _SEQUENCE_MARKER = re.compile(r"^\[PATH TO (?:POSITIVE|NEGATIVE) OUTCOME\]\s*$")
 _TAG_LINE = re.compile(r"^\[[A-Z][A-Z ]*\]")
 
@@ -418,37 +362,86 @@ def _compose_sequences(blocks: Sequence[str], *, positive: bool) -> str:
     )
 
 
-def _opposite(builder: _ChainBuilder) -> str:
-    """The ``opposite`` step of sequences and reversed: the event, negated."""
-    opposite = builder.intermediate("opposite", "sequences/opposite", parse=_parse_opposite_reply)
-    if not opposite:
-        raise builder.fail("opposite", "reworded event text was empty")
-    return opposite
+class Step(NamedTuple):
+    """One row of a chain table: a prompt step and what it reads."""
+
+    step_id: str
+    # {placeholder: earlier step id}; that step's shown value fills it
+    reads: Mapping[str, str] = MappingProxyType({})
+    template: str | None = None  # default "<strategy>/<step_id>"
+    # reply -> (value, warnings); without it the value is the reply
+    parse: Callable[[str], tuple[object, tuple[str, ...]]] | None = None
+    show: Callable[[object], str] | None = None  # value -> text later steps read
+    empty_error: str | None = None  # an empty value fails the chain with this
+    complement: bool = False  # prediction row: the trace reports 1 - each sample
 
 
-def run_sequences(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-) -> ChainTrace:
-    """Generate paths toward and away from the event, then weigh them."""
-    builder = _ChainBuilder("sequences", event, today, backend)
-    positive_blocks = builder.intermediate(
-        "positive", "sequences/positive", parse=_parse_sequence_blocks
-    )
-    opposite = _opposite(builder)
-    negative_blocks = builder.intermediate(
-        "negative", "sequences/negative", {"Opposite Event": opposite},
-        parse=_parse_sequence_blocks,
-    )
-    mean, samples = builder.predict(
-        "predict",
-        "sequences/predict",
-        {
-            "positive sequences": _compose_sequences(positive_blocks, positive=True),
-            "negative sequences": _compose_sequences(negative_blocks, positive=False),
-        },
-    )
+# The opposite-rewording step that sequences and reversed share.
+_OPPOSITE = Step(
+    "opposite",
+    template="sequences/opposite",
+    parse=_parse_opposite_reply,
+    empty_error="reworded event text was empty",
+)
+
+# Each chain strategy as rows in run order: single-sample steps, then the
+# prediction as the last row.
+CHAINS: dict[str, tuple[Step, ...]] = {
+    # basic asks directly, forecaster adds the persona preamble, and
+    # basic_with_rationale asks for reasoning before the number.
+    "basic": (Step("predict"),),
+    "forecaster": (Step("predict"),),
+    "base_rate": (
+        Step("question"),
+        Step("answer", {"base rate question": "question"}),
+        Step("predict", {"base rate": "answer"}),
+    ),
+    "both_sides": (
+        Step("pros"),
+        Step("cons"),
+        Step("predict", {"pros": "pros", "cons": "cons"}),
+    ),
+    "basic_with_rationale": (Step("predict"),),
+    # paths toward the event and toward its opposite, then weigh them
+    "sequences": (
+        Step("positive", parse=_parse_sequence_blocks, show=partial(_compose_sequences, positive=True)),
+        _OPPOSITE,
+        Step(
+            "negative",
+            {"Opposite Event": "opposite"},
+            parse=_parse_sequence_blocks,
+            show=partial(_compose_sequences, positive=False),
+        ),
+        Step("predict", {"positive sequences": "positive", "negative sequences": "negative"}),
+    ),
+    # predict the opposite event with basic's question, then complement
+    "reversed": (
+        _OPPOSITE,
+        Step("predict", {"condition": "opposite"}, template="basic/predict", complement=True),
+    ),
+}
+
+
+def _run_chain(strategy_id: str, event: Event, today: date, backend: CompletionBackend) -> ChainTrace:
+    """Run the rows ``CHAINS`` lists for ``strategy_id``."""
+    builder = _ChainBuilder(strategy_id, event, today, backend)
+    *steps, last = CHAINS[strategy_id]
+    shown: dict[str, object] = {}
+
+    def bind(step: Step) -> tuple[str, dict[str, object]]:
+        template = step.template or f"{strategy_id}/{step.step_id}"
+        return template, {placeholder: shown[source] for placeholder, source in step.reads.items()}
+
+    for step in steps:
+        value = builder.intermediate(step.step_id, *bind(step), parse=step.parse)
+        if step.empty_error and not value:
+            raise builder.fail(step.step_id, step.empty_error)
+        shown[step.step_id] = step.show(value) if step.show else value
+    mean, samples = builder.predict(last.step_id, *bind(last))
+    if last.complement:
+        # the prediction step's parsed value keeps the raw, unflipped mean
+        samples = tuple(1.0 - value for value in samples)
+        mean = aggregate_probabilities(samples)
     return builder.trace(samples, mean)
 
 
@@ -591,49 +584,29 @@ def run_news(
     return builder.trace(samples, mean)
 
 
-def run_reversed(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-) -> ChainTrace:
-    """Reword the event as its opposite, predict that, and complement."""
-    builder = _ChainBuilder("reversed", event, today, backend)
-    opposite = _opposite(builder)
-    # the prediction step's parsed value keeps the raw, unflipped mean
-    _, raw_samples = builder.predict("predict", "basic/predict", {"condition": opposite})
-    samples = tuple(1.0 - value for value in raw_samples)
-    final = aggregate_probabilities(samples)
-    return builder.trace(samples, final)
+STRATEGY_IDS = (*CHAINS, "crowd", "news")
 
-
-STRATEGIES: dict[str, StrategySpec] = {
-    spec.strategy_id: spec
-    for spec in (
-        *(StrategySpec(strategy_id, partial(_run_linear, strategy_id)) for strategy_id in LINEAR_CHAINS),
-        StrategySpec("sequences", run_sequences),
-        StrategySpec("crowd", run_crowd, allowed_params=frozenset({"persona_count"})),
-        StrategySpec("news", run_news, frozenset({"keyword_count"}), needs_news=True),
-        StrategySpec("reversed", run_reversed),
-    )
+# The parameters each strategy accepts.
+_ALLOWED_PARAMS: dict[str, frozenset[str]] = {
+    **dict.fromkeys(CHAINS, frozenset()),
+    "crowd": frozenset({"persona_count"}),
+    "news": frozenset({"keyword_count"}),
 }
 
-STRATEGY_IDS = tuple(STRATEGIES)
 
-
-def check_params(strategy_id: str, params: Mapping[str, int] | None) -> StrategySpec:
-    """The registry entry of ``strategy_id``, once ``params`` suit it."""
-    spec = STRATEGIES.get(strategy_id)
-    if spec is None:
+def check_params(strategy_id: str, params: Mapping[str, int] | None) -> None:
+    """Raise unless ``strategy_id`` is registered and ``params`` suit it."""
+    allowed = _ALLOWED_PARAMS.get(strategy_id)
+    if allowed is None:
         raise UnknownStrategy(strategy_id)
     params = params or {}
-    unknown = set(params) - spec.allowed_params
+    unknown = set(params) - allowed
     if unknown:
         names = ", ".join(sorted(unknown))
         raise InvalidParam(f"strategy {strategy_id!r} does not accept: {names}")
     for name, value in params.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InvalidParam(f"{name} must be a positive integer, got {value!r}")
-    return spec
 
 
 def run_strategy(
@@ -650,9 +623,14 @@ def run_strategy(
 
     Every step, extraction included, completes against ``backend``.
     """
-    spec = check_params(strategy_id, params)
-    news = {"hn_client": hn_client, "nyt_client": nyt_client} if spec.needs_news else {}
-    return spec.runner(event, today, backend, **(params or {}), **news)
+    check_params(strategy_id, params)
+    if strategy_id == "crowd":
+        return run_crowd(event, today, backend, **(params or {}))
+    if strategy_id == "news":
+        return run_news(
+            event, today, backend, hn_client=hn_client, nyt_client=nyt_client, **(params or {})
+        )
+    return _run_chain(strategy_id, event, today, backend)
 
 
 def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> ForecastRecord:

@@ -160,6 +160,29 @@ def test_run_missing_replay_cache_is_an_input_error(tmp_path, capsys, cache_flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first_ok", [False, True], ids=["fail-then-succeed", "succeed-then-fail"])
+def test_rerun_into_same_out_leaves_no_stale_trace(tmp_path, capsys, first_ok):
+    nothing = tmp_path / "nothing.rules"
+    nothing.write_text(
+        '{"match": "substring", "pattern": "no prompt says this", "response": "x"}\n',
+        encoding="utf-8",
+    )
+
+    def run(ok, out):
+        backend = MOCK if ok else f"mock:{nothing}"
+        argv = ["run", "--events", EVENTS, "--date", "2022-08-01", "--backend", backend]
+        return main(argv + ["--strategy", "basic", "--out", str(out)])
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run(first_ok, out) == (0 if first_ok else 1)
+    assert run(not first_ok, out) == (1 if first_ok else 0)
+    run(not first_ok, fresh)
+    suffix = ".failed.json" if first_ok else ".json"
+    names = sorted(p.name for p in (out / "traces" / "basic").iterdir())
+    assert names == [f"evt-{i:02d}{suffix}" for i in range(1, 11)]
+    assert tree_bytes(out) == tree_bytes(fresh)
+
+
 def test_run_unexpected_error_fails_only_its_event(tmp_path, monkeypatch, capsys):
     class RaisesOnOneEvent:
         """Wraps the mock backend; raises a non-chain error on one event's prompts."""

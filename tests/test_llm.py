@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from datetime import date
+from pathlib import Path
 
 import pytest
 import requests
@@ -30,7 +31,6 @@ from foresight.llm import (
     RateLimited,
     ReplayMiss,
     TokenBucket,
-    cache_key,
     complete,
     fan_out,
     http_session,
@@ -154,10 +154,21 @@ def test_complete_enforces_sample_count():
         complete(Shorting(), CompletionRequest("p", n_samples=3))
 
 
-def test_canonical_request_is_stable_and_sensitive():
+def entry_files(root):
+    return sorted(Path(root).glob("*/*.json"))
+
+
+def test_canonical_request_is_stable_and_sensitive(tmp_path):
+    def record(backend_id, request):
+        inner = MockBackend([MockRule("any", None, "r")], backend_id=backend_id)
+        CachedBackend(tmp_path, inner).complete(request)
+
     req = CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=64, stop=("X",))
-    base = cache_key("b", req)
-    assert base == key_digest({
+    record("b", req)
+    # pinned: recorded caches stay readable only while the key is unchanged
+    pinned = "cad1b9354dae23dfda0fb1f50e6308c86ff6e80e6704c340b1259dd531e02dd2"
+    assert entry_files(tmp_path) == [tmp_path / pinned[:2] / f"{pinned}.json"]
+    assert pinned == key_digest({
         "backend_id": "b",
         "max_tokens": 64,
         "n_samples": 2,
@@ -165,18 +176,16 @@ def test_canonical_request_is_stable_and_sensitive():
         "stop": ["X"],
         "temperature": 0.5,
     })
-    # pinned: recorded caches stay readable only while the key is unchanged
-    assert base == "cad1b9354dae23dfda0fb1f50e6308c86ff6e80e6704c340b1259dd531e02dd2"
-    variants = [
-        cache_key("c", req),
-        cache_key("b", CompletionRequest("q", temperature=0.5, n_samples=2, max_tokens=64, stop=("X",))),
-        cache_key("b", CompletionRequest("p", temperature=0.6, n_samples=2, max_tokens=64, stop=("X",))),
-        cache_key("b", CompletionRequest("p", temperature=0.5, n_samples=3, max_tokens=64, stop=("X",))),
-        cache_key("b", CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=65, stop=("X",))),
-        cache_key("b", CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=64)),
-    ]
-    digests = {base} | set(variants)
-    assert len(digests) == 7
+    record("c", req)
+    for variant in (
+        CompletionRequest("q", temperature=0.5, n_samples=2, max_tokens=64, stop=("X",)),
+        CompletionRequest("p", temperature=0.6, n_samples=2, max_tokens=64, stop=("X",)),
+        CompletionRequest("p", temperature=0.5, n_samples=3, max_tokens=64, stop=("X",)),
+        CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=65, stop=("X",)),
+        CompletionRequest("p", temperature=0.5, n_samples=2, max_tokens=64),
+    ):
+        record("b", variant)
+    assert len(entry_files(tmp_path)) == 7
 
 
 def test_cached_backend_records_then_replays(tmp_path):
@@ -195,11 +204,9 @@ def test_cached_backend_records_then_replays(tmp_path):
     assert (cache.store.hits, cache.store.misses) == (1, 1)
     assert inner.calls == 1
 
-    digest = cache_key(inner.backend_id, req)
-    stored = tmp_path / digest[:2] / f"{digest}.json"
-    assert stored.is_file()
+    (stored,) = entry_files(tmp_path)
     record = json.loads(stored.read_text(encoding="utf-8"))
-    assert record["digest"] == digest
+    assert stored == tmp_path / record["digest"][:2] / f"{record['digest']}.json"
     assert record["response"]["texts"] == ["r1", "r2"]
 
 
@@ -220,8 +227,7 @@ def test_cached_backend_corrupt_entry(tmp_path):
     cache = CachedBackend(tmp_path, inner)
     req = CompletionRequest("p")
     cache.complete(req)
-    digest = cache_key(inner.backend_id, req)
-    entry = tmp_path / digest[:2] / f"{digest}.json"
+    (entry,) = entry_files(tmp_path)
     entry.write_text("{broken", encoding="utf-8")
     with pytest.raises(CacheCorrupt):
         cache.complete(req)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from foresight.events import Category, Event, load_dataset
 from foresight.llm import CachedBackend, HttpBackend, MockBackend, MockRule, NullBackend, ProviderError
 from foresight.news import Headline, NewsError, Source
-from foresight.prompts import aggregate_probabilities
+from foresight.prompts import RenderContext, aggregate_probabilities, get_template
 from foresight.strategies import (
+    CHAINS,
     ChainError,
     ChainTrace,
     InvalidParam,
@@ -155,14 +156,30 @@ def test_sequences_chain_composes_numbered_paths():
     assert "Potential Sequence 1:" in predict.prompt
 
 
-def test_sequences_opposite_failure_aborts_chain():
+@pytest.mark.parametrize(
+    ("strategy", "partial_ids"), [("sequences", ["positive", "opposite"]), ("reversed", ["opposite"])]
+)
+def test_sequences_opposite_failure_aborts_chain(strategy, partial_ids):
     backend = mock_backend()
     # the opposite-rewording step replies with only whitespace
     rules = [MockRule("substring", "NOT happen", "   \n"), *backend.rules]
     with pytest.raises(ChainError) as info:
-        run("sequences", backend=MockBackend(rules))
+        run(strategy, backend=MockBackend(rules))
     assert info.value.step_id == "opposite"
-    assert [s.step_id for s in info.value.partial_steps][:1] == ["positive"]
+    assert str(info.value).endswith("reworded event text was empty")
+    assert [s.step_id for s in info.value.partial_steps] == partial_ids
+
+
+def test_chain_table_is_consistent():
+    standard = set(RenderContext(tesla_event(), TODAY).bindings())
+    for strategy, steps in CHAINS.items():
+        earlier = set()
+        for step in steps:
+            assert set(step.reads.values()) <= earlier, (strategy, step.step_id)
+            template = get_template(step.template or f"{strategy}/{step.step_id}")
+            unbound = set(template.placeholders) - standard - set(step.reads)
+            assert not unbound, (strategy, step.step_id, unbound)
+            earlier.add(step.step_id)
 
 
 def test_crowd_chain_one_prediction_per_persona():
