@@ -156,10 +156,7 @@ def test_sequences_chain_composes_numbered_paths():
     assert "Potential Sequence 1:" in predict.prompt
 
 
-@pytest.mark.parametrize(
-    ("strategy", "partial_ids"), [("sequences", ["positive", "opposite"]), ("reversed", ["opposite"])]
-)
-def test_sequences_opposite_failure_aborts_chain(strategy, partial_ids):
+def assert_opposite_failure_aborts(strategy, partial_ids):
     backend = mock_backend()
     # the opposite-rewording step replies with only whitespace
     rules = [MockRule("substring", "NOT happen", "   \n"), *backend.rules]
@@ -168,6 +165,14 @@ def test_sequences_opposite_failure_aborts_chain(strategy, partial_ids):
     assert info.value.step_id == "opposite"
     assert str(info.value).endswith("reworded event text was empty")
     assert [s.step_id for s in info.value.partial_steps] == partial_ids
+
+
+def test_sequences_opposite_failure_aborts_chain():
+    assert_opposite_failure_aborts("sequences", ["positive", "opposite"])
+
+
+def test_reversed_opposite_failure_aborts_chain():
+    assert_opposite_failure_aborts("reversed", ["opposite"])
 
 
 def test_chain_table_is_consistent():
