@@ -207,17 +207,14 @@ def _safe_filename(event_id: str, taken: dict[str, str]) -> str:
 
 def _cache_location(args) -> tuple[Path | None, bool]:
     """The cache directory of a run, if any, and whether it is replay-only."""
-    replay = args.backend.startswith("replay:")
-    if replay and args.cache:
+    if not args.backend.startswith("replay:"):
+        return (Path(args.cache) if args.cache else None), False
+    if args.cache:
         raise ConfigError("replay:DIR already reads a cache; do not combine it with --cache")
-    if args.replay_only and not (args.cache or replay):
-        raise ConfigError("--replay-only needs --cache DIR or a replay:DIR backend")
-    # replay:DIR mirrors --cache DIR --replay-only
-    directory = args.backend[len("replay:"):] if replay else args.cache
-    replay_only = replay or args.replay_only
-    if replay_only and not (directory and Path(directory).is_dir()):
+    directory = args.backend[len("replay:"):]
+    if not (directory and Path(directory).is_dir()):
         raise ConfigError(f"nothing to replay: no cache directory {directory!r}")
-    return (Path(directory) if directory else None), replay_only
+    return Path(directory), True
 
 
 def cmd_run(args) -> int:
@@ -280,8 +277,6 @@ def cmd_run(args) -> int:
             failures.append((event.id, str(exc)))
         except PredictionWindowError as exc:
             failures.append((event.id, str(exc)))
-        except _INPUT_ERRORS:  # a bad invocation, not a bad event
-            raise
         except Exception as exc:
             # One event's unexpected fault must not cost the other events'
             # results; its traceback goes to stderr.
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--config", action="append", metavar="KEY=VALUE")
     run_p.add_argument("--cache", help="cache directory (completions under llm/, headlines under news/)")
-    run_p.add_argument("--replay-only", action="store_true", help="error on any cache miss")
     run_p.add_argument("--workers", type=int, default=4)
     run_p.add_argument("--persona-count", type=int, help="crowd strategy: number of experts")
     run_p.add_argument("--keyword-count", type=int, help="news strategy: number of search terms")

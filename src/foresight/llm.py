@@ -563,10 +563,10 @@ class ContentStore:
         """The entry recorded for ``key``, or ``compute()`` recorded as one.
 
         ``decode`` reads a stored entry back; ``encode`` turns a fresh value
-        into the payload :meth:`save` writes.  A caller whose digest is in
-        flight in another thread waits for it, then looks the digest up
-        again: it finds the entry that caller recorded, or takes the same
-        error path.  So concurrent callers make one ``compute()`` call, and
+        into the payload :meth:`save` writes, which also records ``key``
+        itself as ``"key"``.  A caller whose digest is in flight in another
+        thread waits for it, then looks the digest up again: it finds the
+        entry that caller recorded, or takes the same error path.  So concurrent callers make one ``compute()`` call, and
         hits and misses count as in a serial run.
         """
         digest = key_digest(key)
@@ -585,7 +585,7 @@ class ContentStore:
             if stored is not None:
                 return stored
             value = compute()
-            self.save(digest, encode(value))
+            self.save(digest, {"key": key, **encode(value)})
             return value
         finally:
             with self._lock:
@@ -617,24 +617,11 @@ class CachedBackend:
         return getattr(self.backend, "waits_on_network", False)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        def entry(response: CompletionResponse) -> dict:
-            return {
-                "request": {
-                    "prompt": request.prompt,
-                    "temperature": request.temperature,
-                    "n_samples": request.n_samples,
-                    "max_tokens": request.max_tokens,
-                    "stop": None if request.stop is None else list(request.stop),
-                },
-                "response": {
-                    "texts": list(response.texts),
-                    "backend_id": response.backend_id,
-                },
-            }
-
         return self.store.get_or_compute(
             _request_key(self.backend_id, request),
             lambda: complete(self.backend, request),
             decode=_response_from_entry,
-            encode=entry,
+            encode=lambda response: {
+                "response": {"texts": list(response.texts), "backend_id": response.backend_id}
+            },
         )

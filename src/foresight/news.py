@@ -262,6 +262,15 @@ def _headlines_from_entry(entry: dict) -> tuple[Headline, ...]:
     )
 
 
+def _entry_from_headlines(headlines: tuple[Headline, ...]) -> dict:
+    return {
+        "headlines": [
+            {"title": headline.title, "date": headline.date.isoformat(), "source": headline.source.value}
+            for headline in headlines
+        ]
+    }
+
+
 class CachedNewsClient:
     """Record/replay cache over another news client, in the completion cache's
     :class:`~foresight.llm.ContentStore` format."""
@@ -272,31 +281,17 @@ class CachedNewsClient:
         self.source = client.source
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
-        query = {
+        key = {
             "max_results": window.max_results,
             "source": self.client.source.value,
             "terms": list(window.terms),
             "until": window.until.isoformat(),
         }
-
-        def entry(headlines: tuple[Headline, ...]) -> dict:
-            return {
-                "query": query,
-                "headlines": [
-                    {
-                        "title": headline.title,
-                        "date": headline.date.isoformat(),
-                        "source": headline.source.value,
-                    }
-                    for headline in headlines
-                ],
-            }
-
         return self.store.get_or_compute(
-            query,
+            key,
             lambda: self.client.search(window),
             decode=_headlines_from_entry,
-            encode=entry,
+            encode=_entry_from_headlines,
         )
 
 

@@ -52,8 +52,6 @@ __all__ = [
     "run_strategy",
     "save_partial_trace",
     "save_trace",
-    "trace_from_dict",
-    "trace_to_dict",
     "trace_to_forecast",
 ]
 
@@ -645,75 +643,16 @@ def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> For
     )
 
 
-def _extraction_to_dict(extraction: SampleExtraction) -> dict:
-    return {
-        "sample_index": extraction.sample_index,
-        "prompt": extraction.prompt,
-        "response": extraction.response,
-        "probability": extraction.probability,
-        "fallback_used": extraction.fallback_used,
-        "error": extraction.error,
-    }
-
-
-def _step_to_dict(step: StepRecord) -> dict:
-    parsed = step.parsed
-    if isinstance(parsed, tuple):
-        parsed = list(parsed)
-    return {
-        "step_id": step.step_id,
-        "prompt": step.prompt,
-        "responses": list(step.responses),
-        "parsed": parsed,
-        "extractions": [_extraction_to_dict(e) for e in step.extractions],
-        "warnings": list(step.warnings),
-    }
-
-
-def _step_from_dict(payload: dict) -> StepRecord:
-    parsed = payload.get("parsed")
-    if isinstance(parsed, list):
-        parsed = tuple(parsed)
-    return StepRecord(
-        step_id=payload["step_id"],
-        prompt=payload.get("prompt"),
-        responses=tuple(payload.get("responses", ())),
-        parsed=parsed,
-        extractions=tuple(
-            SampleExtraction(
-                sample_index=item["sample_index"],
-                prompt=item.get("prompt"),
-                response=item.get("response"),
-                probability=item["probability"],
-                fallback_used=item["fallback_used"],
-                error=item.get("error"),
-            )
-            for item in payload.get("extractions", ())
-        ),
-        warnings=tuple(payload.get("warnings", ())),
-    )
-
-
-def trace_to_dict(trace: ChainTrace) -> dict:
-    return {
-        "event_id": trace.event_id,
-        "strategy": trace.strategy,
-        "prediction_date": trace.prediction_date.isoformat(),
-        "final_probability": trace.final_probability,
-        "final_samples": list(trace.final_samples),
-        "steps": [_step_to_dict(step) for step in trace.steps],
-    }
-
-
-def trace_from_dict(payload: dict) -> ChainTrace:
-    return ChainTrace(
-        event_id=payload["event_id"],
-        strategy=payload["strategy"],
-        prediction_date=parse_date(payload["prediction_date"], "prediction_date"),
-        steps=tuple(_step_from_dict(item) for item in payload["steps"]),
-        final_samples=tuple(payload["final_samples"]),
-        final_probability=payload["final_probability"],
-    )
+def _json_data(value: object) -> object:
+    """``value`` as ``json.dumps`` input: a record as the dict of its fields,
+    a tuple as a list and a date as ISO text, at every depth."""
+    if isinstance(value, tuple):
+        return [_json_data(item) for item in value]
+    if isinstance(value, (ChainTrace, StepRecord, SampleExtraction)):
+        return {name: _json_data(field) for name, field in vars(value).items()}
+    if isinstance(value, date):
+        return value.isoformat()
+    return value
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -724,12 +663,27 @@ def _write_json(payload: dict, path: str | Path) -> None:
 
 
 def save_trace(trace: ChainTrace, path: str | Path) -> None:
-    """Write a trace as stable, diffable JSON."""
-    _write_json(trace_to_dict(trace), path)
+    """Write a trace as stable, diffable JSON whose keys are the field names
+    of :class:`ChainTrace`, :class:`StepRecord` and :class:`SampleExtraction`."""
+    _write_json(_json_data(trace), path)
+
+
+def _tuples(payload: dict) -> dict:
+    # JSON arrays come back as the tuples the records hold
+    return {name: tuple(value) if isinstance(value, list) else value for name, value in payload.items()}
 
 
 def load_trace(path: str | Path) -> ChainTrace:
-    return trace_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    payload = _tuples(json.loads(Path(path).read_text(encoding="utf-8")))
+    steps = []
+    for step in map(_tuples, payload["steps"]):
+        extractions = tuple(SampleExtraction(**item) for item in step.get("extractions", ()))
+        steps.append(StepRecord(**{**step, "extractions": extractions}))
+    return ChainTrace(**{
+        **payload,
+        "prediction_date": parse_date(payload["prediction_date"], "prediction_date"),
+        "steps": tuple(steps),
+    })
 
 
 def save_partial_trace(
@@ -746,7 +700,7 @@ def save_partial_trace(
             "prediction_date": prediction_date.isoformat(),
             "failed_step": error.step_id,
             "error": str(error),
-            "steps": [_step_to_dict(step) for step in error.partial_steps],
+            "steps": _json_data(error.partial_steps),
         },
         path,
     )

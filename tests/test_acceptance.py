@@ -25,7 +25,7 @@ from foresight.llm import (
 from foresight.metrics import brier, weighted_brier
 from foresight.news import HackerNewsClient, NYTClient
 from foresight.prompts import NoProbabilityFound, Scale, parse_probability
-from foresight.strategies import STRATEGY_IDS, run_strategy, trace_to_dict
+from foresight.strategies import STRATEGY_IDS, run_strategy, save_trace
 from make_goldens import GOLDEN_TRACE_DIR, golden_path, render_all, write_traces
 from stubserver import StubNewsServer, hn_hit, nyt_doc
 
@@ -180,7 +180,7 @@ def test_criterion_06_eight_sample_averaging_is_exact():
     assert trace.final_probability == 0.35
 
 
-def test_criterion_07_leakage_guard_randomized():
+def test_criterion_07_leakage_guard_randomized(tmp_path):
     # 100 random adversarial cases: headlines dated after the prediction date
     # never reach any prompt, response, or parsed value
     rng = random.Random(715)
@@ -210,7 +210,8 @@ def test_criterion_07_leakage_guard_randomized():
                 hn_client=hn,
                 nyt_client=nyt,
             )
-            flattened = json.dumps(trace_to_dict(trace))
+            save_trace(trace, tmp_path / "trace.json")
+            flattened = (tmp_path / "trace.json").read_text(encoding="utf-8")
             assert "LEAK" not in flattened, f"case {case} leaked a future headline"
 
 

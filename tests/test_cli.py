@@ -144,16 +144,11 @@ def test_run_replay_miss_is_failure(tmp_path, capsys):
     assert "no cached response" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cache_flags", ["replay", "cache-replay-only"])
-def test_run_missing_replay_cache_is_an_input_error(tmp_path, capsys, cache_flags):
+def test_run_missing_replay_cache_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir"
     out = tmp_path / "out"
-    if cache_flags == "replay":
-        flags = ["--backend", f"replay:{missing}"]
-    else:
-        flags = ["--backend", MOCK, "--cache", str(missing), "--replay-only"]
     argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01", "--out", str(out)]
-    assert main(argv + flags) == 2
+    assert main(argv + ["--backend", f"replay:{missing}"]) == 2
     assert "error:" in capsys.readouterr().err
     # nothing is created: neither the cache directory nor the output tree
     assert not (tmp_path / "no").exists()
@@ -351,7 +346,6 @@ def test_run_rejects_bad_usage(tmp_path, capsys, monkeypatch):
         RUN_BASE + ["--strategy", "basic", "--out", out, "--date", "20220801"],
         ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
          "--backend", "replay:/tmp/x", "--cache", "/tmp/y", "--out", out],
-        RUN_BASE + ["--strategy", "basic", "--out", out, "--replay-only"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--config", "model"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--config", "tempo=1"],
         ["run", "--events", str(tmp_path / "missing.jsonl"), "--strategy", "basic",

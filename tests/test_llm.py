@@ -207,7 +207,11 @@ def test_cached_backend_records_then_replays(tmp_path):
     (stored,) = entry_files(tmp_path)
     record = json.loads(stored.read_text(encoding="utf-8"))
     assert stored == tmp_path / record["digest"][:2] / f"{record['digest']}.json"
-    assert record["response"]["texts"] == ["r1", "r2"]
+    # the entry carries the key it was hashed from, then only the response
+    assert set(record) == {"digest", "key", "response", "timestamp"}
+    assert key_digest(record["key"]) == record["digest"]
+    assert record["key"]["prompt"] == "prompt"
+    assert record["response"] == {"texts": ["r1", "r2"], "backend_id": "mock"}
 
 
 def test_cached_backend_replay_only(tmp_path):
@@ -541,6 +545,44 @@ def test_store_replay_only_miss_and_corrupt_entry(tmp_path):
     store.path(digest).write_text("{}", encoding="utf-8")
     with pytest.raises(CacheCorrupt):
         store.load(digest, lambda entry: entry["missing"])
+
+
+def test_entries_in_the_older_format_still_replay(tmp_path):
+    # Earlier versions listed the request or query beside the value and
+    # wrote no "key"; only the value is read back.
+    request_key = {
+        "backend_id": "mock",
+        "max_tokens": 1024,
+        "n_samples": 2,
+        "prompt": "old prompt",
+        "stop": None,
+        "temperature": 0.01,
+    }
+    request = {name: value for name, value in request_key.items() if name != "backend_id"}
+    query_key = {"max_results": 25, "source": "hackernews", "terms": ["old"], "until": "2022-08-01"}
+    entries = [
+        (tmp_path / "llm", request_key,
+         {"request": request, "response": {"texts": ["a", "b"], "backend_id": "mock"}}),
+        (tmp_path / "news", query_key,
+         {"query": query_key, "headlines": [{"title": "old story", "date": "2022-07-01", "source": "hackernews"}]}),
+    ]
+    for root, key, payload in entries:
+        digest = key_digest(key)
+        path = root / digest[:2] / f"{digest}.json"
+        path.parent.mkdir(parents=True)
+        entry = {"digest": digest, **payload, "timestamp": "2024-06-01T00:00:00Z"}
+        path.write_text(json.dumps(entry), encoding="utf-8")
+
+    null = NullBackend("mock")
+    response = CachedBackend(tmp_path / "llm", null, replay_only=True).complete(
+        CompletionRequest("old prompt", n_samples=2)
+    )
+    assert (response.texts, response.backend_id, response.cached) == (("a", "b"), "mock", True)
+    assert null.calls == 0
+    # ScriptedNews would answer "story", not the recorded "old story"
+    news = CachedNewsClient(tmp_path / "news", ScriptedNews(), replay_only=True)
+    headlines = news.search(QueryWindow(terms=("old",), until=date(2022, 8, 1)))
+    assert headlines == (Headline("old story", date(2022, 7, 1), Source.HACKERNEWS),)
 
 
 def test_fan_out_returns_index_order():

@@ -234,7 +234,9 @@ def test_cached_news_client_records_then_replays(tmp_path):
         assert (live.store.hits, live.store.misses) == (1, 1)
     # pinned: recorded caches stay readable only while the key is unchanged
     digest = "e21c607099848b81f68fe2b9df6e49f92307a7ccaec2d2942fef4b330e53f3e9"
-    assert (tmp_path / digest[:2] / f"{digest}.json").is_file()
+    entry = json.loads((tmp_path / digest[:2] / f"{digest}.json").read_text(encoding="utf-8"))
+    assert set(entry) == {"digest", "headlines", "key", "timestamp"}
+    assert entry["key"]["terms"] == list(window().terms)
 
     # replay needs no server at all
     class Exploding:

@@ -1,5 +1,6 @@
 """Tests for the forecasting prompt chains and their trace records."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -33,8 +34,6 @@ from foresight.strategies import (
     run_strategy,
     save_partial_trace,
     save_trace,
-    trace_from_dict,
-    trace_to_dict,
     trace_to_forecast,
 )
 
@@ -228,7 +227,7 @@ def test_crowd_drops_failed_personas_with_warning():
     assert len(trace.final_samples) == 2
 
 
-def test_news_chain_with_headlines():
+def test_news_chain_with_headlines(tmp_path):
     clients = news_clients()
     trace = run("news", **clients)
     by_id = {s.step_id: s for s in trace.steps}
@@ -244,8 +243,8 @@ def test_news_chain_with_headlines():
     assert clients["hn_client"].calls == 1
     assert clients["nyt_client"].calls == 1
     # the cutoff guard keeps the future-dated headline out of every prompt
-    flattened = json.dumps(trace_to_dict(trace))
-    assert "FUTURE LEAK" not in flattened
+    save_trace(trace, tmp_path / "trace.json")
+    assert "FUTURE LEAK" not in (tmp_path / "trace.json").read_text(encoding="utf-8")
     # fetch steps make no completion call; their text lands in parsed
     assert by_id["hn_fetch"].prompt is None
     assert "Tesla expands FSD beta" in by_id["hn_fetch"].parsed
@@ -411,30 +410,41 @@ def _traces(draw):
     )
 
 
+def _field_names(record_type) -> set[str]:
+    return {field.name for field in dataclasses.fields(record_type)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_traces())
 def test_trace_codec_round_trips(trace):
-    assert trace_from_dict(json.loads(json.dumps(trace_to_dict(trace)))) == trace
     with tempfile.TemporaryDirectory() as scratch:
         first, second = Path(scratch) / "first.json", Path(scratch) / "second.json"
         save_trace(trace, first)
+        # the file's keys are the records' field names, at every level
+        saved = json.loads(first.read_text(encoding="utf-8"))
+        assert set(saved) == _field_names(ChainTrace)
+        for step in saved["steps"]:
+            assert set(step) == _field_names(StepRecord)
+            for extraction in step["extractions"]:
+                assert set(extraction) == _field_names(SampleExtraction)
         loaded = load_trace(first)
         assert loaded == trace
         save_trace(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_trace_dict_rejects_inconsistent_payloads():
-    trace = run("basic")
-    payload = trace_to_dict(trace)
-    broken = json.loads(json.dumps(payload))
-    broken["final_probability"] = 0.9  # no longer the sample mean
+def test_trace_dict_rejects_inconsistent_payloads(tmp_path):
+    path = tmp_path / "trace.json"
+    save_trace(run("basic"), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    # no longer the sample mean
+    path.write_text(json.dumps({**payload, "final_probability": 0.9}), encoding="utf-8")
     with pytest.raises(ValueError):
-        trace_from_dict(broken)
-    missing = json.loads(json.dumps(payload))
-    del missing["steps"]
+        load_trace(path)
+    del payload["steps"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises((KeyError, ValueError, TypeError)):
-        trace_from_dict(missing)
+        load_trace(path)
 
 
 def test_trace_to_forecast():
@@ -538,7 +548,7 @@ def test_parallel_crowd_records_personas_in_index_order():
     # the first persona answers last
     backend = Networked(MockBackend(crowd_rules()), delay=lambda prompt: 0.1 * ("an astronomer" in prompt))
     parallel = run("crowd", backend=backend, params={"persona_count": 4})
-    assert trace_to_dict(parallel) == trace_to_dict(serial)
+    assert parallel == serial
     assert backend.peak_in_flight > 1
 
 
