@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .events import DatasetError, UnresolvedEvent, active_events, load_dataset, parse_date
 from .llm import (
-    API_KEY_ENV,
     BASE_URL_ENV,
     CachedBackend,
     CompletionBackend,
@@ -56,7 +55,6 @@ from .strategies import (
     STRATEGY_IDS,
     ChainError,
     InvalidParam,
-    PredictionWindowError,
     UnknownStrategy,
     check_params,
     run_strategy,
@@ -152,14 +150,9 @@ def build_backend(spec: str, config: dict) -> CompletionBackend:
             raise ConfigError("the live backend needs --config model=NAME")
         if not os.environ.get(BASE_URL_ENV):
             raise ConfigError(f"the live backend needs {BASE_URL_ENV} set")
-        return HttpBackend(
-            model,
-            api_key=os.environ.get(API_KEY_ENV),
-            timeout=config.get("timeout", 30.0),
-            requests_per_second=config.get("requests_per_second", 1.0),
-            max_retries=config.get("max_retries", 3),
-            supports_multi_sample=config.get("supports_multi_sample", False),
-        )
+        # every other key set is the HttpBackend option of its name
+        options = {key: config[key] for key in config.keys() - {"model", "replay_backend_id"}}
+        return HttpBackend(model, **options)
     if spec.startswith("mock:"):
         path = spec[len("mock:"):]
         if not path:
@@ -274,8 +267,6 @@ def cmd_run(args) -> int:
             trace = future.result()
         except ChainError as exc:
             save_partial_trace(exc, args.strategy, today, failed_path)
-            failures.append((event.id, str(exc)))
-        except PredictionWindowError as exc:
             failures.append((event.id, str(exc)))
         except Exception as exc:
             # One event's unexpected fault must not cost the other events'

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -26,8 +26,12 @@ __all__ = [
     "MalformedRecord",
     "DuplicateId",
     "UnresolvedEvent",
+    "json_data",
     "parse_date",
+    "parse_number",
     "read_json_lines",
+    "read_text",
+    "require_strings",
     "parse_dataset",
     "load_dataset",
     "serialize_dataset",
@@ -191,18 +195,8 @@ def _add_snapshot(by_date: dict[date, MarketSnapshot], event: Event, s: MarketSn
     by_date[s.date] = s
 
 
-_EVENT_KEYS = (
-    "id",
-    "name",
-    "condition",
-    "description",
-    "category",
-    "created",
-    "expires",
-    "resolved_at",
-    "resolution",
-)
-_SNAPSHOT_KEYS = frozenset({"date", "lower", "upper"})
+_EVENT_KEYS = tuple(f.name for f in fields(Event))
+_SNAPSHOT_KEYS = {f.name for f in fields(MarketSnapshot)} - {"event_id"}
 _CATEGORY_BY_VALUE = {c.value: c for c in Category}
 
 
@@ -221,6 +215,29 @@ def parse_date(value: object, name: str = "date") -> date:
     except ValueError:
         pass
     raise ValueError(f"{name} must be a YYYY-MM-DD date, got {value!r}")
+
+
+def parse_number(value: object, name: str) -> float:
+    """A JSON number as a float; ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number")
+    return float(value)
+
+
+def require_strings(obj: dict, keys: Iterable[str]) -> None:
+    """Raise ``ValueError`` unless each of ``obj``'s ``keys`` holds a string."""
+    for key in keys:
+        if not isinstance(obj[key], str):
+            raise ValueError(f"field {key!r} must be a string")
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file; bytes that do not decode raise
+    :class:`DatasetError` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def read_json_lines(
@@ -261,53 +278,41 @@ def read_json_lines(
 
 
 def _parse_record(obj: dict) -> tuple[Event, list[MarketSnapshot]]:
-    for key in ("id", "name", "condition", "description"):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"field {key!r} must be a string")
+    require_strings(obj, ("id", "name", "condition", "description"))
+    market = obj.pop("market", None)
     category = _CATEGORY_BY_VALUE.get(obj["category"])
     if category is None:
         raise ValueError(f"unknown category {obj['category']!r}")
-    created = parse_date(obj["created"], "created")
-    expires = parse_date(obj["expires"], "expires")
-    resolved_raw = obj["resolved_at"]
-    resolved_at = None if resolved_raw is None else parse_date(resolved_raw, "resolved_at")
-    resolution_raw = obj["resolution"]
-    if resolution_raw is None:
-        resolution = Resolution.UNRESOLVED
-    elif resolution_raw in ("yes", "no"):
-        resolution = Resolution(resolution_raw)
-    else:
-        raise ValueError(f"resolution must be \"yes\", \"no\", or null, got {resolution_raw!r}")
-    event = Event(
-        id=obj["id"],
-        name=obj["name"],
-        condition=obj["condition"],
-        description=obj["description"],
-        category=category,
-        created=created,
-        expires=expires,
-        resolved_at=resolved_at,
-        resolution=resolution,
-    )
+    dates = {key: parse_date(obj[key], key) for key in ("created", "expires")}
+    if obj["resolved_at"] is not None:
+        dates["resolved_at"] = parse_date(obj["resolved_at"], "resolved_at")
+    resolution = obj["resolution"]
+    if resolution not in (None, "yes", "no"):
+        raise ValueError(f"resolution must be \"yes\", \"no\", or null, got {resolution!r}")
+    event = Event(**{
+        **obj,
+        **dates,
+        "category": category,
+        "resolution": Resolution(resolution) if resolution else Resolution.UNRESOLVED,
+    })
 
     # checked here as well as in DatasetSplit, so an error names its line
     by_date: dict[date, MarketSnapshot] = {}
-    market = obj.get("market")
     if market is not None:
         if not isinstance(market, list):
             raise ValueError("field 'market' must be a list")
         for i, entry in enumerate(market):
             if not isinstance(entry, dict) or entry.keys() != _SNAPSHOT_KEYS:
                 raise ValueError(f"market entry {i} must have exactly keys date, lower, upper")
-            for bound in ("lower", "upper"):
-                if isinstance(entry[bound], bool) or not isinstance(entry[bound], (int, float)):
-                    raise ValueError(f"market entry {i}: {bound!r} must be a number")
-            snapshot = MarketSnapshot(
-                event_id=event.id,
-                date=parse_date(entry["date"], "market.date"),
-                lower=float(entry["lower"]),
-                upper=float(entry["upper"]),
-            )
+            try:
+                snapshot = MarketSnapshot(
+                    event_id=event.id,
+                    date=parse_date(entry["date"], "market.date"),
+                    lower=parse_number(entry["lower"], "'lower'"),
+                    upper=parse_number(entry["upper"], "'upper'"),
+                )
+            except ValueError as exc:
+                raise ValueError(f"market entry {i}: {exc}") from None
             _add_snapshot(by_date, event, snapshot)
     return event, list(by_date.values())
 
@@ -328,25 +333,34 @@ def parse_dataset(source: str | IO[str], *, label: str = "custom") -> DatasetSpl
 
 
 def load_dataset(path: str | Path, *, label: str | None = None) -> DatasetSplit:
-    path = Path(path)
-    return parse_dataset(path.read_text(encoding="utf-8"), label=label or path.stem)
+    return parse_dataset(read_text(path), label=label or Path(path).stem)
+
+
+def json_data(value: object) -> object:
+    """``value`` as ``json.dumps`` input: a dataclass record as the dict of its
+    fields, a tuple as a list, a date as ISO text and an enum as its value, at
+    every depth."""
+    # the common leaves first: is_dataclass is the slowest test
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return [json_data(item) for item in value]
+    if is_dataclass(value):
+        return {name: json_data(field) for name, field in vars(value).items()}
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
 def _event_record(event: Event, snapshots: Iterable[MarketSnapshot]) -> dict:
-    record: dict = {
-        "id": event.id,
-        "name": event.name,
-        "condition": event.condition,
-        "description": event.description,
-        "category": event.category.value,
-        "created": event.created.isoformat(),
-        "expires": event.expires.isoformat(),
-        "resolved_at": None if event.resolved_at is None else event.resolved_at.isoformat(),
-        "resolution": None if not event.resolved else event.resolution.value,
-    }
-    market = [
-        {"date": s.date.isoformat(), "lower": s.lower, "upper": s.upper} for s in snapshots
-    ]
+    record = json_data(event)
+    if not event.resolved:
+        record["resolution"] = None
+    market = [json_data(s) for s in snapshots]
+    for entry in market:
+        del entry["event_id"]  # the line's own id
     if market:
         record["market"] = market
     return record

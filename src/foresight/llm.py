@@ -155,17 +155,6 @@ def key_digest(key: object) -> str:
     return hashlib.sha256(_canonical_json(key).encode("utf-8")).hexdigest()
 
 
-def _request_key(backend_id: str, request: CompletionRequest) -> dict:
-    return {
-        "backend_id": backend_id,
-        "max_tokens": request.max_tokens,
-        "n_samples": request.n_samples,
-        "prompt": request.prompt,
-        "stop": None if request.stop is None else list(request.stop),
-        "temperature": request.temperature,
-    }
-
-
 def complete(backend: CompletionBackend, request: CompletionRequest) -> CompletionResponse:
     """Run a request against a backend, checking the sample-count contract."""
     response = backend.complete(request)
@@ -546,7 +535,7 @@ class ContentStore:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, ensure_ascii=False)
+                fh.write(json.dumps(record, ensure_ascii=False))
         except BaseException:
             os.unlink(tmp)
             raise
@@ -618,7 +607,7 @@ class CachedBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         return self.store.get_or_compute(
-            _request_key(self.backend_id, request),
+            {"backend_id": self.backend_id, **vars(request)},
             lambda: complete(self.backend, request),
             decode=_response_from_entry,
             encode=lambda response: {

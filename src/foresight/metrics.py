@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -23,10 +23,14 @@ from .events import (
     Event,
     MalformedRecord,
     UnresolvedEvent,
+    json_data,
     market_point_prediction,
     outcome_indicator,
     parse_date,
+    parse_number,
     read_json_lines,
+    read_text,
+    require_strings,
 )
 
 __all__ = [
@@ -290,43 +294,45 @@ def market_forecast_records(
     return records
 
 
-_FORECAST_KEYS = ("event_id", "strategy", "prediction_date", "probability")
+# a forecast line may leave out these fields; an absent key means the default
+_FORECAST_DEFAULTS = {f.name: f.default for f in fields(ForecastRecord) if f.default is not MISSING}
+_FORECAST_REQUIRED = [f.name for f in fields(ForecastRecord) if f.name not in _FORECAST_DEFAULTS]
 
 
 def _forecast_record(obj: dict) -> ForecastRecord:
-    return ForecastRecord(
-        event_id=obj["event_id"],
-        strategy=obj["strategy"],
-        prediction_date=parse_date(obj["prediction_date"], "prediction_date"),
-        probability=float(obj["probability"]),
-        samples=tuple(float(s) for s in obj.get("samples", ())),
-        trace_ref=obj.get("trace_ref"),
-    )
+    require_strings(obj, ("event_id", "strategy"))
+    samples = obj.get("samples", [])
+    if not isinstance(samples, list):
+        raise ValueError("field 'samples' must be a list")
+    if not isinstance(obj.get("trace_ref"), (str, type(None))):
+        raise ValueError("field 'trace_ref' must be a string")
+    return ForecastRecord(**{
+        **obj,
+        "prediction_date": parse_date(obj["prediction_date"], "prediction_date"),
+        "probability": parse_number(obj["probability"], "probability"),
+        "samples": tuple(parse_number(s, "each sample") for s in samples),
+    })
 
 
 def parse_forecasts(text: str) -> list[ForecastRecord]:
     """Parse a JSON-lines forecast file."""
-    return read_json_lines(text, _forecast_record, _FORECAST_KEYS, ("samples", "trace_ref"))
+    return read_json_lines(text, _forecast_record, _FORECAST_REQUIRED, _FORECAST_DEFAULTS)
 
 
 def load_forecasts(path: str | Path) -> list[ForecastRecord]:
-    return parse_forecasts(Path(path).read_text(encoding="utf-8"))
+    return parse_forecasts(read_text(path))
 
 
 def serialize_forecasts(records: Sequence[ForecastRecord]) -> str:
+    """One JSON line per record, keyed by its fields; a field left at its
+    default is left out."""
     lines = []
-    for r in records:
-        obj: dict = {
-            "event_id": r.event_id,
-            "strategy": r.strategy,
-            "prediction_date": r.prediction_date.isoformat(),
-            "probability": r.probability,
-        }
-        if r.samples:
-            obj["samples"] = list(r.samples)
-        if r.trace_ref is not None:
-            obj["trace_ref"] = r.trace_ref
-        lines.append(json.dumps(obj, ensure_ascii=False))
+    for record in records:
+        data = json_data(record)
+        for name, default in _FORECAST_DEFAULTS.items():
+            if getattr(record, name) == default:
+                del data[name]
+        lines.append(json.dumps(data, ensure_ascii=False))
     return "".join(line + "\n" for line in lines)
 
 
@@ -366,19 +372,9 @@ def render_report(report: ScoreReport, *, title: str | None = None) -> str:
 
 def report_to_dict(report: ScoreReport) -> dict:
     """Full-precision structured dump of a report."""
-    return {
-        "n_total": report.n_total,
-        "n_yes": report.n_yes,
-        "n_no": report.n_no,
-        "brier": report.brier,
-        "brier_yes": report.brier_yes,
-        "brier_no": report.brier_no,
-        "weighted_brier": report.weighted_brier,
-        "mean_prediction": report.mean_prediction,
-        "per_category": {
-            cat.value: {"count": count, "brier": value}
-            for cat, (count, value) in sorted(
-                report.per_category.items(), key=lambda kv: kv[0].value
-            )
-        },
+    data = json_data(report)
+    data["per_category"] = {
+        cat.value: {"count": count, "brier": value}
+        for cat, (count, value) in sorted(report.per_category.items(), key=lambda kv: kv[0].value)
     }
+    return data

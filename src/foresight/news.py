@@ -11,7 +11,7 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
-from .events import parse_date
+from .events import json_data, parse_date
 from .llm import ContentStore, ReplayMiss, http_session, send_with_retries
 
 __all__ = [
@@ -253,22 +253,9 @@ def query_headlines(client: NewsClient, window: QueryWindow) -> tuple[Headline, 
 
 def _headlines_from_entry(entry: dict) -> tuple[Headline, ...]:
     return tuple(
-        Headline(
-            title=item["title"],
-            date=parse_date(item["date"]),
-            source=Source(item["source"]),
-        )
+        Headline(**{**item, "date": parse_date(item["date"]), "source": Source(item["source"])})
         for item in entry["headlines"]
     )
-
-
-def _entry_from_headlines(headlines: tuple[Headline, ...]) -> dict:
-    return {
-        "headlines": [
-            {"title": headline.title, "date": headline.date.isoformat(), "source": headline.source.value}
-            for headline in headlines
-        ]
-    }
 
 
 class CachedNewsClient:
@@ -281,17 +268,11 @@ class CachedNewsClient:
         self.source = client.source
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
-        key = {
-            "max_results": window.max_results,
-            "source": self.client.source.value,
-            "terms": list(window.terms),
-            "until": window.until.isoformat(),
-        }
         return self.store.get_or_compute(
-            key,
+            {"source": self.client.source.value, **json_data(window)},
             lambda: self.client.search(window),
             decode=_headlines_from_entry,
-            encode=_entry_from_headlines,
+            encode=lambda headlines: {"headlines": json_data(headlines)},
         )
 
 

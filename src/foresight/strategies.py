@@ -12,7 +12,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .events import Event, parse_date
+from .events import Event, json_data, parse_date
 from .llm import (
     BackendError,
     CompletionBackend,
@@ -643,18 +643,6 @@ def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> For
     )
 
 
-def _json_data(value: object) -> object:
-    """``value`` as ``json.dumps`` input: a record as the dict of its fields,
-    a tuple as a list and a date as ISO text, at every depth."""
-    if isinstance(value, tuple):
-        return [_json_data(item) for item in value]
-    if isinstance(value, (ChainTrace, StepRecord, SampleExtraction)):
-        return {name: _json_data(field) for name, field in vars(value).items()}
-    if isinstance(value, date):
-        return value.isoformat()
-    return value
-
-
 def _write_json(payload: dict, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -665,7 +653,7 @@ def _write_json(payload: dict, path: str | Path) -> None:
 def save_trace(trace: ChainTrace, path: str | Path) -> None:
     """Write a trace as stable, diffable JSON whose keys are the field names
     of :class:`ChainTrace`, :class:`StepRecord` and :class:`SampleExtraction`."""
-    _write_json(_json_data(trace), path)
+    _write_json(json_data(trace), path)
 
 
 def _tuples(payload: dict) -> dict:
@@ -700,7 +688,7 @@ def save_partial_trace(
             "prediction_date": prediction_date.isoformat(),
             "failed_step": error.step_id,
             "error": str(error),
-            "steps": _json_data(error.partial_steps),
+            "steps": json_data(error.partial_steps),
         },
         path,
     )

@@ -385,6 +385,17 @@ def test_run_live_backend_needs_model_and_url(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_live_backend_takes_only_the_config_keys_set(monkeypatch):
+    monkeypatch.setenv("FORESIGHT_LLM_BASE_URL", "http://127.0.0.1:9/v1")
+    monkeypatch.setenv("FORESIGHT_LLM_API_KEY", "env-key")
+    plain = cli.build_backend("live", cli._parse_config(["model=m"]))
+    assert (plain.timeout, plain.max_retries, plain.supports_multi_sample) == (30.0, 3, False)
+    assert (plain.api_key, plain.backend_id) == ("env-key", "http:m")
+    config = ["model=m", "timeout=2", "max_retries=0", "supports_multi_sample=1"]
+    tuned = cli.build_backend("live", cli._parse_config(config))
+    assert (tuned.timeout, tuned.max_retries, tuned.supports_multi_sample) == (2.0, 0, True)
+
+
 def test_score_from_forecast_file(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(
@@ -519,12 +530,31 @@ def test_bias_and_rationale_reject_bad_input(tmp_path, capsys, command):
         (("a", "a"), ("a",), "duplicate event id 'a'"),
         ((), (), "no forecasts to compare"),
         (("a",), ("b",), "event sets differ"),
+        (("a",), (7,), "line 1: field 'event_id' must be a string"),
     ]
     for left, right, message in cases:
         argv = [command, flags[0], write_forecasts(tmp_path / "left.jsonl", *left),
                 flags[1], write_forecasts(tmp_path / "right.jsonl", *right)]
         assert main(argv) == 2, (left, right)
         assert message in capsys.readouterr().err
+
+
+def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes('{"id": "caf\xe9"}\n'.encode("latin-1"))
+    forecasts = str(FIXTURES / "forecasts_val_hand.jsonl")
+    out = str(tmp_path / "out")
+    for argv in [
+        ["run", "--events", str(latin1), "--strategy", "basic", "--date", "2022-08-01",
+         "--backend", MOCK, "--out", out],
+        ["score", "--events", str(latin1), "--forecasts", forecasts],
+        ["score", "--events", EVENTS, "--forecasts", str(latin1)],
+        ["bias", "--forward", forecasts, "--reversed", str(latin1)],
+        ["rationale", "--just", str(latin1), "--rationale", forecasts],
+    ]:
+        assert main(argv) == 2, argv
+        assert f"error: {latin1}: not UTF-8 text" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_safe_filename_collisions():

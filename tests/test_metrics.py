@@ -241,6 +241,20 @@ def test_parse_forecasts_rejects_malformed():
     ]:
         with pytest.raises((MalformedRecord, ValueError)):
             parse_forecasts(bad)
+    # each of these has the right keys but a field of the wrong JSON type
+    for bad in [
+        good.replace('"probability": 0.5', '"probability": true'),
+        good.replace('"probability": 0.5', '"probability": "0.5"'),
+        good.replace('"probability": 0.5', '"probability": 1.0, "samples": "11"'),
+        good.replace('"probability": 0.5', '"probability": 1.0, "samples": [true]'),
+        good.replace('"probability": 0.5', '"probability": 0.5, "trace_ref": 7'),
+        good.replace('"event_id": "e"', '"event_id": 7'),
+        good.replace('"strategy": "s"', '"strategy": null'),
+    ]:
+        with pytest.raises(MalformedRecord, match="^line 1: "):
+            parse_forecasts(bad)
+    # null is the trace_ref default, written out
+    assert parse_forecasts(good.replace("0.5", '0.5, "trace_ref": null'))[0].trace_ref is None
 
 
 def test_render_report_layout():
