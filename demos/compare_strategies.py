@@ -17,7 +17,6 @@ TODAY = date(2022, 8, 1)
 
 def make_split():
     events = []
-    snapshots = []
     outcomes = [
         ("demo-01", "Launch window holds", Resolution.NO, 0.30, 0.40),
         ("demo-02", "Rate pause announced", Resolution.YES, 0.55, 0.65),
@@ -36,10 +35,10 @@ def make_split():
                 expires=date(2022, 12, 31),
                 resolved_at=date(2022, 12, 1),
                 resolution=resolution,
+                market=(MarketSnapshot(TODAY, lower, upper),),
             )
         )
-        snapshots.append(MarketSnapshot(event_id, TODAY, lower, upper))
-    return DatasetSplit("demo", tuple(events), tuple(snapshots))
+    return DatasetSplit(tuple(events))
 
 
 # One response list per chain step; list responses cycle across samples, so the

@@ -13,6 +13,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .events import DatasetError, UnresolvedEvent, active_events, load_dataset, parse_date
 from .llm import (
@@ -121,6 +122,17 @@ def _date_flag(value: str) -> date:
         raise ConfigError(str(exc)) from None
 
 
+def _check_endpoint(flag: str, url: str | None) -> None:
+    """A given endpoint flag must be an http or https URL with a host."""
+    try:
+        parts = urlsplit(url or "")
+        valid = url is None or parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # an unbalanced IPv6 bracket
+        valid = False
+    if not valid:
+        raise ConfigError(f"{flag} must be an http or https URL with a host, got {url!r}")
+
+
 def _parse_config(items) -> dict:
     """--config KEY=VALUE items, each parsed and range-checked by _CONFIG_KEYS."""
     config = {}
@@ -213,6 +225,8 @@ def _cache_location(args) -> tuple[Path | None, bool]:
 def cmd_run(args) -> int:
     config = _parse_config(args.config)
     today = _date_flag(args.date)
+    _check_endpoint("--hn-endpoint", args.hn_endpoint)
+    _check_endpoint("--nyt-endpoint", args.nyt_endpoint)
     if args.workers < 1:
         raise ConfigError(f"--workers must be positive, got {args.workers}")
     params: dict[str, int] = {}
@@ -266,7 +280,7 @@ def cmd_run(args) -> int:
         try:
             trace = future.result()
         except ChainError as exc:
-            save_partial_trace(exc, args.strategy, today, failed_path)
+            save_partial_trace(exc, failed_path)
             failures.append((event.id, str(exc)))
         except Exception as exc:
             # One event's unexpected fault must not cost the other events'

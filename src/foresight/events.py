@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, TypeVar
+from typing import Callable, Collection, Iterable, TypeVar
 
 __all__ = [
     "Category",
@@ -84,11 +84,28 @@ class UnresolvedEvent(ValueError):
 
 
 @dataclass(frozen=True)
+class MarketSnapshot:
+    """A prediction-market spread on one day; its event is the one holding it."""
+
+    date: date
+    lower: float
+    upper: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.lower <= self.upper <= 1.0):
+            raise ValueError(
+                f"snapshot on {self.date}: need 0 <= lower <= upper <= 1, "
+                f"got [{self.lower}, {self.upper}]"
+            )
+
+
+@dataclass(frozen=True)
 class Event:
     """One forecastable yes/no question.
 
     ``resolution`` and ``resolved_at`` travel together: an event is unresolved
-    exactly when it has no resolution date.
+    exactly when it has no resolution date.  ``market`` holds at most one
+    snapshot per date, each inside the window [created, resolved_at or expires].
     """
 
     id: str
@@ -100,6 +117,7 @@ class Event:
     expires: date
     resolved_at: date | None = None
     resolution: Resolution = Resolution.UNRESOLVED
+    market: tuple[MarketSnapshot, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -119,6 +137,17 @@ class Event:
                 f"event {self.id!r}: resolved_at {self.resolved_at} outside "
                 f"[{self.created}, {self.expires}]"
             )
+        last = self.expires if unresolved else self.resolved_at
+        dates: set[date] = set()
+        for s in self.market:
+            if not (self.created <= s.date <= last):
+                raise ValueError(
+                    f"event {self.id!r}: snapshot dated {s.date} outside market window "
+                    f"[{self.created}, {last}]"
+                )
+            if s.date in dates:
+                raise ValueError(f"event {self.id!r} has two snapshots dated {s.date}")
+            dates.add(s.date)
 
     @property
     def resolved(self) -> bool:
@@ -126,35 +155,10 @@ class Event:
 
 
 @dataclass(frozen=True)
-class MarketSnapshot:
-    """A prediction-market spread for one event on one day."""
-
-    event_id: str
-    date: date
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError(
-                f"snapshot for {self.event_id!r} on {self.date}: "
-                f"need 0 <= lower <= upper <= 1, got [{self.lower}, {self.upper}]"
-            )
-
-
-@dataclass(frozen=True)
 class DatasetSplit:
-    """An ordered collection of events plus their market snapshots.
+    """An ordered collection of events with unique ids."""
 
-    ``label`` is free-form ("val", "test", or any custom name).  Event ids are
-    unique.  Every snapshot must reference an event in the split, fall inside
-    that event's market window [created, resolved_at or expires], and be the
-    event's only snapshot on its date.
-    """
-
-    label: str
     events: tuple[Event, ...]
-    snapshots: tuple[MarketSnapshot, ...] = ()
 
     def __post_init__(self) -> None:
         by_id: dict[str, Event] = {}
@@ -162,41 +166,14 @@ class DatasetSplit:
             if e.id in by_id:
                 raise DuplicateId(e.id)
             by_id[e.id] = e
-        # {event id: {date: snapshot}}, each in file order
-        market: dict[str, dict[date, MarketSnapshot]] = {}
-        for s in self.snapshots:
-            event = by_id.get(s.event_id)
-            if event is None:
-                raise ValueError(f"snapshot references unknown event {s.event_id!r}")
-            _add_snapshot(market.setdefault(s.event_id, {}), event, s)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_market", market)
 
     def event_by_id(self, event_id: str) -> Event | None:
         return self._by_id.get(event_id)
 
-    def snapshots_for(self, event_id: str) -> tuple[MarketSnapshot, ...]:
-        return tuple(self._market.get(event_id, {}).values())
 
-    def snapshot_on(self, event_id: str, on: date) -> MarketSnapshot | None:
-        return self._market.get(event_id, {}).get(on)
-
-
-def _add_snapshot(by_date: dict[date, MarketSnapshot], event: Event, s: MarketSnapshot) -> None:
-    """File ``s`` under its date: one per date, inside ``event``'s market window."""
-    last = event.resolved_at if event.resolved_at is not None else event.expires
-    if not (event.created <= s.date <= last):
-        raise ValueError(
-            f"snapshot for {s.event_id!r} dated {s.date} outside market window "
-            f"[{event.created}, {last}]"
-        )
-    if s.date in by_date:
-        raise ValueError(f"event {s.event_id!r} has two snapshots dated {s.date}")
-    by_date[s.date] = s
-
-
-_EVENT_KEYS = tuple(f.name for f in fields(Event))
-_SNAPSHOT_KEYS = {f.name for f in fields(MarketSnapshot)} - {"event_id"}
+_EVENT_KEYS = tuple(f.name for f in fields(Event) if f.name != "market")
+_SNAPSHOT_KEYS = {f.name for f in fields(MarketSnapshot)}
 _CATEGORY_BY_VALUE = {c.value: c for c in Category}
 
 
@@ -277,9 +254,8 @@ def read_json_lines(
     return records
 
 
-def _parse_record(obj: dict) -> tuple[Event, list[MarketSnapshot]]:
+def _parse_record(obj: dict) -> Event:
     require_strings(obj, ("id", "name", "condition", "description"))
-    market = obj.pop("market", None)
     category = _CATEGORY_BY_VALUE.get(obj["category"])
     if category is None:
         raise ValueError(f"unknown category {obj['category']!r}")
@@ -289,51 +265,41 @@ def _parse_record(obj: dict) -> tuple[Event, list[MarketSnapshot]]:
     resolution = obj["resolution"]
     if resolution not in (None, "yes", "no"):
         raise ValueError(f"resolution must be \"yes\", \"no\", or null, got {resolution!r}")
-    event = Event(**{
+    market = obj.get("market")
+    if not isinstance(market, (list, type(None))):
+        raise ValueError("field 'market' must be a list")
+    snapshots = []
+    for i, entry in enumerate(market or ()):
+        if not isinstance(entry, dict) or entry.keys() != _SNAPSHOT_KEYS:
+            raise ValueError(f"market entry {i} must have exactly keys date, lower, upper")
+        try:
+            snapshots.append(MarketSnapshot(
+                date=parse_date(entry["date"], "market.date"),
+                lower=parse_number(entry["lower"], "'lower'"),
+                upper=parse_number(entry["upper"], "'upper'"),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"market entry {i}: {exc}") from None
+    return Event(**{
         **obj,
         **dates,
         "category": category,
         "resolution": Resolution(resolution) if resolution else Resolution.UNRESOLVED,
+        "market": tuple(snapshots),
     })
 
-    # checked here as well as in DatasetSplit, so an error names its line
-    by_date: dict[date, MarketSnapshot] = {}
-    if market is not None:
-        if not isinstance(market, list):
-            raise ValueError("field 'market' must be a list")
-        for i, entry in enumerate(market):
-            if not isinstance(entry, dict) or entry.keys() != _SNAPSHOT_KEYS:
-                raise ValueError(f"market entry {i} must have exactly keys date, lower, upper")
-            try:
-                snapshot = MarketSnapshot(
-                    event_id=event.id,
-                    date=parse_date(entry["date"], "market.date"),
-                    lower=parse_number(entry["lower"], "'lower'"),
-                    upper=parse_number(entry["upper"], "'upper'"),
-                )
-            except ValueError as exc:
-                raise ValueError(f"market entry {i}: {exc}") from None
-            _add_snapshot(by_date, event, snapshot)
-    return event, list(by_date.values())
 
-
-def parse_dataset(source: str | IO[str], *, label: str = "custom") -> DatasetSplit:
+def parse_dataset(text: str) -> DatasetSplit:
     """Parse a JSON-lines event file into a :class:`DatasetSplit`.
 
     The whole file is rejected on the first malformed line (``MalformedRecord``
     carries the 1-based line number) or repeated event id (``DuplicateId``).
     """
-    text = source if isinstance(source, str) else source.read()
-    records = read_json_lines(text, _parse_record, _EVENT_KEYS, ("market",))
-    return DatasetSplit(
-        label=label,
-        events=tuple(event for event, _ in records),
-        snapshots=tuple(s for _, snapshots in records for s in snapshots),
-    )
+    return DatasetSplit(tuple(read_json_lines(text, _parse_record, _EVENT_KEYS, ("market",))))
 
 
-def load_dataset(path: str | Path, *, label: str | None = None) -> DatasetSplit:
-    return parse_dataset(read_text(path), label=label or Path(path).stem)
+def load_dataset(path: str | Path) -> DatasetSplit:
+    return parse_dataset(read_text(path))
 
 
 def json_data(value: object) -> object:
@@ -354,18 +320,6 @@ def json_data(value: object) -> object:
     return value
 
 
-def _event_record(event: Event, snapshots: Iterable[MarketSnapshot]) -> dict:
-    record = json_data(event)
-    if not event.resolved:
-        record["resolution"] = None
-    market = [json_data(s) for s in snapshots]
-    for entry in market:
-        del entry["event_id"]  # the line's own id
-    if market:
-        record["market"] = market
-    return record
-
-
 def serialize_dataset(split: DatasetSplit) -> str:
     """Render a split back to canonical JSON-lines (fixed key order, UTF-8).
 
@@ -374,9 +328,13 @@ def serialize_dataset(split: DatasetSplit) -> str:
     """
     lines = []
     for event in split.events:
-        record = _event_record(event, split.snapshots_for(event.id))
-        lines.append(json.dumps(record, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+        record = json_data(event)
+        if not event.resolved:
+            record["resolution"] = None
+        if not event.market:
+            del record["market"]
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
 
 
 def active_events(split: DatasetSplit, on: date) -> tuple[Event, ...]:

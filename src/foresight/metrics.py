@@ -280,7 +280,7 @@ def market_forecast_records(
     """
     records = []
     for event in split.events if events is None else events:
-        snapshot = split.snapshot_on(event.id, on)
+        snapshot = next((s for s in event.market if s.date == on), None)
         if snapshot is None:
             raise MissingSnapshot(event.id, on)
         records.append(

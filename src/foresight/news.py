@@ -147,6 +147,25 @@ class _JsonService:
             raise UpstreamError(response.status_code, f"invalid json: {exc}") from None
 
 
+def _reply_part(obj: object, key: str, kind: type[list] | type[dict]) -> list | dict:
+    """``obj[key]``, empty when absent; any other reply shape is an UpstreamError."""
+    value = obj.get(key, kind()) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise UpstreamError(200, f"malformed reply: no {kind.__name__} under {key!r}")
+    return value
+
+
+def _headline(title: object, published: object, source: Source) -> Headline | None:
+    """One search result's headline; None when its title or date is unusable."""
+    if not title or not isinstance(title, str) or not isinstance(published, str):
+        return None
+    try:
+        # timestamps vary by service; only the calendar date matters
+        return Headline(title=title, date=parse_date(published[:10]), source=source)
+    except ValueError:
+        return None
+
+
 class HackerNewsClient(_JsonService):
     """Story search against the Hacker News Algolia API."""
 
@@ -173,20 +192,13 @@ class HackerNewsClient(_JsonService):
             "hitsPerPage": str(window.max_results),
             "numericFilters": f"created_at_i<={cutoff}",
         }
-        payload = self._get_json(params)
-        headlines = []
-        for hit in payload.get("hits", []):
-            title = hit.get("title") or hit.get("story_title")
-            created = hit.get("created_at")
-            if not title or not created:
-                continue
-            try:
-                # timestamps vary by service; only the calendar date matters
-                when = parse_date(created[:10])
-            except ValueError:
-                continue
-            headlines.append(Headline(title=title, date=when, source=Source.HACKERNEWS))
-        return tuple(headlines)
+        hits = _reply_part(self._get_json(params), "hits", list)
+        headlines = (
+            _headline(hit.get("title") or hit.get("story_title"), hit.get("created_at"), self.source)
+            for hit in hits
+            if isinstance(hit, dict)
+        )
+        return tuple(headline for headline in headlines if headline is not None)
 
 
 class NYTClient(_JsonService):
@@ -210,20 +222,15 @@ class NYTClient(_JsonService):
                 "api-key": self.api_key,
                 "page": str(page),
             }
-            payload = self._get_json(params)
-            docs = payload.get("response", {}).get("docs", [])
+            response = _reply_part(self._get_json(params), "response", dict)
+            docs = _reply_part(response, "docs", list)
             if not docs:
                 break
             for doc in docs:
-                title = doc.get("headline", {}).get("main")
-                published = doc.get("pub_date")
-                if not title or not published:
-                    continue
-                try:
-                    when = parse_date(published[:10])
-                except ValueError:
-                    continue
-                headlines.append(Headline(title=title, date=when, source=Source.NYT))
+                if isinstance(doc, dict) and isinstance(doc.get("headline"), dict):
+                    headline = _headline(doc["headline"].get("main"), doc.get("pub_date"), self.source)
+                    if headline is not None:
+                        headlines.append(headline)
             if len(docs) < _NYT_PAGE_SIZE:
                 break
             page += 1

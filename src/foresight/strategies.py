@@ -73,10 +73,14 @@ class InvalidParam(ValueError):
 
 
 class ChainError(RuntimeError):
-    """Raised when a chain step fails; carries the steps completed so far."""
+    """Raised when a chain step fails; carries the run it belongs to and the
+    steps completed so far."""
 
-    def __init__(self, event_id: str, step_id: str, message: str, partial_steps: Sequence["StepRecord"] = ()):
+    def __init__(self, event_id: str, strategy: str, prediction_date: date, step_id: str,
+                 message: str, partial_steps: Sequence["StepRecord"] = ()):
         self.event_id = event_id
+        self.strategy = strategy
+        self.prediction_date = prediction_date
         self.step_id = step_id
         self.partial_steps = tuple(partial_steps)
         super().__init__(f"event {event_id!r} failed at step {step_id!r}: {message}")
@@ -177,7 +181,7 @@ class _ChainBuilder:
         return fan_out(fn, items) if self.parallel else map(fn, items)
 
     def fail(self, step_id: str, message: str) -> ChainError:
-        return ChainError(self.event.id, step_id, message, self.steps)
+        return ChainError(self.event.id, self.strategy_id, self.today, step_id, message, self.steps)
 
     def _complete(self, step_id: str, prompt: str, n_samples: int) -> tuple[str, ...]:
         request = CompletionRequest(
@@ -674,18 +678,13 @@ def load_trace(path: str | Path) -> ChainTrace:
     })
 
 
-def save_partial_trace(
-    error: ChainError,
-    strategy: str,
-    prediction_date: date,
-    path: str | Path,
-) -> None:
+def save_partial_trace(error: ChainError, path: str | Path) -> None:
     """Record the completed steps of a failed chain for later inspection."""
     _write_json(
         {
             "event_id": error.event_id,
-            "strategy": strategy,
-            "prediction_date": prediction_date.isoformat(),
+            "strategy": error.strategy,
+            "prediction_date": error.prediction_date.isoformat(),
             "failed_step": error.step_id,
             "error": str(error),
             "steps": json_data(error.partial_steps),

@@ -160,7 +160,7 @@ def write_traces(directory, wrap=lambda backend: backend):
     try:
         _run("basic", wrap(failing))
     except ChainError as exc:
-        save_partial_trace(exc, "basic", GOLDEN_DATE, directory / "basic.failed.json")
+        save_partial_trace(exc, directory / "basic.failed.json")
     else:
         raise AssertionError("the failing basic chain did not fail")
     names.append("basic.failed.json")

@@ -354,6 +354,9 @@ def test_run_rejects_bad_usage(tmp_path, capsys, monkeypatch):
         RUN_BASE + ["--strategy", "basic", "--out", out, "--backend", "telepathy"],
         RUN_BASE + ["--strategy", "crowd", "--out", out, "--persona-count", "0"],
     ]
+    news = RUN_BASE + ["--strategy", "news", "--out", out]
+    for url in ("notaurl", "ftp://127.0.0.1/hn", "http://", "https:///hn", "", "http://[::1"):
+        cases += [news + ["--hn-endpoint", url], news + ["--nyt-endpoint", url]]
     before = sorted(tmp_path.iterdir())
     for argv in cases:
         assert main(argv) == 2, argv

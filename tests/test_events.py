@@ -46,15 +46,17 @@ def make_event(**overrides):
 
 def test_load_small_fixture():
     split = load_dataset(FIXTURES / "events_small.jsonl")
-    assert split.label == "events_small"
     assert [e.id for e in split.events] == ["e1", "e2", "e3"]
     e1 = split.event_by_id("e1")
     assert e1.category is Category.COVID19
     assert e1.resolution is Resolution.YES
     assert e1.resolved_at == date(2022, 11, 15)
     assert split.event_by_id("e3").resolution is Resolution.UNRESOLVED
-    assert len(split.snapshots_for("e1")) == 2
-    assert split.snapshots_for("e3") == ()
+    assert [(s.date, s.lower, s.upper) for s in e1.market] == [
+        (date(2022, 7, 1), 0.3, 0.5),
+        (date(2022, 8, 1), 0.55, 0.65),
+    ]
+    assert split.event_by_id("e3").market == ()
 
 
 def test_event_validation_rejects_bad_lifecycles():
@@ -71,41 +73,46 @@ def test_event_validation_rejects_bad_lifecycles():
 
 
 def test_snapshot_bounds_checked():
-    MarketSnapshot("e1", date(2022, 7, 1), 0.0, 1.0)
+    MarketSnapshot(date(2022, 7, 1), 0.0, 1.0)
     with pytest.raises(ValueError):
-        MarketSnapshot("e1", date(2022, 7, 1), 0.6, 0.4)
+        MarketSnapshot(date(2022, 7, 1), 0.6, 0.4)
     with pytest.raises(ValueError):
-        MarketSnapshot("e1", date(2022, 7, 1), -0.1, 0.5)
+        MarketSnapshot(date(2022, 7, 1), -0.1, 0.5)
     with pytest.raises(ValueError):
-        MarketSnapshot("e1", date(2022, 7, 1), 0.5, 1.2)
+        MarketSnapshot(date(2022, 7, 1), 0.5, 1.2)
 
 
-def test_split_rejects_orphan_and_out_of_window_snapshots():
-    event = make_event()
-    with pytest.raises(ValueError):
-        DatasetSplit("t", (event,), (MarketSnapshot("ghost", date(2022, 7, 1), 0.1, 0.2),))
-    with pytest.raises(ValueError):
-        DatasetSplit("t", (event,), (MarketSnapshot("e1", date(2022, 5, 1), 0.1, 0.2),))
-    resolved = make_event(resolved_at=date(2022, 9, 1), resolution=Resolution.NO)
+def test_event_rejects_out_of_window_and_repeated_snapshots():
+    make_event(market=(MarketSnapshot(date(2022, 6, 1), 0.1, 0.2),))
+    make_event(market=(MarketSnapshot(date(2022, 12, 31), 0.1, 0.2),))
+    with pytest.raises(ValueError, match="outside market window"):
+        make_event(market=(MarketSnapshot(date(2022, 5, 1), 0.1, 0.2),))
     # window closes at resolution, not expiry
-    with pytest.raises(ValueError):
-        DatasetSplit("t", (resolved,), (MarketSnapshot("e1", date(2022, 10, 1), 0.1, 0.2),))
+    with pytest.raises(ValueError, match="outside market window"):
+        make_event(
+            resolved_at=date(2022, 9, 1),
+            resolution=Resolution.NO,
+            market=(MarketSnapshot(date(2022, 10, 1), 0.1, 0.2),),
+        )
     twice = (
-        MarketSnapshot("e1", date(2022, 8, 1), 0.1, 0.2),
-        MarketSnapshot("e1", date(2022, 8, 1), 0.5, 0.6),
+        MarketSnapshot(date(2022, 8, 1), 0.1, 0.2),
+        MarketSnapshot(date(2022, 8, 1), 0.5, 0.6),
     )
     with pytest.raises(ValueError, match="two snapshots dated 2022-08-01"):
-        DatasetSplit("t", (event,), twice)
+        make_event(market=twice)
 
 
 def test_split_rejects_duplicate_ids():
     with pytest.raises(DuplicateId):
-        DatasetSplit("t", (make_event(), make_event()))
+        DatasetSplit((make_event(), make_event()))
 
 
 def test_parse_rejects_malformed_lines_with_line_numbers():
-    good = serialize_dataset(DatasetSplit("t", (make_event(),))).strip()
+    good = serialize_dataset(DatasetSplit((make_event(),))).strip()
     snapshot = '{"date": "2022-08-01", "lower": 0.1, "upper": 0.2}'
+    resolved = good.replace(
+        '"resolved_at": null, "resolution": null', '"resolved_at": "2022-09-01", "resolution": "no"'
+    )
     cases = [
         "not json",
         "[1, 2]",
@@ -117,6 +124,10 @@ def test_parse_rejects_malformed_lines_with_line_numbers():
         good.replace('"2022-12-31"', '"2022-W52-6"'),
         good[:-1] + ', "market": [' + snapshot.replace("2022-08-01", "20220801") + "]}",
         good[:-1] + ', "market": [' + snapshot + ", " + snapshot + "]}",
+        good[:-1] + ', "market": 0}',
+        # outside the event's window: before it opens, after it resolves
+        good[:-1] + ', "market": [' + snapshot.replace("2022-08-01", "2022-05-31") + "]}",
+        resolved[:-1] + ', "market": [' + snapshot.replace("2022-08-01", "2022-09-02") + "]}",
     ]
     for bad in cases:
         with pytest.raises(MalformedRecord) as info:
@@ -127,15 +138,22 @@ def test_parse_rejects_malformed_lines_with_line_numbers():
         parse_dataset(good + "\n" + good + "\n")
 
 
+def test_null_market_is_no_market():
+    good = serialize_dataset(DatasetSplit((make_event(),))).strip()
+    split = parse_dataset(good[:-1] + ', "market": null}')
+    assert split.events[0].market == ()
+    assert split == parse_dataset(good)
+
+
 def test_parse_rejects_unknown_fields():
-    record = json.loads(serialize_dataset(DatasetSplit("t", (make_event(),))))
+    record = json.loads(serialize_dataset(DatasetSplit((make_event(),))))
     record["surprise"] = 1
     with pytest.raises(MalformedRecord):
         parse_dataset(json.dumps(record))
 
 
 def test_blank_lines_are_skipped():
-    text = serialize_dataset(DatasetSplit("t", (make_event(),)))
+    text = serialize_dataset(DatasetSplit((make_event(),)))
     split = parse_dataset("\n" + text + "\n\n")
     assert len(split.events) == 1
 
@@ -143,7 +161,7 @@ def test_blank_lines_are_skipped():
 def test_serialize_round_trip_is_stable():
     split = load_dataset(FIXTURES / "events_small.jsonl")
     text = serialize_dataset(split)
-    again = parse_dataset(text, label=split.label)
+    again = parse_dataset(text)
     assert again == split
     assert serialize_dataset(again) == text
 
@@ -155,7 +173,6 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 @st.composite
 def datasets(draw):
     events = []
-    snapshots = []
     for i in range(draw(st.integers(1, 6))):
         created = date(2022, 1, 1) + timedelta(days=draw(st.integers(0, 90)))
         expires = created + timedelta(days=draw(st.integers(30, 400)))
@@ -164,6 +181,13 @@ def datasets(draw):
         if draw(st.booleans()):
             resolved_at = created + timedelta(days=draw(st.integers(0, (expires - created).days)))
             resolution = draw(st.sampled_from([Resolution.YES, Resolution.NO]))
+        last = resolved_at if resolved_at is not None else expires
+        days = draw(st.lists(st.integers(0, (last - created).days), unique=True, max_size=4))
+        market = []
+        for day in days:
+            lower = draw(st.floats(0.0, 1.0))
+            upper = draw(st.floats(lower, 1.0))
+            market.append(MarketSnapshot(created + timedelta(days=day), lower, upper))
         event = Event(
             id=f"{i}{draw(_TEXT)}",
             name=draw(_TEXT),
@@ -174,22 +198,17 @@ def datasets(draw):
             expires=expires,
             resolved_at=resolved_at,
             resolution=resolution,
+            market=tuple(market),
         )
         events.append(event)
-        last = resolved_at if resolved_at is not None else expires
-        days = draw(st.lists(st.integers(0, (last - created).days), unique=True, max_size=4))
-        for day in days:
-            lower = draw(st.floats(0.0, 1.0))
-            upper = draw(st.floats(lower, 1.0))
-            snapshots.append(MarketSnapshot(event.id, created + timedelta(days=day), lower, upper))
-    return DatasetSplit("rand", tuple(events), tuple(snapshots))
+    return DatasetSplit(tuple(events))
 
 
 @settings(max_examples=150, deadline=None)
 @given(datasets())
 def test_round_trip_random_datasets(split):
     text = serialize_dataset(split)
-    again = parse_dataset(text, label="rand")
+    again = parse_dataset(text)
     assert again == split  # snapshot order included
     assert serialize_dataset(again) == text
 
@@ -197,8 +216,8 @@ def test_round_trip_random_datasets(split):
 def test_round_trip_keeps_unicode_line_separators():
     # json.dumps leaves U+2028, U+2029 and U+0085 unescaped; a reader that
     # split on them as line breaks would cut the record in two.
-    split = DatasetSplit("t", (make_event(name="a\u2028b\u2029c\x85d"),))
-    assert parse_dataset(serialize_dataset(split), label="t") == split
+    split = DatasetSplit((make_event(name="a\u2028b\u2029c\x85d"),))
+    assert parse_dataset(serialize_dataset(split)) == split
 
 
 @pytest.mark.parametrize("text", ["2022-08-01", "2024-02-29"])
@@ -252,13 +271,13 @@ def test_active_random_agrees_with_direct_predicate():
 
 
 def test_market_point_prediction_is_midpoint():
-    snap = MarketSnapshot("e1", date(2022, 8, 1), 0.55, 0.65)
+    snap = MarketSnapshot(date(2022, 8, 1), 0.55, 0.65)
     assert market_point_prediction(snap) == pytest.approx(0.6)
     rng = random.Random(2)
     for _ in range(100):
         lo = rng.random()
         hi = lo + rng.random() * (1 - lo)
-        got = market_point_prediction(MarketSnapshot("x", date(2022, 1, 1), lo, hi))
+        got = market_point_prediction(MarketSnapshot(date(2022, 1, 1), lo, hi))
         assert got == (lo + hi) / 2.0
 
 
@@ -271,22 +290,13 @@ def test_outcome_indicator():
         outcome_indicator(make_event())
 
 
-def test_snapshot_lookup_helpers():
-    split = load_dataset(FIXTURES / "events_small.jsonl")
-    snap = split.snapshot_on("e1", date(2022, 8, 1))
-    assert snap is not None and (snap.lower, snap.upper) == (0.55, 0.65)
-    assert split.snapshot_on("e1", date(2022, 8, 2)) is None
-    assert split.snapshot_on("nope", date(2022, 8, 1)) is None
-    assert split.snapshots_for("nope") == ()
-
-
-def test_snapshots_for_keeps_file_order_per_event():
-    a, b = make_event(id="a"), make_event(id="b")
-    snaps = (
-        MarketSnapshot("a", date(2022, 9, 1), 0.1, 0.2),
-        MarketSnapshot("b", date(2022, 7, 1), 0.3, 0.4),
-        MarketSnapshot("a", date(2022, 7, 1), 0.5, 0.6),
-    )
-    split = DatasetSplit("t", (a, b), snaps)
-    assert split.snapshots_for("a") == (snaps[0], snaps[2])
-    assert split.snapshots_for("b") == (snaps[1],)
+def test_parse_keeps_market_file_order():
+    record = json.loads(serialize_dataset(DatasetSplit((make_event(),))))
+    record["market"] = [
+        {"date": "2022-09-01", "lower": 0.1, "upper": 0.2},
+        {"date": "2022-07-01", "lower": 0.5, "upper": 0.6},
+    ]
+    text = json.dumps(record) + "\n"
+    (event,) = parse_dataset(text).events
+    assert [s.date for s in event.market] == [date(2022, 9, 1), date(2022, 7, 1)]
+    assert serialize_dataset(parse_dataset(text)) == text

@@ -180,6 +180,35 @@ def test_news_clients_honour_retry_after(make_client, payload):
     assert session.gets == 3
 
 
+def test_news_clients_skip_malformed_items():
+    hits = [7, hn_hit("numeric date", 20220801), hn_hit("kept", "2022-07-01T00:00:00Z")]
+    docs = [
+        {"headline": None, "pub_date": "2022-07-02T00:00:00+0000"},
+        nyt_doc("kept", "2022-07-01T00:00:00+0000"),
+    ]
+    with StubNewsServer(hn_hits=hits, nyt_docs=docs) as server:
+        assert [h.title for h in HackerNewsClient(server.hn_endpoint).search(window())] == ["kept"]
+        nyt = NYTClient("test-key", server.nyt_endpoint)
+        assert [h.title for h in nyt.search(window())] == ["kept"]
+
+
+@pytest.mark.parametrize(
+    "make_client, payload",
+    [
+        (HackerNewsClient, [hn_hit("t", "2022-07-01T00:00:00Z")]),
+        (HackerNewsClient, {"hits": {"0": hn_hit("t", "2022-07-01T00:00:00Z")}}),
+        (lambda **kw: NYTClient("test-key", **kw), "docs"),
+        (lambda **kw: NYTClient("test-key", **kw), {"response": [nyt_doc("t", "2022-07-01")]}),
+        (lambda **kw: NYTClient("test-key", **kw), {"response": {"docs": 3}}),
+    ],
+    ids=["hn-list", "hn-hits-object", "nyt-string", "nyt-response-list", "nyt-docs-number"],
+)
+def test_news_clients_reject_malformed_replies(make_client, payload):
+    client = make_client(session=ScriptedSession([ScriptedResponse(200, payload)]))
+    with pytest.raises(UpstreamError, match="malformed reply"):
+        client.search(window())
+
+
 def test_hackernews_client_network_error():
     client = HackerNewsClient("http://127.0.0.1:9/hn", timeout=0.2, max_retries=0)
     with pytest.raises(NetworkError):

@@ -324,14 +324,16 @@ def test_backend_failure_carries_partial_steps(tmp_path):
         run("base_rate", backend=MockBackend([]))
     err = info.value
     assert err.event_id == "evt-01"
+    assert (err.strategy, err.prediction_date) == ("base_rate", TODAY)
     assert err.step_id == "question"
     assert err.partial_steps == ()
 
     path = tmp_path / "partial.json"
-    save_partial_trace(err, "base_rate", TODAY, path)
+    save_partial_trace(err, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["event_id"] == "evt-01"
     assert payload["strategy"] == "base_rate"
+    assert payload["prediction_date"] == TODAY.isoformat()
     assert payload["failed_step"] == "question"
     assert payload["steps"] == []
 
@@ -564,7 +566,7 @@ def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
         with pytest.raises(ChainError) as info:
             run("crowd", backend=backend, params={"persona_count": 4})
         path = tmp_path / f"{concurrent}.json"
-        save_partial_trace(info.value, "crowd", TODAY, path)
+        save_partial_trace(info.value, path)
         partial[concurrent] = path.read_bytes()
     assert partial[True] == partial[False]
     payload = json.loads(partial[True])
