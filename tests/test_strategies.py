@@ -274,6 +274,45 @@ def test_news_chain_degrades_on_client_error():
     assert "no regulatory approval" in by_id["nyt_fetch"].parsed
 
 
+HN_FILTERED = "Headline 1 -- 2022-07-20: Tesla expands FSD beta to more testers"
+NYT_SUMMARY = "2022-07-18: Tesla progressing toward L3 without approval yet"
+ALL_NEWS_STEPS = ["keywords", "hn_fetch", "hn_filter", "nyt_fetch", "nyt_extract", "nyt_paraphrase", "predict"]
+
+
+@pytest.mark.parametrize(
+    "hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt",
+    [
+        ((), None, [s for s in ALL_NEWS_STEPS if s != "hn_filter"], NO_HEADLINES_TEXT, NYT_SUMMARY),
+        (HN_HEADLINES, "remove any which are totally irrelevant", ALL_NEWS_STEPS, NO_HEADLINES_TEXT, NYT_SUMMARY),
+        (
+            HN_HEADLINES,
+            "pull all information from the headlines",
+            [s for s in ALL_NEWS_STEPS if s != "nyt_paraphrase"],
+            HN_FILTERED,
+            NO_HEADLINES_TEXT,
+        ),
+        (HN_HEADLINES, "paraphrase each one as it relates", ALL_NEWS_STEPS, HN_FILTERED, NO_HEADLINES_TEXT),
+    ],
+    ids=["empty_hn_fetch", "hn_filter_none", "nyt_extract_none", "nyt_paraphrase_none"],
+)
+def test_news_branch_exits(hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt):
+    rules = mock_backend().rules
+    if none_prompt is not None:
+        rules = (MockRule("substring", none_prompt, "NONE"), *rules)
+    clients = {
+        "hn_client": ScriptedNews(Source.HACKERNEWS, hn_headlines),
+        "nyt_client": ScriptedNews(Source.NYT, NYT_HEADLINES),
+    }
+    trace = run("news", backend=MockBackend(rules), **clients)
+    assert [s.step_id for s in trace.steps] == step_ids
+    # the two branch placeholders of news/predict, in template order
+    hn_part, nyt_part = trace.steps[-1].prompt.split(
+        "Here are recent headlines from the New York Times on the topic.\n"
+    )
+    assert hn_part.endswith(f"Here are recent headlines from Hackernews on the topic.\n{filtered_hn}\n\n")
+    assert nyt_part.startswith(f"{summarized_nyt}\n\n")
+
+
 def test_news_keyword_count_param():
     clients = news_clients()
     trace = run("news", params={"keyword_count": 2}, **clients)
