@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 import requests
 from requests.adapters import HTTPAdapter
 
-from .events import read_json_lines
+from .events import json_data, read_json_lines
 
 __all__ = [
     "CompletionRequest",
@@ -283,12 +283,12 @@ class MockBackend:
 
 
 class TokenBucket:
-    """Blocking token bucket.  ``rate`` is tokens added per second."""
+    """Blocking token bucket holding at most one token.  ``rate`` is tokens
+    added per second."""
 
     def __init__(
         self,
         rate: float,
-        burst: float = 1.0,
         *,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -296,10 +296,9 @@ class TokenBucket:
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self.burst = burst
         self._clock = clock
         self._sleep = sleep
-        self._tokens = burst
+        self._tokens = 1.0
         self._updated = clock()
         self._lock = threading.Lock()
 
@@ -307,7 +306,7 @@ class TokenBucket:
         while True:
             with self._lock:
                 now = self._clock()
-                self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
+                self._tokens = min(1.0, self._tokens + (now - self._updated) * self.rate)
                 self._updated = now
                 if self._tokens >= 1.0:
                     self._tokens -= 1.0
@@ -584,9 +583,16 @@ class ContentStore:
 
 def _response_from_entry(entry: dict) -> CompletionResponse:
     response = entry["response"]
-    return CompletionResponse(
-        texts=tuple(response["texts"]), backend_id=response["backend_id"], cached=True
-    )
+    texts = response["texts"]
+    if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+        raise TypeError(f"cached texts are not a list of strings: {texts!r}")
+    return CompletionResponse(**{**response, "texts": tuple(texts), "cached": True})
+
+
+def _entry_from_response(response: CompletionResponse) -> dict:
+    stored = json_data(response)
+    del stored["cached"]  # how this response was obtained, not part of it
+    return {"response": stored}
 
 
 class CachedBackend:
@@ -610,7 +616,5 @@ class CachedBackend:
             {"backend_id": self.backend_id, **vars(request)},
             lambda: complete(self.backend, request),
             decode=_response_from_entry,
-            encode=lambda response: {
-                "response": {"texts": list(response.texts), "backend_id": response.backend_id}
-            },
+            encode=_entry_from_response,
         )

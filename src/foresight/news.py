@@ -81,8 +81,8 @@ class Headline:
     source: Source
 
     def __post_init__(self):
-        if not self.title:
-            raise ValueError("headline title must be non-empty")
+        if not isinstance(self.title, str) or not self.title:
+            raise ValueError(f"headline title must be non-empty text, got {self.title!r}")
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,12 @@ __all__ = [
     "NoProbabilityFound",
     "PredictionWindowError",
     "PromptTemplate",
-    "RenderContext",
+    "SampleExtraction",
     "Scale",
     "TemplateError",
     "UnboundPlaceholder",
     "aggregate_probabilities",
+    "bindings",
     "days_remaining",
     "extract_probability",
     "get_template",
@@ -186,24 +187,17 @@ def days_remaining(event: Event, today: date) -> int:
     return days
 
 
-@dataclass(frozen=True)
-class RenderContext:
-    """An event paired with the date the prediction is made on."""
-
-    event: Event
-    today: date
-
-    def bindings(self) -> dict[str, str]:
-        """Standard placeholder bindings shared by every chain step."""
-        event = self.event
-        return {
-            "name": event.name,
-            "condition": event.condition,
-            "description": event.description,
-            "expiry": event.expires.isoformat(),
-            "today": self.today.isoformat(),
-            "number of days": str(days_remaining(event, self.today)),
-        }
+def bindings(event: Event, today: date) -> dict[str, str]:
+    """Standard placeholder bindings shared by every chain step of ``event``
+    predicted on ``today``."""
+    return {
+        "name": event.name,
+        "condition": event.condition,
+        "description": event.description,
+        "expiry": event.expires.isoformat(),
+        "today": today.isoformat(),
+        "number of days": str(days_remaining(event, today)),
+    }
 
 
 def substitute(body: str, bindings: Mapping[str, str]) -> str:
@@ -258,11 +252,13 @@ def parse_probability(text: str, *, scale: Scale = Scale.PERCENT) -> float:
 
 
 @dataclass(frozen=True)
-class ExtractionDetail:
-    """How one sample's probability was obtained."""
+class SampleExtraction:
+    """How one sampled reply was turned into a probability."""
 
-    prompt: str
+    sample_index: int
+    prompt: str | None
     response: str | None
+    probability: float
     fallback_used: bool
     error: str | None = None
 
@@ -272,8 +268,10 @@ def extract_probability(
     *,
     scale: Scale,
     extractor: CompletionBackend,
-) -> tuple[float, ExtractionDetail]:
-    """Turn one raw model reply into a probability.
+    sample_index: int = 0,
+) -> tuple[float, SampleExtraction]:
+    """Turn one raw model reply, sample ``sample_index`` of its step, into a
+    probability.
 
     An extraction prompt is sent to ``extractor`` first and its reply parsed
     on the unit scale. Any failure on that route falls back to parsing the
@@ -293,12 +291,16 @@ def extract_probability(
         except NoProbabilityFound:
             error = f"extractor reply had no probability: {_preview(response)!r}"
         else:
-            return value, ExtractionDetail(prompt, response, fallback_used=False)
+            return value, SampleExtraction(
+                sample_index, prompt, response, value, fallback_used=False
+            )
     try:
         value = parse_probability(raw, scale=scale)
     except NoProbabilityFound as exc:
         raise ExtractionFailed(raw, f"{error}; {exc}") from None
-    return value, ExtractionDetail(prompt, response, fallback_used=True, error=error)
+    return value, SampleExtraction(
+        sample_index, prompt, response, value, fallback_used=True, error=error
+    )
 
 
 def aggregate_probabilities(values: Sequence[float]) -> float:

@@ -27,11 +27,12 @@ from .news import NewsClient, NewsError, QueryWindow, format_headlines, query_he
 from .prompts import (
     ExtractionFailed,
     PredictionWindowError,
+    SampleExtraction,
     aggregate_probabilities,
+    bindings,
     extract_probability,
     get_template,
     render,
-    RenderContext,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "STRATEGY_IDS",
     "ChainError",
     "ChainTrace",
+    "FailedTrace",
     "InvalidParam",
     "PredictionWindowError",
     "SampleExtraction",
@@ -70,32 +72,6 @@ class UnknownStrategy(ValueError):
 
 class InvalidParam(ValueError):
     """Raised when a strategy is given a parameter it does not accept."""
-
-
-class ChainError(RuntimeError):
-    """Raised when a chain step fails; carries the run it belongs to and the
-    steps completed so far."""
-
-    def __init__(self, event_id: str, strategy: str, prediction_date: date, step_id: str,
-                 message: str, partial_steps: Sequence["StepRecord"] = ()):
-        self.event_id = event_id
-        self.strategy = strategy
-        self.prediction_date = prediction_date
-        self.step_id = step_id
-        self.partial_steps = tuple(partial_steps)
-        super().__init__(f"event {event_id!r} failed at step {step_id!r}: {message}")
-
-
-@dataclass(frozen=True)
-class SampleExtraction:
-    """How one sampled reply was turned into a probability."""
-
-    sample_index: int
-    prompt: str | None
-    response: str | None
-    probability: float
-    fallback_used: bool
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -145,12 +121,32 @@ class ChainTrace:
             )
 
 
+@dataclass(frozen=True)
+class FailedTrace:
+    """Audit record of a chain that failed: the step that failed, why, and
+    the steps completed before it."""
+
+    event_id: str
+    strategy: str
+    prediction_date: date
+    failed_step: str
+    error: str
+    steps: tuple[StepRecord, ...]
+
+
+class ChainError(RuntimeError):
+    """Raised when a chain step fails; carries the failed run's record."""
+
+    def __init__(self, trace: FailedTrace):
+        self.trace = trace
+        super().__init__(trace.error)
+
+
 class _Prediction(NamedTuple):
     """A prediction step's outcome before it is recorded."""
 
     step_id: str
     step: StepRecord | None  # None when sampling failed
-    samples: tuple[float, ...]
     failure: BackendError | ExtractionFailed | None
     drop_failed: bool
 
@@ -170,7 +166,7 @@ class _ChainBuilder:
         self.today = today
         self.backend = backend
         # raises PredictionWindowError before any call when the window is closed
-        self.bindings = RenderContext(event, today).bindings()
+        self.bindings = bindings(event, today)
         self.steps: list[StepRecord] = []
         self.parallel = getattr(backend, "waits_on_network", False)
 
@@ -181,48 +177,36 @@ class _ChainBuilder:
         return fan_out(fn, items) if self.parallel else map(fn, items)
 
     def fail(self, step_id: str, message: str) -> ChainError:
-        return ChainError(self.event.id, self.strategy_id, self.today, step_id, message, self.steps)
+        error = f"event {self.event.id!r} failed at step {step_id!r}: {message}"
+        return ChainError(FailedTrace(
+            self.event.id, self.strategy_id, self.today, step_id, error, tuple(self.steps)
+        ))
 
-    def _complete(self, step_id: str, prompt: str, n_samples: int) -> tuple[str, ...]:
-        request = CompletionRequest(
-            prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples
-        )
-        try:
-            return complete(self.backend, request).texts
-        except BackendError as exc:
-            raise self.fail(step_id, str(exc)) from exc
-
-    def _render(self, template_id: str, extra: Mapping[str, str] | None):
+    def _sample(self, template_id: str, extra: Mapping[str, str] | None, n_samples: int):
+        """Render a step's prompt and sample it; returns the template, the
+        prompt and the replies, and raises what the backend raises."""
         template = get_template(template_id)
-        bindings = self.bindings if not extra else {**self.bindings, **extra}
-        return template, render(template, bindings)
+        prompt = render(template, self.bindings if not extra else {**self.bindings, **extra})
+        request = CompletionRequest(prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples)
+        return template, prompt, complete(self.backend, request).texts
 
     def intermediate(
         self,
         step_id: str,
         template_id: str,
         extra: Mapping[str, str] | None = None,
-        parse: Callable[[str], tuple[object, tuple[str, ...]]] | None = None,
+        parse: Callable[..., tuple[object, tuple[str, ...]]] | None = None,
+        n_samples: int = 1,
     ):
-        """One single-sample step; returns the reply, or its parsed form."""
-        _, prompt = self._render(template_id, extra)
-        reply = self._complete(step_id, prompt, 1)[0]
-        parsed, warnings = parse(reply) if parse else (reply, ())
-        self.steps.append(StepRecord(step_id, prompt, (reply,), parsed=parsed, warnings=warnings))
-        return parsed
-
-    def sampled(
-        self,
-        step_id: str,
-        template_id: str,
-        n_samples: int,
-        parse: Callable[[str], str],
-    ) -> tuple[str, ...]:
-        """One multi-sample step; returns each reply, cleaned by ``parse``."""
-        _, prompt = self._render(template_id, None)
-        replies = self._complete(step_id, prompt, n_samples)
-        parsed = tuple(parse(reply) for reply in replies)
-        self.steps.append(StepRecord(step_id, prompt, replies, parsed=parsed))
+        """A step whose replies later steps read: sample ``n_samples``
+        replies, record them, and return the value of ``parse(*replies)``,
+        which gives (value, warnings), or without ``parse`` the reply."""
+        try:
+            _, prompt, replies = self._sample(template_id, extra, n_samples)
+        except BackendError as exc:
+            raise self.fail(step_id, str(exc)) from exc
+        parsed, warnings = parse(*replies) if parse else (replies[0], ())
+        self.steps.append(StepRecord(step_id, prompt, replies, parsed=parsed, warnings=warnings))
         return parsed
 
     def non_llm(self, step_id: str, parsed: object, warnings: Sequence[str] = ()) -> None:
@@ -247,39 +231,36 @@ class _ChainBuilder:
         A reply with no probability fails the chain; with ``drop_failed`` the
         step is recorded as dropped instead and the result is None.
         """
-        template, prompt = self._render(template_id, extra)
-        request = CompletionRequest(prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples)
         try:
-            replies = complete(self.backend, request).texts
+            template, prompt, replies = self._sample(template_id, extra, n_samples)
         except BackendError as exc:
-            return _Prediction(step_id, None, (), exc, drop_failed)
+            return _Prediction(step_id, None, exc, drop_failed)
 
-        def extract(raw: str):
+        def extract(item: tuple[int, str]):
+            index, raw = item
             try:
-                return extract_probability(raw, scale=template.scale, extractor=self.backend)
+                return extract_probability(
+                    raw, scale=template.scale, extractor=self.backend, sample_index=index
+                )[1]
             except ExtractionFailed as exc:
                 return exc
 
-        samples: list[float] = []
         extractions: list[SampleExtraction] = []
         warnings: list[str] = []
         failure: ExtractionFailed | None = None
-        for index, outcome in enumerate(self.each(extract, replies)):
+        for index, outcome in enumerate(self.each(extract, enumerate(replies))):
             if isinstance(outcome, ExtractionFailed):
                 failure = outcome
                 label = "dropped" if drop_failed else f"sample {index}"
                 warnings.append(f"{label}: {outcome}")
                 break
-            value, detail = outcome
-            samples.append(value)
-            extractions.append(SampleExtraction(
-                index, detail.prompt, detail.response, value, detail.fallback_used, detail.error
-            ))
-            if detail.error:
-                warnings.append(f"sample {index}: {detail.error}")
+            extractions.append(outcome)
+            if outcome.error:
+                warnings.append(f"sample {index}: {outcome.error}")
+        samples = [extraction.probability for extraction in extractions]
         mean = aggregate_probabilities(samples) if failure is None else None
         step = StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings))
-        return _Prediction(step_id, step, tuple(samples), failure, drop_failed)
+        return _Prediction(step_id, step, failure, drop_failed)
 
     def record(self, prediction: _Prediction) -> tuple[float, tuple[float, ...]] | None:
         """Append a prediction's step; returns its mean and samples, or None
@@ -288,7 +269,8 @@ class _ChainBuilder:
         if prediction.step is not None:
             self.steps.append(prediction.step)
         if failure is None:
-            return prediction.step.parsed, prediction.samples
+            step = prediction.step
+            return step.parsed, tuple(extraction.probability for extraction in step.extractions)
         if isinstance(failure, ExtractionFailed) and prediction.drop_failed:
             return None
         raise self.fail(prediction.step_id, str(failure)) from failure
@@ -447,13 +429,17 @@ def _run_chain(strategy_id: str, event: Event, today: date, backend: CompletionB
     return builder.trace(samples, mean)
 
 
-def _clean_job(reply: str) -> str:
-    lines = [line.strip() for line in reply.splitlines() if line.strip()]
-    job = lines[0] if lines else ""
-    job = job.strip("\"'").strip()
-    if job.lower().startswith("i choose to talk to"):
-        job = job[len("i choose to talk to"):].strip()
-    return job.rstrip(".").strip()
+def _parse_jobs(*replies: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Each reply's expert description; "" where a reply names none."""
+    jobs = []
+    for reply in replies:
+        lines = [line.strip() for line in reply.splitlines() if line.strip()]
+        job = lines[0] if lines else ""
+        job = job.strip("\"'").strip()
+        if job.lower().startswith("i choose to talk to"):
+            job = job[len("i choose to talk to"):].strip()
+        jobs.append(job.rstrip(".").strip())
+    return tuple(jobs), ()
 
 
 def run_crowd(
@@ -465,7 +451,7 @@ def run_crowd(
 ) -> ChainTrace:
     """Pick experts, ask each for a windowed probability, average them."""
     builder = _ChainBuilder("crowd", event, today, backend)
-    jobs = builder.sampled("expert", "crowd/expert", persona_count, parse=_clean_job)
+    jobs = builder.intermediate("expert", "crowd/expert", parse=_parse_jobs, n_samples=persona_count)
 
     def persona(item: tuple[int, str]) -> _Prediction | None:
         index, job = item
@@ -533,7 +519,6 @@ def _is_none_reply(reply: str) -> bool:
     return not reply.strip() or reply.strip().upper() == "NONE"
 
 
-
 def run_news(
     event: Event,
     today: date,
@@ -554,35 +539,29 @@ def run_news(
     if not terms:
         raise builder.fail("keywords", "no search terms parsed from the reply")
     window = QueryWindow(terms=tuple(terms), until=today)
-
-    hn_text = _fetch_headlines(builder, "hn_fetch", hn_client, window)
-    if hn_text:
-        reply = builder.intermediate("hn_filter", "news/hn_filter", {"Hackernews headlines": hn_text})
-        filtered_hn = NO_HEADLINES_TEXT if _is_none_reply(reply) else reply
-    else:
-        filtered_hn = NO_HEADLINES_TEXT
-
-    nyt_text = _fetch_headlines(builder, "nyt_fetch", nyt_client, window)
-    if nyt_text:
-        extracted = builder.intermediate("nyt_extract", "news/nyt_extract", {"NYT headlines": nyt_text})
-        if _is_none_reply(extracted):
-            summarized = NO_HEADLINES_TEXT
-        else:
-            reply = builder.intermediate(
-                "nyt_paraphrase", "news/nyt_paraphrase", {"filtered NYT headlines": extracted}
-            )
-            summarized = NO_HEADLINES_TEXT if _is_none_reply(reply) else reply
-    else:
-        summarized = NO_HEADLINES_TEXT
-
-    mean, samples = builder.predict(
-        "predict",
-        "news/predict",
-        {
-            "filtered Hackernews headlines": filtered_hn,
-            "summarized NYT headlines": summarized,
-        },
+    # Each headline branch: its fetch step, its client, the news/predict
+    # placeholder its text fills, and its filter steps in order, each as
+    # (step id, placeholder the text before it fills).  An empty fetch or a
+    # NONE reply ends the branch.
+    branches = (
+        ("hn_fetch", hn_client, "filtered Hackernews headlines", (
+            ("hn_filter", "Hackernews headlines"),
+        )),
+        ("nyt_fetch", nyt_client, "summarized NYT headlines", (
+            ("nyt_extract", "NYT headlines"),
+            ("nyt_paraphrase", "filtered NYT headlines"),
+        )),
     )
+    found: dict[str, str] = {}
+    for fetch_id, client, found_placeholder, filters in branches:
+        text = _fetch_headlines(builder, fetch_id, client, window)
+        for step_id, placeholder in filters:
+            if not text:
+                break
+            reply = builder.intermediate(step_id, f"news/{step_id}", {placeholder: text})
+            text = "" if _is_none_reply(reply) else reply
+        found[found_placeholder] = text or NO_HEADLINES_TEXT
+    mean, samples = builder.predict("predict", "news/predict", found)
     return builder.trace(samples, mean)
 
 
@@ -679,15 +658,6 @@ def load_trace(path: str | Path) -> ChainTrace:
 
 
 def save_partial_trace(error: ChainError, path: str | Path) -> None:
-    """Record the completed steps of a failed chain for later inspection."""
-    _write_json(
-        {
-            "event_id": error.event_id,
-            "strategy": error.strategy,
-            "prediction_date": error.prediction_date.isoformat(),
-            "failed_step": error.step_id,
-            "error": str(error),
-            "steps": json_data(error.partial_steps),
-        },
-        path,
-    )
+    """Write a failed chain's :class:`FailedTrace` for later inspection, its
+    keys the record's field names, as :func:`save_trace` does."""
+    _write_json(json_data(error.trace), path)

@@ -12,7 +12,7 @@ from pathlib import Path
 from foresight.events import load_dataset
 from foresight.llm import MockBackend, MockRule
 from foresight.news import Headline, Source
-from foresight.prompts import RenderContext, load_templates, render
+from foresight.prompts import bindings, load_templates, render
 from foresight.strategies import (
     STRATEGY_IDS,
     ChainError,
@@ -101,8 +101,7 @@ def golden_event():
 
 
 def golden_bindings():
-    context = RenderContext(event=golden_event(), today=GOLDEN_DATE)
-    return {**context.bindings(), **GOLDEN_EXTRA}
+    return {**bindings(golden_event(), GOLDEN_DATE), **GOLDEN_EXTRA}
 
 
 def golden_path(template_id):

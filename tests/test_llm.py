@@ -240,6 +240,19 @@ def test_cached_backend_corrupt_entry(tmp_path):
         cache.complete(req)
 
 
+def test_cached_backend_rejects_mistyped_texts(tmp_path):
+    cache = CachedBackend(tmp_path, MockBackend([MockRule("any", None, ("a", "b"))]))
+    req = CompletionRequest("p", n_samples=2)
+    cache.complete(req)
+    (entry,) = entry_files(tmp_path)
+    record = json.loads(entry.read_text(encoding="utf-8"))
+    # a string of two characters must not pass for two replies
+    for texts in ("ab", ["a", 2]):
+        entry.write_text(json.dumps({**record, "response": {**record["response"], "texts": texts}}), encoding="utf-8")
+        with pytest.raises(CacheCorrupt):
+            cache.complete(req)
+
+
 def test_cached_complete_round_trip_randomized(tmp_path):
     rng = random.Random(5150)
     inner = MockBackend([MockRule("any", None, ("alpha", "beta", "gamma"))])
@@ -273,8 +286,8 @@ def test_token_bucket_paces_with_fake_clock():
         sleeps.append(seconds)
         now[0] += seconds
 
-    bucket = TokenBucket(rate=2.0, burst=1.0, clock=clock, sleep=sleep)
-    bucket.acquire()  # burst token, no wait
+    bucket = TokenBucket(rate=2.0, clock=clock, sleep=sleep)
+    bucket.acquire()  # the bucket starts with its one token, no wait
     bucket.acquire()  # must wait 1/rate
     assert sleeps == [pytest.approx(0.5)]
     with pytest.raises(ValueError):

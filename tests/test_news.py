@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foresight.llm import CacheCorrupt
 from foresight.news import (
     CachedNewsClient,
     HackerNewsClient,
@@ -278,6 +279,23 @@ def test_cached_news_client_records_then_replays(tmp_path):
     assert [h.title for h in replay.search(window())] == ["cached story"]
     with pytest.raises(ReplayMiss):
         replay.search(window("different", "terms"))
+
+
+def test_cached_news_client_rejects_mistyped_title(tmp_path):
+    class Fixed:
+        source = Source.HACKERNEWS
+
+        def search(self, w):
+            return (Headline("story", date(2022, 7, 1), Source.HACKERNEWS),)
+
+    cached = CachedNewsClient(tmp_path, Fixed())
+    cached.search(window())
+    (entry,) = tmp_path.glob("*/*.json")
+    record = json.loads(entry.read_text(encoding="utf-8"))
+    record["headlines"][0]["title"] = 7
+    entry.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        cached.search(window())
 
 
 def test_cached_news_client_distinguishes_windows(tmp_path):

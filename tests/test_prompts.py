@@ -14,11 +14,11 @@ from foresight.prompts import (
     NoProbabilityFound,
     PredictionWindowError,
     PromptTemplate,
-    RenderContext,
     Scale,
     TemplateError,
     UnboundPlaceholder,
     aggregate_probabilities,
+    bindings,
     days_remaining,
     extract_probability,
     get_template,
@@ -120,8 +120,7 @@ def test_days_remaining():
 
 
 def test_render_context_bindings():
-    ctx = RenderContext(event=make_event(), today=date(2022, 8, 1))
-    assert ctx.bindings() == {
+    assert bindings(make_event(), date(2022, 8, 1)) == {
         "name": "Example",
         "condition": "Example happens",
         "description": "An example event.",
@@ -148,8 +147,7 @@ def test_substitute_longest_key_first():
 
 def test_render_binds_event_fields():
     template = get_template("basic/predict")
-    ctx = RenderContext(event=make_event(), today=date(2022, 8, 1))
-    prompt = render(template, ctx.bindings())
+    prompt = render(template, bindings(make_event(), date(2022, 8, 1)))
     assert "Example happens" in prompt
     assert "2022-12-31" in prompt
     assert "[condition]" not in prompt
@@ -167,8 +165,7 @@ def test_render_missing_placeholder():
 
 def test_render_tolerates_unused_bindings():
     template = PromptTemplate("t", "[condition]", ("condition",), Scale.PERCENT)
-    ctx = RenderContext(event=make_event(), today=date(2022, 8, 1))
-    merged = {**ctx.bindings(), "condition": "the opposite"}
+    merged = {**bindings(make_event(), date(2022, 8, 1)), "condition": "the opposite"}
     assert render(template, merged) == "the opposite"
 
 

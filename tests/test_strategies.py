@@ -15,10 +15,11 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foresight.strategies
 from foresight.events import Category, Event, load_dataset
 from foresight.llm import CachedBackend, HttpBackend, MockBackend, MockRule, NullBackend, ProviderError
 from foresight.news import Headline, NewsError, Source
-from foresight.prompts import RenderContext, aggregate_probabilities, get_template
+from foresight.prompts import aggregate_probabilities, bindings, extract_probability, get_template
 from foresight.strategies import (
     CHAINS,
     ChainError,
@@ -113,12 +114,22 @@ def test_every_strategy_runs_against_scripted_backend():
         assert abs(trace.final_probability - mean) <= 1e-9
 
 
-def test_final_step_records_extractions():
+def test_final_step_records_extractions(monkeypatch):
+    returned = []
+
+    def recording_extract(*args, **kwargs):
+        value, extraction = extract_probability(*args, **kwargs)
+        returned.append(extraction)
+        return value, extraction
+
+    monkeypatch.setattr(foresight.strategies, "extract_probability", recording_extract)
     trace = run("basic")
     (step,) = trace.steps
     assert step.step_id == "predict"
     assert len(step.responses) == 8
     assert len(step.extractions) == 8
+    # each entry is the record extract_probability returned for that sample
+    assert step.extractions == tuple(returned)
     for i, extraction in enumerate(step.extractions):
         assert extraction.sample_index == i
         assert extraction.probability == 0.1
@@ -161,9 +172,9 @@ def assert_opposite_failure_aborts(strategy, partial_ids):
     rules = [MockRule("substring", "NOT happen", "   \n"), *backend.rules]
     with pytest.raises(ChainError) as info:
         run(strategy, backend=MockBackend(rules))
-    assert info.value.step_id == "opposite"
+    assert info.value.trace.failed_step == "opposite"
     assert str(info.value).endswith("reworded event text was empty")
-    assert [s.step_id for s in info.value.partial_steps] == partial_ids
+    assert [s.step_id for s in info.value.trace.steps] == partial_ids
 
 
 def test_sequences_opposite_failure_aborts_chain():
@@ -175,7 +186,7 @@ def test_reversed_opposite_failure_aborts_chain():
 
 
 def test_chain_table_is_consistent():
-    standard = set(RenderContext(tesla_event(), TODAY).bindings())
+    standard = set(bindings(tesla_event(), TODAY))
     for strategy, steps in CHAINS.items():
         earlier = set()
         for step in steps:
@@ -362,10 +373,10 @@ def test_backend_failure_carries_partial_steps(tmp_path):
     with pytest.raises(ChainError) as info:
         run("base_rate", backend=MockBackend([]))
     err = info.value
-    assert err.event_id == "evt-01"
-    assert (err.strategy, err.prediction_date) == ("base_rate", TODAY)
-    assert err.step_id == "question"
-    assert err.partial_steps == ()
+    assert err.trace.event_id == "evt-01"
+    assert (err.trace.strategy, err.trace.prediction_date) == ("base_rate", TODAY)
+    assert err.trace.failed_step == "question"
+    assert err.trace.steps == ()
 
     path = tmp_path / "partial.json"
     save_partial_trace(err, path)
@@ -382,9 +393,9 @@ def test_extraction_failure_is_a_chain_error():
     rules = [MockRule("substring", "Predict the likelihood", "no digits at all"), *backend.rules]
     with pytest.raises(ChainError) as info:
         run("basic", backend=MockBackend(rules))
-    assert info.value.step_id == "predict"
+    assert info.value.trace.failed_step == "predict"
     # the failing step is preserved with the raw responses for debugging
-    assert info.value.partial_steps[-1].responses
+    assert info.value.trace.steps[-1].responses
 
 
 def test_trace_round_trip_byte_identical(tmp_path):
