@@ -251,6 +251,11 @@ def cmd_run(args) -> int:
     skipped = len(split.events) - len(active)
     out = Path(args.out)
     trace_dir = out / "traces" / args.strategy
+    try:
+        # a rerun into the same --out keeps no trace of an earlier outcome
+        stale = set(os.listdir(trace_dir))
+    except FileNotFoundError:
+        stale = set()
     taken: dict[str, str] = {}
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -274,9 +279,9 @@ def cmd_run(args) -> int:
         name = _safe_filename(event.id, taken)
         failed_path = trace_dir / f"{name}.failed.json"
         ref = f"traces/{args.strategy}/{name}.json"
-        # a rerun into the same --out keeps no trace of an earlier outcome
-        failed_path.unlink(missing_ok=True)
-        (out / ref).unlink(missing_ok=True)
+        for old_name in (f"{name}.failed.json", f"{name}.json"):
+            if old_name in stale:
+                (trace_dir / old_name).unlink(missing_ok=True)
         try:
             trace = future.result()
         except ChainError as exc:

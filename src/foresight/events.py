@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Collection, Iterable, TypeVar
 
@@ -180,18 +181,25 @@ _CATEGORY_BY_VALUE = {c.value: c for c in Category}
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def parse_date(value: object, name: str = "date") -> date:
-    """A calendar date written exactly ``YYYY-MM-DD``.
+@lru_cache(maxsize=4096)
+def _iso_date(text: str) -> date | None:
+    # From Python 3.11 the standard ISO parser also takes other ISO 8601 forms
+    # (``20220801``, ``2022-W31-1``), so the shape is checked first.
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    return None
 
-    From Python 3.11 the standard ISO parser also takes other ISO 8601 forms
-    (``20220801``, ``2022-W31-1``), so the shape is checked first.
-    """
-    try:
-        if isinstance(value, str) and _ISO_DATE.fullmatch(value):
-            return date.fromisoformat(value)
-    except ValueError:
-        pass
-    raise ValueError(f"{name} must be a YYYY-MM-DD date, got {value!r}")
+
+def parse_date(value: object, name: str = "date") -> date:
+    """A calendar date written exactly ``YYYY-MM-DD``."""
+    # the type test stays outside the cache: an unhashable value is a ValueError too
+    parsed = _iso_date(value) if isinstance(value, str) else None
+    if parsed is None:
+        raise ValueError(f"{name} must be a YYYY-MM-DD date, got {value!r}")
+    return parsed
 
 
 def parse_number(value: object, name: str) -> float:

@@ -472,6 +472,8 @@ class HttpBackend:
         try:
             choices = resp.json()["choices"]
             texts = [c["message"]["content"] for c in choices]
+            if not all(isinstance(text, str) for text in texts):
+                raise TypeError("a choice's content is not a string")
         except (ValueError, KeyError, TypeError):
             raise ProviderError(resp.status_code, f"unexpected response shape: {resp.text[:200]}")
         if len(texts) != n:
@@ -508,19 +510,21 @@ class ContentStore:
         TypeError, ValueError) raises :class:`CacheCorrupt`.
         """
         path = self.path(digest)
-        if path.exists():
-            try:
-                value = decode(json.loads(path.read_text(encoding="utf-8")))
-            except (ValueError, KeyError, TypeError):
-                raise CacheCorrupt(path) from None
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            if self.replay_only:
+                raise ReplayMiss(digest) from None
             with self._lock:
-                self.hits += 1
-            return value
-        if self.replay_only:
-            raise ReplayMiss(digest)
+                self.misses += 1
+            return None
+        try:
+            value = decode(json.loads(raw.decode("utf-8")))
+        except (ValueError, KeyError, TypeError):
+            raise CacheCorrupt(path) from None
         with self._lock:
-            self.misses += 1
-        return None
+            self.hits += 1
+        return value
 
     def save(self, digest: str, payload: dict) -> None:
         """Write ``payload`` under ``digest``, with the digest and a timestamp."""

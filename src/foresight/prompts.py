@@ -117,6 +117,10 @@ class PromptTemplate:
         if len(set(self.placeholders)) != len(self.placeholders):
             raise TemplateError(f"template {self.template_id!r} declares duplicate placeholders")
         for name in self.placeholders:
+            if "[" in name or "]" in name:
+                raise TemplateError(
+                    f"template {self.template_id!r} declares placeholder {name!r} with a bracket"
+                )
             if f"[{name}]" not in self.body:
                 raise TemplateError(
                     f"template {self.template_id!r} declares placeholder {name!r} absent from its body"
@@ -200,17 +204,29 @@ def bindings(event: Event, today: date) -> dict[str, str]:
     }
 
 
+# A [key] token. A key holds no bracket, so a token ends at the first "]" and
+# no two tokens overlap.
+_TOKEN = re.compile(r"\[([^\[\]]*)\]")
+
+
+@lru_cache(maxsize=256)
+def _segments(body: str) -> tuple[str, ...]:
+    # literal text at even indices, token keys at odd ones
+    return tuple(_TOKEN.split(body))
+
+
 def substitute(body: str, bindings: Mapping[str, str]) -> str:
     """Replace every [key] token in a single pass.
 
     Substituted values are never rescanned, so bracketed text inside event
-    descriptions or model replies stays literal.
+    descriptions or model replies stays literal. Tokens with no binding stay
+    as they are; a key containing "[" or "]" never matches.
     """
-    if not bindings:
-        return body
-    keys = sorted(bindings, key=len, reverse=True)
-    pattern = re.compile("|".join(re.escape(f"[{key}]") for key in keys))
-    return pattern.sub(lambda m: bindings[m.group(0)[1:-1]], body)
+    parts = list(_segments(body))
+    for i in range(1, len(parts), 2):
+        key = parts[i]
+        parts[i] = bindings[key] if key in bindings else f"[{key}]"
+    return "".join(parts)
 
 
 def render(template: PromptTemplate, bindings: Mapping[str, str]) -> str:

@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from datetime import date
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .events import Event, json_data, parse_date
+from .events import Event, parse_date
 from .llm import (
     BackendError,
     CompletionBackend,
@@ -626,17 +627,69 @@ def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> For
     )
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+
+
+def _encode(value: object, indent: str, out: list[str]) -> None:
+    """Append a trace record or one of its values to ``out`` as
+    ``json.dumps(json_data(value), indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes it at nesting ``indent``.
+
+    That call runs the pure-Python encoder (``indent`` rules out the C one)
+    and walks every record twice; this walks it once.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (tuple, list)):
+        if not value:
+            out.append("[]")
+            return
+        inner = "\n" + indent + "  "
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _encode(item, inner[1:], out)
+        out.append("\n" + indent + "]")
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, date):
+        out.append(encode_basestring(value.isoformat()))
+    elif is_dataclass(value):  # every record has fields
+        members = vars(value)
+        inner = "\n" + indent + "  "
+        for i, key in enumerate(sorted(members)):
+            out.append(("," if i else "{") + inner + encode_basestring(key) + ": ")
+            _encode(members[key], inner[1:], out)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(record: object, path: str | Path) -> None:
+    """Write ``record`` as 2-space indented JSON with sorted keys, non-ASCII
+    text unescaped and one trailing newline."""
+    out: list[str] = []
+    _encode(record, "", out)
+    text = "".join(out) + "\n"
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except FileNotFoundError:
+        # only the first write into a new directory creates it
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def save_trace(trace: ChainTrace, path: str | Path) -> None:
     """Write a trace as stable, diffable JSON whose keys are the field names
     of :class:`ChainTrace`, :class:`StepRecord` and :class:`SampleExtraction`."""
-    _write_json(json_data(trace), path)
+    _write_json(trace, path)
 
 
 def _tuples(payload: dict) -> dict:
@@ -660,4 +713,4 @@ def load_trace(path: str | Path) -> ChainTrace:
 def save_partial_trace(error: ChainError, path: str | Path) -> None:
     """Write a failed chain's :class:`FailedTrace` for later inspection, its
     keys the record's field names, as :func:`save_trace` does."""
-    _write_json(json_data(error.trace), path)
+    _write_json(error.trace, path)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -233,6 +234,18 @@ def test_parse_date_accepts_calendar_dates(text):
 def test_parse_date_rejects_everything_else(value):
     with pytest.raises(ValueError, match="YYYY-MM-DD"):
         parse_date(value, "created")
+
+
+@pytest.mark.parametrize("value", ["2022-13-01", "2022-02-30", "20220801", ["2022-08-01"], None])
+def test_parse_date_rejects_each_repeat_with_its_field(value):
+    # invalid results are memoised too, and an unhashable value never reaches the cache
+    for name in ("created", "created", "market.date"):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a YYYY-MM-DD date, got "):
+            parse_date(value, name)
+
+
+def test_parse_date_repeats_give_equal_dates():
+    assert parse_date("2022-08-01", "created") == parse_date("2022-08-01", "expires") == date(2022, 8, 1)
 
 
 def test_active_window_boundaries():

@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 import requests
 
+from foresight import cli
 from foresight.events import MalformedRecord
 from foresight.llm import (
+    FINAL_SAMPLE_COUNT,
     BackendError,
     BackendUnavailable,
     CacheCorrupt,
@@ -458,6 +460,32 @@ def test_http_backend_retries_transient_failures(failure):
     assert complete(backend, CompletionRequest("p")).texts == ("ok",)
     assert sleeps == [0.5, 1.0]
     assert backend.calls == len(session.posts) == 3
+
+
+@pytest.mark.parametrize("content", [None, 7, ["a"]])
+def test_http_backend_rejects_non_string_content(content):
+    backend = make_backend(FakeSession([FakeResponse(payload={"choices": [{"message": {"content": content}}]})]))
+    with pytest.raises(ProviderError, match="unexpected response shape"):
+        backend.complete(CompletionRequest("p"))
+
+
+def test_null_content_fails_the_event_and_records_nothing(tmp_path, monkeypatch, capsys):
+    events = tmp_path / "one.jsonl"
+    lines = (Path(__file__).parent / "fixtures" / "events_val.jsonl").read_text(encoding="utf-8")
+    events.write_text(lines.splitlines(keepends=True)[0], encoding="utf-8")
+    null = {"choices": [{"message": {"content": None}}]}
+    session = FakeSession([FakeResponse(payload=null) for _ in range(FINAL_SAMPLE_COUNT)])
+    monkeypatch.setattr(cli, "build_backend", lambda spec, config: make_backend(session))
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    argv = ["run", "--events", str(events), "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", "live", "--cache", str(cache), "--out", str(out)]
+    assert cli.main(argv) == 1
+    failed = json.loads((out / "traces" / "basic" / "evt-01.failed.json").read_text(encoding="utf-8"))
+    assert failed["failed_step"] == "predict"
+    assert "unexpected response shape" in failed["error"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(session.posts) == FINAL_SAMPLE_COUNT
+    assert not list((cache / "llm").rglob("*.json"))
 
 
 def test_http_backend_error_paths():

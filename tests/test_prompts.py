@@ -1,9 +1,12 @@
 """Tests for template loading, rendering, and probability extraction."""
 
 import random
+import re
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foresight.events import Category, Event
 from foresight.llm import BackendError, CompletionRequest, CompletionResponse
@@ -106,6 +109,8 @@ def test_template_validation():
         PromptTemplate("t", "body [a] [a]", ("a", "a"), Scale.PERCENT)
     with pytest.raises(ValueError):
         PromptTemplate("t", "body", ("ghost",), Scale.PERCENT)
+    with pytest.raises(TemplateError, match="bracket"):
+        PromptTemplate("t", "body [a]b]", ("a]b",), Scale.PERCENT)
 
 
 def test_days_remaining():
@@ -143,6 +148,35 @@ def test_substitute_longest_key_first():
         "base rate question": "How often?",
     })
     assert out == "30% How often?"
+
+
+def substitute_by_regex(body, bindings):
+    """The reference: one alternation of every bound token, longest key first."""
+    if not bindings:
+        return body
+    keys = sorted(bindings, key=len, reverse=True)
+    pattern = re.compile("|".join(re.escape(f"[{key}]") for key in keys))
+    return pattern.sub(lambda m: bindings[m.group(0)[1:-1]], body)
+
+
+# Keys are short so that one is often a prefix of another; they hold no
+# bracket, which PromptTemplate enforces on every placeholder.
+_KEY = st.text(alphabet="ab ", max_size=3)
+_PIECE = st.one_of(
+    st.text(alphabet="ab []x\n", max_size=6),
+    _KEY.map(lambda key: f"[{key}]"),
+)
+_BODY = st.lists(_PIECE, max_size=8).map("".join)
+_VALUE = st.lists(_PIECE, max_size=3).map("".join)
+_BINDINGS = st.dictionaries(_KEY, _VALUE, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BODY, _BINDINGS, _BINDINGS)
+def test_substitute_matches_regex_reference(body, first, second):
+    # the same body under two key sets, each alone and merged
+    for bound in (first, second, {**first, **second}, {}):
+        assert substitute(body, bound) == substitute_by_regex(body, bound)
 
 
 def test_render_binds_event_fields():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foresight.strategies
-from foresight.events import Category, Event, load_dataset
+from foresight.events import Category, Event, json_data, load_dataset
 from foresight.llm import CachedBackend, HttpBackend, MockBackend, MockRule, NullBackend, ProviderError
 from foresight.news import Headline, NewsError, Source
 from foresight.prompts import aggregate_probabilities, bindings, extract_probability, get_template
@@ -24,6 +24,7 @@ from foresight.strategies import (
     CHAINS,
     ChainError,
     ChainTrace,
+    FailedTrace,
     InvalidParam,
     NO_HEADLINES_TEXT,
     PredictionWindowError,
@@ -434,7 +435,7 @@ _EXTRACTION = st.builds(
 
 
 @st.composite
-def _steps(draw):
+def _steps(draw, parsed=_PARSED):
     if draw(st.booleans()):
         prompt, responses = None, ()  # a step that made no model call
     else:
@@ -443,20 +444,20 @@ def _steps(draw):
         draw(_TEXT.filter(bool)),
         prompt,
         responses,
-        parsed=draw(_PARSED),
+        parsed=draw(parsed),
         extractions=tuple(draw(st.lists(_EXTRACTION, max_size=3))),
         warnings=tuple(draw(st.lists(_TEXT, max_size=2))),
     )
 
 
 @st.composite
-def _traces(draw):
+def _traces(draw, steps=_steps()):
     samples = tuple(draw(st.lists(_PROBABILITY, min_size=1, max_size=8)))
     return ChainTrace(
         event_id=draw(_TEXT),
         strategy=draw(_TEXT),
         prediction_date=draw(st.dates()),
-        steps=tuple(draw(st.lists(_steps(), min_size=1, max_size=4))),
+        steps=tuple(draw(st.lists(steps, min_size=1, max_size=4))),
         final_samples=samples,
         final_probability=aggregate_probabilities(samples),
     )
@@ -483,6 +484,38 @@ def test_trace_codec_round_trips(trace):
         assert loaded == trace
         save_trace(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# Any value a step may carry as ``parsed``: the floats (integer-valued, NaN,
+# infinite) and ints and bools that a writer could confuse with one another.
+_ANY_PARSED = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(-10**6, 10**6).map(float) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+_FAILED_TRACES = st.builds(
+    FailedTrace,
+    event_id=_TEXT,
+    strategy=_TEXT,
+    prediction_date=st.dates(),
+    failed_step=_TEXT,
+    error=_TEXT,
+    steps=st.lists(_steps(_ANY_PARSED), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_traces(_steps(_ANY_PARSED)), _FAILED_TRACES))
+def test_trace_writer_matches_json_dumps(record):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "record.json"
+        if isinstance(record, FailedTrace):
+            save_partial_trace(ChainError(record), path)
+        else:
+            save_trace(record, path)
+        text = json.dumps(json_data(record), indent=2, sort_keys=True, ensure_ascii=False)
+        assert path.read_bytes() == (text + "\n").encode("utf-8")
 
 
 def test_trace_dict_rejects_inconsistent_payloads(tmp_path):
