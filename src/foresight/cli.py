@@ -10,8 +10,10 @@ import os
 import re
 import sys
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
+from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -106,6 +108,8 @@ class ConfigError(ValueError):
 
 class _UnconfiguredNewsClient:
     """Stands in for a live client that cannot be built; search always fails."""
+
+    waits_on_network = False
 
     def __init__(self, source: Source, reason: str):
         self.source = source
@@ -234,7 +238,7 @@ def cmd_run(args) -> int:
         params["persona_count"] = args.persona_count
     if args.keyword_count is not None:
         params["keyword_count"] = args.keyword_count
-    check_params(args.strategy, params)  # once, before any event is submitted
+    check_params(args.strategy, params)  # once, before any event runs
     cache_dir, replay_only = _cache_location(args)
 
     split = load_dataset(args.events)
@@ -257,35 +261,32 @@ def cmd_run(args) -> int:
     except FileNotFoundError:
         stale = set()
     taken: dict[str, str] = {}
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [
-            pool.submit(
-                run_strategy,
-                args.strategy,
-                event,
-                today,
-                backend,
-                hn_client=hn_client,
-                nyt_client=nyt_client,
-                params=params,
-            )
-            for event in active
-        ]
-
     records = []
     failures = []
-    for event, future in zip(active, futures):
+
+    def run_chain(event):
+        return run_strategy(
+            args.strategy,
+            event,
+            today,
+            backend,
+            hn_client=hn_client,
+            nyt_client=nyt_client,
+            params=params,
+        )
+
+    def finish(event, outcome) -> None:
+        """Write the outcome of ``event`` (``outcome()`` returns its trace or
+        raises) and keep only its forecast record, not its trace."""
         name = _safe_filename(event.id, taken)
-        failed_path = trace_dir / f"{name}.failed.json"
         ref = f"traces/{args.strategy}/{name}.json"
         for old_name in (f"{name}.failed.json", f"{name}.json"):
             if old_name in stale:
                 (trace_dir / old_name).unlink(missing_ok=True)
         try:
-            trace = future.result()
+            trace = outcome()
         except ChainError as exc:
-            save_partial_trace(exc, failed_path)
+            save_partial_trace(exc, trace_dir / f"{name}.failed.json")
             failures.append((event.id, str(exc)))
         except Exception as exc:
             # One event's unexpected fault must not cost the other events'
@@ -295,6 +296,18 @@ def cmd_run(args) -> int:
         else:
             save_trace(trace, out / ref)
             records.append(trace_to_forecast(trace, trace_ref=ref))
+
+    # Threads pay only while a chain waits on the network: offline chains
+    # hold the GIL, so they run here, one event after another.
+    if any(getattr(part, "waits_on_network", False) for part in (backend, hn_client, nyt_client)):
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            futures = deque(pool.submit(run_chain, event) for event in active)
+            for event in active:
+                # in input order while later events still run
+                finish(event, futures.popleft().result)
+    else:
+        for event in active:
+            finish(event, partial(run_chain, event))
 
     out.mkdir(parents=True, exist_ok=True)
     forecasts_path = out / f"{args.strategy}.jsonl"

@@ -9,7 +9,9 @@ key.  Parsing is strict: one malformed line rejects the whole file.
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from enum import Enum
@@ -32,6 +34,7 @@ __all__ = [
     "parse_number",
     "read_json_lines",
     "read_text",
+    "write_text_atomic",
     "require_strings",
     "parse_dataset",
     "load_dataset",
@@ -223,6 +226,21 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with the UTF-8 ``text`` through a temp file in the same
+    directory and a rename: a reader finds the old file or the new one, and a
+    failed write leaves the old file and no temp file."""
+    # Unique among the writers running at once, and created under the umask
+    # as a plain write would be.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json_lines(

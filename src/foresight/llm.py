@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -28,7 +27,7 @@ from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 import requests
 from requests.adapters import HTTPAdapter
 
-from .events import json_data, read_json_lines
+from .events import json_data, read_json_lines, write_text_atomic
 
 __all__ = [
     "CompletionRequest",
@@ -535,14 +534,7 @@ class ContentStore:
         }
         path = self.path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False))
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        os.replace(tmp, path)
+        write_text_atomic(path, json.dumps(record, ensure_ascii=False))
 
     def get_or_compute(
         self,

@@ -31,6 +31,7 @@ from .events import (
     read_json_lines,
     read_text,
     require_strings,
+    write_text_atomic,
 )
 
 __all__ = [
@@ -337,7 +338,9 @@ def serialize_forecasts(records: Sequence[ForecastRecord]) -> str:
 
 
 def save_forecasts(records: Sequence[ForecastRecord], path: str | Path) -> None:
-    Path(path).write_text(serialize_forecasts(records), encoding="utf-8")
+    """Write the forecast file whole or not at all: an earlier file at
+    ``path`` stays as it was when the write fails."""
+    write_text_atomic(Path(path), serialize_forecasts(records))
 
 
 def round4(value: float) -> float:

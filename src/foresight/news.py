@@ -105,6 +105,10 @@ class QueryWindow:
 
 
 class NewsClient(Protocol):
+    """What every news client offers.  A client whose searches wait on the
+    network also sets ``waits_on_network = True``, as a completion backend
+    does; ``foresight run`` then runs events concurrently."""
+
     source: Source
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]: ...
@@ -114,6 +118,8 @@ class _JsonService:
     """GET of a JSON search endpoint under the HTTP retry policy of
     :func:`~foresight.llm.send_with_retries`, failing with :class:`NewsError`;
     without a ``session`` it builds one with :func:`~foresight.llm.http_session`."""
+
+    waits_on_network = True
 
     def __init__(
         self,
@@ -273,6 +279,11 @@ class CachedNewsClient:
         self.store = ContentStore(cache_dir, replay_only=replay_only)
         self.client = client
         self.source = client.source
+
+    @property
+    def waits_on_network(self) -> bool:
+        # a replay-only cache never passes a search on
+        return not self.store.replay_only and getattr(self.client, "waits_on_network", False)
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
         return self.store.get_or_compute(

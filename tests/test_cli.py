@@ -1,13 +1,20 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
+import errno
 import json
 import os
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from foresight import cli
 from foresight.cli import _safe_filename, main
+from foresight.events import load_dataset
+from foresight.news import CachedNewsClient, HackerNewsClient, NYTClient
 from stubserver import StubNewsServer, hn_hit, nyt_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -204,6 +211,135 @@ def test_run_unexpected_error_fails_only_its_event(tmp_path, monkeypatch, capsys
     assert [l["event_id"] for l in lines] == [f"evt-{i:02d}" for i in range(1, 11) if i != 4]
     traces = sorted(p.name for p in (out / "traces" / "basic").iterdir())
     assert traces == [f"evt-{i:02d}.json" for i in range(1, 11) if i != 4]
+
+
+VAL_EVENTS = load_dataset(EVENTS).events
+
+
+class ScriptedBackend:
+    """Wraps the mock backend; calls ``on_event(k)`` before each request whose
+    prompt states the condition of the fixture's event k (0-based)."""
+
+    def __init__(self, inner, on_event, *, waits_on_network=False):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.on_event = on_event
+        self.waits_on_network = waits_on_network
+
+    def complete(self, request):
+        for k, event in enumerate(VAL_EVENTS):
+            if event.condition in request.prompt:
+                self.on_event(k)
+        return self.inner.complete(request)
+
+
+def script_backend(monkeypatch, on_event, **options):
+    build_backend = cli.build_backend
+    monkeypatch.setattr(
+        cli,
+        "build_backend",
+        lambda spec, config: ScriptedBackend(build_backend(spec, config), on_event, **options),
+    )
+
+
+def test_offline_run_writes_each_trace_before_the_next_event(tmp_path, monkeypatch):
+    trace_dir = tmp_path / "out" / "traces" / "basic"
+    written = []  # weak references to the traces handed to save_trace
+    save_trace = cli.save_trace
+
+    def save_and_watch(trace, path):
+        written.append(weakref.ref(trace))
+        save_trace(trace, path)
+
+    seen = []  # (event, thread, traces on disk, written traces still alive)
+
+    def on_event(k):
+        on_disk = sorted(path.name for path in trace_dir.glob("*.json"))
+        seen.append((k, threading.get_ident(), on_disk, [ref() is not None for ref in written]))
+
+    monkeypatch.setattr(cli, "save_trace", save_and_watch)
+    script_backend(monkeypatch, on_event)
+    argv = RUN_BASE + ["--strategy", "basic", "--out", str(tmp_path / "out"), "--workers", "4"]
+    assert main(argv) == 0
+    assert sorted({k for k, *_ in seen}) == list(range(len(VAL_EVENTS)))
+    for k, thread, on_disk, alive in seen:
+        assert thread == threading.get_ident(), k  # the calling thread, not the pool
+        assert on_disk == [f"evt-{i:02d}.json" for i in range(1, k + 1)], k
+        assert alive == [False] * k, k
+    assert len(written) == len(VAL_EVENTS)
+    assert not any(ref() is not None for ref in written)
+
+
+def test_network_run_writes_the_first_trace_while_later_events_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    first_trace = out / "traces" / "basic" / "evt-01.json"
+    threads = set()
+
+    def on_event(k):
+        threads.add(threading.get_ident())
+        if k == len(VAL_EVENTS) - 1:
+            deadline = time.monotonic() + 2.0
+            while not first_trace.is_file():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("the first trace was not written while the last event ran")
+                time.sleep(0.005)
+
+    script_backend(monkeypatch, on_event, waits_on_network=True)
+    argv = RUN_BASE + ["--strategy", "basic", "--out", str(out), "--workers", "4"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len((out / "basic.jsonl").read_text().splitlines()) == len(VAL_EVENTS)
+    assert threading.get_ident() not in threads  # the chains ran on the pool
+
+
+def test_news_clients_wait_on_network_unless_replaying(tmp_path, monkeypatch):
+    args = argparse.Namespace(hn_endpoint=None, nyt_endpoint=None)
+    monkeypatch.setenv("FORESIGHT_NYT_API_KEY", "key")
+
+    def clients(cache_dir, replay_only):
+        hn, nyt = cli._build_news_clients(args, cache_dir, replay_only)
+        return [(type(client), client.waits_on_network) for client in (hn, nyt)]
+
+    assert clients(None, False) == [(HackerNewsClient, True), (NYTClient, True)]
+    assert clients(tmp_path / "cache", False) == [(CachedNewsClient, True)] * 2
+    assert clients(tmp_path / "cache", True) == [(CachedNewsClient, False)] * 2
+    monkeypatch.delenv("FORESIGHT_NYT_API_KEY")
+    assert clients(tmp_path / "cache", False)[1] == (cli._UnconfiguredNewsClient, False)
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_failed_forecasts_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys, fault):
+    rules = tmp_path / "35.rules"
+    rules.write_text(
+        (FIXTURES / "mock.rules").read_text(encoding="utf-8").replace('"10%"', '"35%"'),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["run", "--events", EVENTS, "--date", "2022-08-01", "--strategy", "basic", "--out", str(out)]
+    assert main(argv + ["--backend", f"mock:{rules}"]) == 0
+    before = (out / "basic.jsonl").read_bytes()
+    assert b'"probability": 0.35' in before
+
+    full = OSError(errno.ENOSPC, "No space left on device")
+    if fault == "write":
+        write_text = Path.write_text
+
+        def write_half_of_a_temp_file(self, data, *args, **kwargs):
+            if not self.name.endswith(".tmp"):
+                return write_text(self, data, *args, **kwargs)
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise full
+
+        monkeypatch.setattr(Path, "write_text", write_half_of_a_temp_file)
+    else:
+        def refuse(source, target):
+            raise full
+
+        monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert main(argv + ["--backend", MOCK]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "basic.jsonl").read_bytes() == before
+    assert sorted(path.name for path in out.iterdir()) == ["basic.jsonl", "traces"]
 
 
 NEWS_HITS = [
