@@ -26,7 +26,15 @@ from foresight.metrics import brier, weighted_brier
 from foresight.news import HackerNewsClient, NYTClient
 from foresight.prompts import NoProbabilityFound, Scale, parse_probability
 from foresight.strategies import STRATEGY_IDS, run_strategy, save_trace
-from make_goldens import GOLDEN_TRACE_DIR, golden_path, render_all, write_traces
+from make_goldens import (
+    GOLDEN_TRACE_DIR,
+    TREE_MANIFEST,
+    golden_path,
+    render_all,
+    tree_manifest,
+    write_traces,
+    write_trees,
+)
 from stubserver import StubNewsServer, hn_hit, nyt_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -121,6 +129,13 @@ def test_criterion_04b_golden_traces_byte_identical(tmp_path):
     for name in names:
         frozen = (GOLDEN_TRACE_DIR / name).read_bytes()
         assert (tmp_path / name).read_bytes() == frozen, f"trace drifted: {name}"
+
+
+def test_criterion_04c_out_trees_match_manifest(tmp_path):
+    # every file the CLI writes under --out (all strategies, news recorded
+    # with and without an NYT key and replayed, a failing run, both score
+    # reports) hashes to its line in the manifest make_goldens.py writes
+    assert tree_manifest(write_trees(tmp_path)) == TREE_MANIFEST.read_text(encoding="utf-8")
 
 
 def test_criterion_05_end_to_end_determinism_all_strategies(tmp_path):
