@@ -64,7 +64,7 @@ def main():
             for event in split.events
         ]
         print(render_report(score(forecasts, split), title=f"Scores for {strategy}"))
-    market = market_forecast_records(split, TODAY)
+    market = market_forecast_records(split.events, TODAY)
     print(render_report(score(market, split), title="Scores for market midpoint"))
 
 

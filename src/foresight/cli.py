@@ -12,12 +12,11 @@ import sys
 import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from datetime import date
 from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .events import DatasetError, UnresolvedEvent, active_events, load_dataset, parse_date
+from .events import InputError, active_events, load_dataset, parse_date
 from .llm import (
     BASE_URL_ENV,
     CachedBackend,
@@ -27,11 +26,6 @@ from .llm import (
     NullBackend,
 )
 from .metrics import (
-    EmptyClass,
-    EmptyInput,
-    MismatchedEventSets,
-    MissingSnapshot,
-    UnknownEvent,
     coherence_sum,
     join_by_event,
     load_forecasts,
@@ -48,17 +42,12 @@ from .news import (
     DEFAULT_NYT_ENDPOINT,
     CachedNewsClient,
     HackerNewsClient,
-    MissingApiKey,
     NYTClient,
     NYT_API_KEY_ENV,
-    NewsError,
-    Source,
 )
 from .strategies import (
     STRATEGY_IDS,
     ChainError,
-    InvalidParam,
-    UnknownStrategy,
     check_params,
     run_strategy,
     save_partial_trace,
@@ -66,7 +55,7 @@ from .strategies import (
     trace_to_forecast,
 )
 
-__all__ = ["ConfigError", "EXIT_CONFIG", "EXIT_OK", "EXIT_RUN_FAILURES", "build_parser", "main"]
+__all__ = ["EXIT_CONFIG", "EXIT_OK", "EXIT_RUN_FAILURES", "build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
@@ -87,45 +76,6 @@ _CONFIG_KEYS = {
     "supports_multi_sample": ({"0": False, "1": True}.__getitem__, None, "0 or 1"),
 }
 
-# Errors that mean the invocation or its inputs are wrong, not the run.
-_INPUT_ERRORS = (
-    DatasetError,
-    UnresolvedEvent,
-    EmptyClass,
-    EmptyInput,
-    MismatchedEventSets,
-    MissingSnapshot,
-    UnknownEvent,
-    MissingApiKey,
-    UnknownStrategy,
-    InvalidParam,
-)
-
-
-class ConfigError(ValueError):
-    """Raised for a bad flag, backend spec, or configuration value."""
-
-
-class _UnconfiguredNewsClient:
-    """Stands in for a live client that cannot be built; search always fails."""
-
-    waits_on_network = False
-
-    def __init__(self, source: Source, reason: str):
-        self.source = source
-        self.reason = reason
-
-    def search(self, window):
-        raise NewsError(self.reason)
-
-
-def _date_flag(value: str) -> date:
-    try:
-        return parse_date(value, "--date")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _check_endpoint(flag: str, url: str | None) -> None:
     """A given endpoint flag must be an http or https URL with a host."""
     try:
@@ -134,7 +84,7 @@ def _check_endpoint(flag: str, url: str | None) -> None:
     except ValueError:  # an unbalanced IPv6 bracket
         valid = False
     if not valid:
-        raise ConfigError(f"{flag} must be an http or https URL with a host, got {url!r}")
+        raise InputError(f"{flag} must be an http or https URL with a host, got {url!r}")
 
 
 def _parse_config(items) -> dict:
@@ -144,16 +94,16 @@ def _parse_config(items) -> dict:
         key, sep, text = item.partition("=")
         key, text = key.strip(), text.strip()
         if not sep or not key:
-            raise ConfigError(f"--config expects KEY=VALUE, got {item!r}")
+            raise InputError(f"--config expects KEY=VALUE, got {item!r}")
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown --config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+            raise InputError(f"unknown --config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
         parse, check, expected = _CONFIG_KEYS[key]
         try:
             value = parse(text)
         except (KeyError, ValueError):
             value = None
         if value is None or (check is not None and not check(value)):
-            raise ConfigError(f"--config {key} must be {expected}, got {text!r}")
+            raise InputError(f"--config {key} must be {expected}, got {text!r}")
         config[key] = value
     return config
 
@@ -163,24 +113,24 @@ def build_backend(spec: str, config: dict) -> CompletionBackend:
     if spec == "live":
         model = config.get("model")
         if not model:
-            raise ConfigError("the live backend needs --config model=NAME")
+            raise InputError("the live backend needs --config model=NAME")
         if not os.environ.get(BASE_URL_ENV):
-            raise ConfigError(f"the live backend needs {BASE_URL_ENV} set")
+            raise InputError(f"the live backend needs {BASE_URL_ENV} set")
         # every other key set is the HttpBackend option of its name
         options = {key: config[key] for key in config.keys() - {"model", "replay_backend_id"}}
         return HttpBackend(model, **options)
     if spec.startswith("mock:"):
         path = spec[len("mock:"):]
         if not path:
-            raise ConfigError("the mock backend needs a rules file: mock:PATH")
+            raise InputError("the mock backend needs a rules file: mock:PATH")
         try:
             return MockBackend.from_file(path)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load mock rules from {path}: {exc}") from None
+            raise InputError(f"cannot load mock rules from {path}: {exc}") from None
     if spec.startswith("replay:"):
         # the inner backend only; cmd_run wraps it in the replay-only cache
         return NullBackend(config.get("replay_backend_id", "mock"))
-    raise ConfigError(f"unknown backend spec {spec!r}; use live, mock:PATH, or replay:DIR")
+    raise InputError(f"unknown backend spec {spec!r}; use live, mock:PATH, or replay:DIR")
 
 
 def _build_news_clients(args, cache_dir: Path | None, replay_only: bool):
@@ -190,14 +140,10 @@ def _build_news_clients(args, cache_dir: Path | None, replay_only: bool):
         return CachedNewsClient(cache_dir / "news", client, replay_only=replay_only)
 
     hn = cached(HackerNewsClient(args.hn_endpoint or DEFAULT_HN_ENDPOINT))
-    api_key = os.environ.get(NYT_API_KEY_ENV)
-    if not api_key:
-        # Never cached: it records nothing, so a replay without the key must
-        # take this same path to reproduce the run.
-        return hn, _UnconfiguredNewsClient(
-            Source.NYT, f"set {NYT_API_KEY_ENV} to query the New York Times"
-        )
-    return hn, cached(NYTClient(api_key, args.nyt_endpoint or DEFAULT_NYT_ENDPOINT))
+    nyt = NYTClient(os.environ.get(NYT_API_KEY_ENV), args.nyt_endpoint or DEFAULT_NYT_ENDPOINT)
+    # Never cached without a key: it records nothing, so a replay without the
+    # key must take this same path to reproduce the run.
+    return hn, cached(nyt) if nyt.api_key else nyt
 
 
 _UNSAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
@@ -219,20 +165,20 @@ def _cache_location(args) -> tuple[Path | None, bool]:
     if not args.backend.startswith("replay:"):
         return (Path(args.cache) if args.cache else None), False
     if args.cache:
-        raise ConfigError("replay:DIR already reads a cache; do not combine it with --cache")
+        raise InputError("replay:DIR already reads a cache; do not combine it with --cache")
     directory = args.backend[len("replay:"):]
     if not (directory and Path(directory).is_dir()):
-        raise ConfigError(f"nothing to replay: no cache directory {directory!r}")
+        raise InputError(f"nothing to replay: no cache directory {directory!r}")
     return Path(directory), True
 
 
 def cmd_run(args) -> int:
     config = _parse_config(args.config)
-    today = _date_flag(args.date)
+    today = parse_date(args.date, "--date")
     _check_endpoint("--hn-endpoint", args.hn_endpoint)
     _check_endpoint("--nyt-endpoint", args.nyt_endpoint)
     if args.workers < 1:
-        raise ConfigError(f"--workers must be positive, got {args.workers}")
+        raise InputError(f"--workers must be positive, got {args.workers}")
     params: dict[str, int] = {}
     if args.persona_count is not None:
         params["persona_count"] = args.persona_count
@@ -300,11 +246,15 @@ def cmd_run(args) -> int:
     # Threads pay only while a chain waits on the network: offline chains
     # hold the GIL, so they run here, one event after another.
     if any(getattr(part, "waits_on_network", False) for part in (backend, hn_client, nyt_client)):
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        pool = ThreadPoolExecutor(max_workers=args.workers)
+        try:
             futures = deque(pool.submit(run_chain, event) for event in active)
             for event in active:
                 # in input order while later events still run
                 finish(event, futures.popleft().result)
+        finally:
+            # a run stopped early (a failed write, Ctrl-C) starts no queued event
+            pool.shutdown(cancel_futures=True)
     else:
         for event in active:
             finish(event, partial(run_chain, event))
@@ -327,10 +277,10 @@ def cmd_score(args) -> int:
     split = load_dataset(args.events)
     if args.from_market:
         if not args.date:
-            raise ConfigError("--from-market needs --date")
-        on = _date_flag(args.date)
+            raise InputError("--from-market needs --date")
+        on = parse_date(args.date, "--date")
         candidates = [event for event in active_events(split, on) if event.resolved]
-        records = market_forecast_records(split, on, events=candidates)
+        records = market_forecast_records(candidates, on)
     else:
         records = load_forecasts(args.forecasts)
     report = score(records, split)
@@ -450,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, *_INPUT_ERRORS) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

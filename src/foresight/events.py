@@ -25,6 +25,7 @@ __all__ = [
     "Event",
     "MarketSnapshot",
     "DatasetSplit",
+    "InputError",
     "DatasetError",
     "MalformedRecord",
     "DuplicateId",
@@ -60,7 +61,12 @@ class Resolution(Enum):
     UNRESOLVED = "unresolved"
 
 
-class DatasetError(ValueError):
+class InputError(ValueError):
+    """Input the caller got wrong; raised out of a command, it makes the
+    command exit 2."""
+
+
+class DatasetError(InputError):
     """Base class for event-file schema violations."""
 
 
@@ -79,7 +85,7 @@ class DuplicateId(DatasetError):
         self.event_id = event_id
 
 
-class UnresolvedEvent(ValueError):
+class UnresolvedEvent(InputError):
     """Raised when an operation needs an outcome the event does not have."""
 
     def __init__(self, event_id: str):
@@ -201,7 +207,7 @@ def parse_date(value: object, name: str = "date") -> date:
     # the type test stays outside the cache: an unhashable value is a ValueError too
     parsed = _iso_date(value) if isinstance(value, str) else None
     if parsed is None:
-        raise ValueError(f"{name} must be a YYYY-MM-DD date, got {value!r}")
+        raise InputError(f"{name} must be a YYYY-MM-DD date, got {value!r}")
     return parsed
 
 

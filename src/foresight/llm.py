@@ -605,7 +605,8 @@ class CachedBackend:
 
     @property
     def waits_on_network(self) -> bool:
-        return getattr(self.backend, "waits_on_network", False)
+        # a replay-only cache never passes a request on
+        return not self.store.replay_only and getattr(self.backend, "waits_on_network", False)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         return self.store.get_or_compute(

@@ -21,6 +21,7 @@ from .events import (
     DatasetSplit,
     DuplicateId,
     Event,
+    InputError,
     MalformedRecord,
     UnresolvedEvent,
     json_data,
@@ -61,11 +62,11 @@ __all__ = [
 MEAN_TOLERANCE = 1e-9
 
 
-class EmptyInput(ValueError):
+class EmptyInput(InputError):
     """A scoring operation received no data points."""
 
 
-class EmptyClass(ValueError):
+class EmptyClass(InputError):
     """One side of a class-weighted score has no members."""
 
     def __init__(self, which: str):
@@ -73,13 +74,13 @@ class EmptyClass(ValueError):
         self.which = which
 
 
-class UnknownEvent(ValueError):
+class UnknownEvent(InputError):
     def __init__(self, event_id: str):
         super().__init__(f"forecast references unknown event {event_id!r}")
         self.event_id = event_id
 
 
-class MismatchedEventSets(ValueError):
+class MismatchedEventSets(InputError):
     """Two forecast sets that must cover identical events do not."""
 
     def __init__(self, missing_ids: Iterable[str]):
@@ -88,7 +89,7 @@ class MismatchedEventSets(ValueError):
         super().__init__(f"event sets differ; ids present on one side only: {listed}")
 
 
-class MissingSnapshot(ValueError):
+class MissingSnapshot(InputError):
     def __init__(self, event_id: str, on: date):
         super().__init__(f"event {event_id!r} has no market snapshot dated {on}")
         self.event_id = event_id
@@ -269,18 +270,13 @@ def prediction_shift(
     ]
 
 
-def market_forecast_records(
-    split: DatasetSplit,
-    on: date,
-    *,
-    events: Sequence[Event] | None = None,
-) -> list[ForecastRecord]:
+def market_forecast_records(events: Iterable[Event], on: date) -> list[ForecastRecord]:
     """Build forecasts from market spread midpoints on a single date.
 
     An event without a snapshot dated ``on`` is an error, not a skip.
     """
     records = []
-    for event in split.events if events is None else events:
+    for event in events:
         snapshot = next((s for s in event.market if s.date == on), None)
         if snapshot is None:
             raise MissingSnapshot(event.id, on)

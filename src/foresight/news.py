@@ -21,7 +21,6 @@ __all__ = [
     "CachedNewsClient",
     "HackerNewsClient",
     "Headline",
-    "MissingApiKey",
     "NYTClient",
     "NYT_API_KEY_ENV",
     "NetworkError",
@@ -61,10 +60,6 @@ class UpstreamError(NewsError):
         self.status = status
         self.body = body
         super().__init__(f"news service returned {status}: {body}")
-
-
-class MissingApiKey(NewsError):
-    """Raised when a client requiring an API key is built without one."""
 
 
 class Source(Enum):
@@ -208,17 +203,19 @@ class HackerNewsClient(_JsonService):
 
 
 class NYTClient(_JsonService):
-    """Article search against the New York Times archive."""
+    """Article search against the New York Times archive.  Without an API key
+    every search fails with :class:`NewsError` before any request is sent."""
 
     source = Source.NYT
 
-    def __init__(self, api_key: str, endpoint: str = DEFAULT_NYT_ENDPOINT, **options):
-        if not api_key:
-            raise MissingApiKey(f"an API key is required; set {NYT_API_KEY_ENV}")
+    def __init__(self, api_key: str | None, endpoint: str = DEFAULT_NYT_ENDPOINT, **options):
         super().__init__(endpoint, **options)
         self.api_key = api_key
+        self.waits_on_network = bool(api_key)
 
     def search(self, window: QueryWindow) -> tuple[Headline, ...]:
+        if not self.api_key:
+            raise NewsError(f"set {NYT_API_KEY_ENV} to query the New York Times")
         headlines: list[Headline] = []
         page = 0
         while len(headlines) < window.max_results and page < _NYT_MAX_PAGES:

@@ -13,7 +13,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .events import Event, parse_date
+from .events import Event, InputError, parse_date
 from .llm import (
     BackendError,
     CompletionBackend,
@@ -63,7 +63,7 @@ DEFAULT_KEYWORD_COUNT = 3
 NO_HEADLINES_TEXT = "No relevant headlines were found."
 
 
-class UnknownStrategy(ValueError):
+class UnknownStrategy(InputError):
     """Raised when a strategy id is not registered."""
 
     def __init__(self, strategy_id: str):
@@ -71,7 +71,7 @@ class UnknownStrategy(ValueError):
         super().__init__(f"unknown strategy: {strategy_id!r}")
 
 
-class InvalidParam(ValueError):
+class InvalidParam(InputError):
     """Raised when a strategy is given a parameter it does not accept."""
 
 

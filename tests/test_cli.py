@@ -303,7 +303,30 @@ def test_news_clients_wait_on_network_unless_replaying(tmp_path, monkeypatch):
     assert clients(tmp_path / "cache", False) == [(CachedNewsClient, True)] * 2
     assert clients(tmp_path / "cache", True) == [(CachedNewsClient, False)] * 2
     monkeypatch.delenv("FORESIGHT_NYT_API_KEY")
-    assert clients(tmp_path / "cache", False)[1] == (cli._UnconfiguredNewsClient, False)
+    assert clients(tmp_path / "cache", False)[1] == (NYTClient, False)
+
+
+def test_network_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch, capsys):
+    started = set()
+    stopped = threading.Event()
+
+    def on_event(k):
+        started.add(k)
+        if k > 0:
+            # hold later events until the run has stopped
+            stopped.wait(2.0)
+            time.sleep(0.05)
+
+    def disk_full(trace, path):
+        stopped.set()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_trace", disk_full)
+    script_backend(monkeypatch, on_event, waits_on_network=True)
+    argv = RUN_BASE + ["--strategy", "basic", "--out", str(tmp_path / "out"), "--workers", "1"]
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(started) <= 2  # the failed event and the one the worker had taken
 
 
 @pytest.mark.parametrize("fault", ["write", "replace"])

@@ -15,6 +15,7 @@ from foresight.events import (
     DatasetSplit,
     DuplicateId,
     Event,
+    InputError,
     MalformedRecord,
     MarketSnapshot,
     Resolution,
@@ -27,6 +28,15 @@ from foresight.events import (
     parse_date,
     serialize_dataset,
 )
+
+from foresight.metrics import (
+    EmptyClass,
+    EmptyInput,
+    MismatchedEventSets,
+    MissingSnapshot,
+    UnknownEvent,
+)
+from foresight.strategies import InvalidParam, UnknownStrategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -242,6 +252,20 @@ def test_parse_date_rejects_each_repeat_with_its_field(value):
     for name in ("created", "created", "market.date"):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a YYYY-MM-DD date, got "):
             parse_date(value, name)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [DuplicateId, MalformedRecord, UnresolvedEvent, EmptyClass, EmptyInput, MismatchedEventSets,
+     MissingSnapshot, UnknownEvent, InvalidParam, UnknownStrategy],
+)
+def test_input_errors_share_one_base_and_stay_value_errors(error):
+    assert issubclass(error, InputError) and issubclass(error, ValueError)
+
+
+def test_parse_date_raises_an_input_error():
+    with pytest.raises(InputError, match="^--date must be a YYYY-MM-DD date, got 'yesterday'$"):
+        parse_date("yesterday", "--date")
 
 
 def test_parse_date_repeats_give_equal_dates():

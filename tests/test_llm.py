@@ -228,6 +228,13 @@ def test_cached_backend_replay_only(tmp_path):
     assert null.calls == 0
 
 
+def test_cached_backend_waits_on_network_unless_replaying(tmp_path):
+    live = HttpBackend("m", base_url="http://127.0.0.1:9/v1")
+    assert CachedBackend(tmp_path, live).waits_on_network is True
+    # a replay-only cache reads files only, so its chains need no pool
+    assert CachedBackend(tmp_path, live, replay_only=True).waits_on_network is False
+
+
 def test_cached_backend_corrupt_entry(tmp_path):
     inner = MockBackend([MockRule("any", None, "r")])
     cache = CachedBackend(tmp_path, inner)

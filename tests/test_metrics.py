@@ -187,12 +187,12 @@ def test_prediction_shift_rejects_mismatch_and_duplicates():
 
 def test_market_forecast_records_midpoints():
     split = load_dataset(FIXTURES / "events_small.jsonl")
-    records = market_forecast_records(split, date(2022, 8, 1), events=[split.event_by_id("e1")])
+    records = market_forecast_records([split.event_by_id("e1")], date(2022, 8, 1))
     assert len(records) == 1
     assert records[0].probability == pytest.approx(0.6)
     assert records[0].strategy == "market"
     with pytest.raises(MissingSnapshot):
-        market_forecast_records(split, date(2022, 8, 2), events=[split.event_by_id("e1")])
+        market_forecast_records([split.event_by_id("e1")], date(2022, 8, 2))
 
 
 def test_forecast_record_mean_invariant():

@@ -12,8 +12,8 @@ from foresight.news import (
     CachedNewsClient,
     HackerNewsClient,
     Headline,
-    MissingApiKey,
     NYTClient,
+    NYT_API_KEY_ENV,
     NetworkError,
     NewsError,
     QueryWindow,
@@ -217,8 +217,13 @@ def test_hackernews_client_network_error():
 
 
 def test_nyt_client_requires_key():
-    with pytest.raises(MissingApiKey):
-        NYTClient("")
+    # without a key the client does not wait on the network and sends nothing
+    with StubNewsServer(nyt_docs=[nyt_doc("Article", "2022-07-01T00:00:00+0000")]) as server:
+        client = NYTClient(None, server.nyt_endpoint)
+        assert client.waits_on_network is False
+        with pytest.raises(NewsError, match=f"set {NYT_API_KEY_ENV} to query the New York Times"):
+            client.search(window())
+        assert server.count("/nyt") == 0
 
 
 def test_nyt_client_query_shape_and_pagination():
