@@ -205,8 +205,9 @@ def write_trees(root):
     Under ``root/out``: every strategy but news on the scripted backend into
     one ``--out``; news against the stub services with and without an NYT
     key, each recorded with ``--cache`` and replayed from it; a sequences run
-    whose every event fails; and ``score --out`` of a forecast file and of
-    the market.  Cache entries carry their write time, so the caches and the
+    whose every event fails; ``score --out`` of a forecast file and of the
+    market; and ``bias --out`` and ``rationale --out`` of the basic forecasts
+    against the reversed and the rationale-first ones.  Cache entries carry their write time, so the caches and the
     inputs stay under ``root/work``, outside the compared tree.
     """
     out, work = Path(root) / "out", Path(root) / "work"
@@ -245,6 +246,11 @@ def write_trees(root):
          "--out", out / "score_basic.json")
     _cli(0, "score", "--events", events, "--from-market", "--date", "2022-08-01",
          "--out", out / "score_market.json")
+    _cli(0, "bias", "--forward", out / "mock" / "basic.jsonl",
+         "--reversed", out / "mock" / "reversed.jsonl", "--out", out / "bias_basic.json")
+    _cli(0, "rationale", "--just", out / "mock" / "basic.jsonl",
+         "--rationale", out / "mock" / "basic_with_rationale.jsonl",
+         "--out", out / "rationale_basic.csv")
     return out
 
 
