@@ -6,13 +6,12 @@ and prompting for a rationale first shifts answers upward:
 python3 demos/bias_analysis.py
 """
 
-import math
 from datetime import date
 
 from foresight.events import Category, Event
 from foresight.llm import MockBackend, MockRule
-from foresight.metrics import coherence_sum, prediction_shift
-from foresight.strategies import run_strategy
+from foresight.metrics import bias, prediction_shift
+from foresight.strategies import run_strategy, trace_to_forecast
 
 TODAY = date(2022, 8, 1)
 
@@ -49,40 +48,25 @@ BACKEND = MockBackend(
 )
 
 
-def mean(values):
-    return math.fsum(values) / len(values)
+def forecasts(strategy):
+    return [trace_to_forecast(run_strategy(strategy, event, TODAY, BACKEND)) for event in EVENTS]
 
 
 def main():
-    forward = []
-    flipped = []
-    just_answer = []
-    with_rationale = []
-    for event in EVENTS:
-        basic = run_strategy("basic", event, TODAY, BACKEND)
-        reversed_trace = run_strategy("reversed", event, TODAY, BACKEND)
-        rationale = run_strategy("basic_with_rationale", event, TODAY, BACKEND)
-        forward.append(basic.final_probability)
-        flipped.append(reversed_trace.final_probability)
-        just_answer.append((event.id, basic.final_probability))
-        with_rationale.append((event.id, rationale.final_probability))
-
-    mean_forward = mean(forward)
-    mean_flipped = mean(flipped)
-    mean_opposite = 1.0 - mean_flipped
-    print(f"mean P(event)                 {mean_forward:.4f}")
-    print(f"mean 1 - P(opposite)          {mean_flipped:.4f}")
-    print(f"mean P(opposite)              {mean_opposite:.4f}")
-    total = coherence_sum(mean_forward, mean_opposite)
-    print(f"coherence sum (ideal 1.0)     {total:.4f}")
-    if total < 1.0:
+    just_answer = forecasts("basic")
+    report = bias(just_answer, forecasts("reversed"))
+    print(f"mean P(event)                 {report.mean_forward:.4f}")
+    print(f"mean 1 - P(opposite)          {report.mean_reversed:.4f}")
+    print(f"mean P(opposite)              {report.implied_opposite:.4f}")
+    print(f"coherence sum (ideal 1.0)     {report.coherence_sum:.4f}")
+    if report.coherence_sum < 1.0:
         print("the scripted model underestimates both framings\n")
 
-    rows = prediction_shift(just_answer, with_rationale)
+    rows, mean_delta = prediction_shift(just_answer, forecasts("basic_with_rationale"))
     print("event      just answer   with rationale   shift")
     for event_id, p_just, p_rationale, delta in rows:
         print(f"{event_id:10} {p_just:11.4f} {p_rationale:16.4f} {delta:+7.4f}")
-    print(f"mean shift: {mean([delta for *_, delta in rows]):+.4f}")
+    print(f"mean shift: {mean_delta:+.4f}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .events import InputError, active_events, load_dataset, parse_date
+from .events import InputError, active_events, json_data, load_dataset, parse_date, write_text_atomic
 from .llm import (
     BASE_URL_ENV,
     CachedBackend,
@@ -26,8 +27,7 @@ from .llm import (
     NullBackend,
 )
 from .metrics import (
-    coherence_sum,
-    join_by_event,
+    bias,
     load_forecasts,
     market_forecast_records,
     prediction_shift,
@@ -287,61 +287,44 @@ def cmd_score(args) -> int:
     label = ", ".join(sorted({record.strategy for record in records}))
     print(render_report(report, title=f"Scores for {label}"))
     if args.out:
-        payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-        print(f"report: {args.out}")
+        _write_report(args.out, report_to_dict(report))
     return EXIT_OK
 
 
-def _probabilities(path) -> list[tuple[str, float]]:
-    return [(record.event_id, record.probability) for record in load_forecasts(path)]
-
-
 def cmd_bias(args) -> int:
-    rows = join_by_event(_probabilities(args.forward), _probabilities(args.reversed_file))
-    mean_forward = math.fsum(row[1] for row in rows) / len(rows)
-    mean_flipped = math.fsum(row[2] for row in rows) / len(rows)
-    # Reversed runs already report 1 - P(opposite), so undo that complement
-    # to recover the probability put on the opposite event.
-    mean_opposite = 1.0 - mean_flipped
-    total = coherence_sum(mean_forward, mean_opposite)
-    print(f"n = {len(rows)}")
-    print(f"mean forward probability      {round4(mean_forward):.4f}")
-    print(f"mean reversed probability     {round4(mean_flipped):.4f}")
-    print(f"implied opposite probability  {round4(mean_opposite):.4f}")
-    print(f"coherence sum (ideal 1.0)     {round4(total):.4f}")
+    report = bias(load_forecasts(args.forward), load_forecasts(args.reversed_file))
+    print(f"n = {report.n}")
+    print(f"mean forward probability      {round4(report.mean_forward):.4f}")
+    print(f"mean reversed probability     {round4(report.mean_reversed):.4f}")
+    print(f"implied opposite probability  {round4(report.implied_opposite):.4f}")
+    print(f"coherence sum (ideal 1.0)     {round4(report.coherence_sum):.4f}")
     if args.out:
-        payload = {
-            "n": len(rows),
-            "mean_forward": mean_forward,
-            "mean_reversed": mean_flipped,
-            "implied_opposite": mean_opposite,
-            "coherence_sum": total,
-        }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"report: {args.out}")
+        _write_report(args.out, json_data(report))
     return EXIT_OK
 
 
 def cmd_rationale(args) -> int:
-    rows = prediction_shift(_probabilities(args.just), _probabilities(args.rationale))
+    rows, mean_delta = prediction_shift(load_forecasts(args.just), load_forecasts(args.rationale))
     print("event_id\tp_just\tp_rationale\tdelta")
     for event_id, p_just, p_rationale, delta in rows:
         print(
             f"{event_id}\t{round4(p_just):.4f}\t{round4(p_rationale):.4f}\t{round4(delta):+.4f}"
         )
-    mean_delta = math.fsum(row[3] for row in rows) / len(rows)
     print(f"mean shift: {round4(mean_delta):+.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["event_id", "p_just", "p_rationale", "delta"])
-            for event_id, p_just, p_rationale, delta in rows:
-                writer.writerow([event_id, repr(p_just), repr(p_rationale), repr(delta)])
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["event_id", "p_just", "p_rationale", "delta"])
+        writer.writerows([event_id, *map(repr, values)] for event_id, *values in rows)
+        write_text_atomic(Path(args.out), table.getvalue())
         print(f"table: {args.out}")
     return EXIT_OK
+
+
+def _write_report(path: str, data: dict) -> None:
+    """Write an --out JSON report whole or not at all, then name it."""
+    write_text_atomic(Path(path), json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"report: {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:

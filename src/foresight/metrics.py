@@ -22,8 +22,6 @@ from .events import (
     DuplicateId,
     Event,
     InputError,
-    MalformedRecord,
-    UnresolvedEvent,
     json_data,
     market_point_prediction,
     outcome_indicator,
@@ -38,6 +36,7 @@ from .events import (
 __all__ = [
     "ForecastRecord",
     "ScoreReport",
+    "BiasReport",
     "EmptyInput",
     "EmptyClass",
     "UnknownEvent",
@@ -46,7 +45,7 @@ __all__ = [
     "brier",
     "weighted_brier",
     "score",
-    "coherence_sum",
+    "bias",
     "join_by_event",
     "prediction_shift",
     "market_forecast_records",
@@ -150,6 +149,20 @@ class ScoreReport:
             raise ValueError("weighted_brier must be present exactly when both classes are")
 
 
+@dataclass(frozen=True)
+class BiasReport:
+    """Forward against reversed forecasts of the same events.  A reversed run
+    reports ``1 - P(opposite)``; ``implied_opposite`` undoes that complement,
+    and a coherent forecaster's ``coherence_sum`` (forward mean plus implied
+    opposite) is 1.0: an event and its negation split the probability mass."""
+
+    n: int
+    mean_forward: float
+    mean_reversed: float
+    implied_opposite: float
+    coherence_sum: float
+
+
 def brier(pairs: Sequence[tuple[float, int]]) -> float:
     """Mean squared error of (probability, outcome) pairs.  Outcomes are 0/1."""
     if len(pairs) == 0:
@@ -176,16 +189,18 @@ def weighted_brier(
 def score(forecasts: Sequence[ForecastRecord], split: DatasetSplit) -> ScoreReport:
     """Score forecasts against the split's resolved outcomes.
 
-    Every forecast must reference a known, resolved event; violations raise
-    rather than silently dropping rows.
+    Every forecast must reference a known, resolved event, once per strategy;
+    violations raise rather than silently dropping or reweighting rows.
     """
     if len(forecasts) == 0:
         raise EmptyInput("no forecasts to score")
+    seen: set[tuple[str, str]] = set()
     pairs: list[tuple[float, int]] = []
     yes_pairs: list[tuple[float, int]] = []
     no_pairs: list[tuple[float, int]] = []
     by_category: dict[Category, list[tuple[float, int]]] = {}
     for f in forecasts:
+        _claim(seen, (f.strategy, f.event_id), f.event_id)
         event = split.event_by_id(f.event_id)
         if event is None:
             raise UnknownEvent(f.event_id)
@@ -197,9 +212,8 @@ def score(forecasts: Sequence[ForecastRecord], split: DatasetSplit) -> ScoreRepo
 
     brier_yes = brier(yes_pairs) if yes_pairs else None
     brier_no = brier(no_pairs) if no_pairs else None
-    weighted = (
-        weighted_brier(yes_pairs, no_pairs) if yes_pairs and no_pairs else None
-    )
+    # the weighted_brier of the two classes, without scoring them again
+    weighted = (brier_yes + brier_no) / 2.0 if yes_pairs and no_pairs else None
     per_category = {
         cat: (len(cat_pairs), brier(cat_pairs)) for cat, cat_pairs in by_category.items()
     }
@@ -216,29 +230,27 @@ def score(forecasts: Sequence[ForecastRecord], split: DatasetSplit) -> ScoreRepo
     )
 
 
-def coherence_sum(mean_forward: float, mean_reversed: float) -> float:
-    """Sum of mean forward and mean reversed-event probabilities.
-
-    For a coherent forecaster the two means add to 1.0: an event and its
-    negation must split the probability mass.
-    """
-    for value in (mean_forward, mean_reversed):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"mean probability {value} outside [0, 1]")
-    return mean_forward + mean_reversed
+def bias(forward: Sequence[ForecastRecord], flipped: Sequence[ForecastRecord]) -> BiasReport:
+    """Compare forward forecasts with reversed-framing ones on the same events
+    (joined by :func:`join_by_event`)."""
+    rows = join_by_event(forward, flipped)
+    mean_forward = math.fsum(row[1] for row in rows) / len(rows)
+    mean_reversed = math.fsum(row[2] for row in rows) / len(rows)
+    opposite = 1.0 - mean_reversed
+    return BiasReport(len(rows), mean_forward, mean_reversed, opposite, mean_forward + opposite)
 
 
 def join_by_event(
-    left: Iterable[tuple[str, float]], right: Iterable[tuple[str, float]]
+    left: Sequence[ForecastRecord], right: Sequence[ForecastRecord]
 ) -> list[tuple[str, float, float]]:
-    """Join two ``(event_id, probability)`` sets into rows sorted by event id.
+    """Join two forecast sets into ``(event_id, p_left, p_right)`` rows by event id.
 
     Each side may list an event once (``DuplicateId``), both sides must cover
     the same events (``MismatchedEventSets``), and they may not be empty
     (``EmptyInput``).
     """
-    lhs = _as_unique_map(left)
-    rhs = _as_unique_map(right)
+    lhs = _by_event(left)
+    rhs = _by_event(right)
     if set(lhs) != set(rhs):
         raise MismatchedEventSets(set(lhs) ^ set(rhs))
     if not lhs:
@@ -246,28 +258,31 @@ def join_by_event(
     return [(event_id, lhs[event_id], rhs[event_id]) for event_id in sorted(lhs)]
 
 
-def _as_unique_map(pairs: Iterable[tuple[str, float]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for event_id, p in pairs:
-        if event_id in out:
-            raise DuplicateId(event_id)
-        out[event_id] = p
-    return out
+def _claim(seen: set, key: object, event_id: str) -> None:
+    """Add ``key`` to ``seen``; a key already there is a repeated forecast."""
+    if key in seen:
+        raise DuplicateId(event_id)
+    seen.add(key)
+
+
+def _by_event(records: Sequence[ForecastRecord]) -> dict[str, float]:
+    seen: set[str] = set()
+    for record in records:
+        _claim(seen, record.event_id, record.event_id)
+    return {record.event_id: record.probability for record in records}
 
 
 def prediction_shift(
-    just_answer: Iterable[tuple[str, float]],
-    with_rationale: Iterable[tuple[str, float]],
-) -> list[tuple[str, float, float, float]]:
-    """Join two forecast sets on event id and report the per-event shift.
-
-    Returns rows ``(event_id, p_just, p_rationale, delta)`` sorted by event id,
-    where ``delta = p_rationale - p_just``; the join is :func:`join_by_event`.
-    """
-    return [
+    just_answer: Sequence[ForecastRecord], with_rationale: Sequence[ForecastRecord]
+) -> tuple[list[tuple[str, float, float, float]], float]:
+    """Join two forecast sets on event id (:func:`join_by_event`); return rows
+    ``(event_id, p_just, p_rationale, delta)`` sorted by event id, where
+    ``delta = p_rationale - p_just``, and the mean delta."""
+    rows = [
         (event_id, p_just, p_rationale, p_rationale - p_just)
         for event_id, p_just, p_rationale in join_by_event(just_answer, with_rationale)
     ]
+    return rows, math.fsum(row[3] for row in rows) / len(rows)
 
 
 def market_forecast_records(events: Iterable[Event], on: date) -> list[ForecastRecord]:

@@ -342,6 +342,17 @@ def test_failed_forecasts_write_keeps_the_previous_file(tmp_path, monkeypatch, c
     before = (out / "basic.jsonl").read_bytes()
     assert b'"probability": 0.35' in before
 
+    fail_atomic_writes(monkeypatch, fault)
+    capsys.readouterr()
+    assert main(argv + ["--backend", MOCK]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "basic.jsonl").read_bytes() == before
+    assert sorted(path.name for path in out.iterdir()) == ["basic.jsonl", "traces"]
+
+
+def fail_atomic_writes(monkeypatch, fault):
+    """Make every write through a temp file fail with ENOSPC, either half-way
+    through the temp file ("write") or at the rename ("replace")."""
     full = OSError(errno.ENOSPC, "No space left on device")
     if fault == "write":
         write_text = Path.write_text
@@ -358,11 +369,29 @@ def test_failed_forecasts_write_keeps_the_previous_file(tmp_path, monkeypatch, c
             raise full
 
         monkeypatch.setattr(os, "replace", refuse)
-    capsys.readouterr()
-    assert main(argv + ["--backend", MOCK]) == 2
+
+
+ANALYSES = {
+    "score": ["score", "--events", EVENTS,
+              "--forecasts", str(FIXTURES / "forecasts_val_hand.jsonl")],
+    "bias": ["bias", "--forward", str(FIXTURES / "bias_forward.jsonl"),
+             "--reversed", str(FIXTURES / "bias_reversed.jsonl")],
+    "rationale": ["rationale", "--just", str(FIXTURES / "bias_forward.jsonl"),
+                  "--rationale", str(FIXTURES / "bias_reversed.jsonl")],
+}
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+@pytest.mark.parametrize("command", sorted(ANALYSES))
+def test_failed_out_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys, command, fault):
+    out = tmp_path / "out" / "report"
+    out.parent.mkdir()
+    out.write_bytes(b"earlier\n")
+    fail_atomic_writes(monkeypatch, fault)
+    assert main(ANALYSES[command] + ["--out", str(out)]) == 2
     assert "No space left on device" in capsys.readouterr().err
-    assert (out / "basic.jsonl").read_bytes() == before
-    assert sorted(path.name for path in out.iterdir()) == ["basic.jsonl", "traces"]
+    assert out.read_bytes() == b"earlier\n"
+    assert [path.name for path in out.parent.iterdir()] == ["report"]
 
 
 NEWS_HITS = [
@@ -600,6 +629,16 @@ def test_score_from_market(tmp_path, capsys):
     assert "Brier Score           0.1263" in printed
     assert "Weighted Brier Score  0.1371" in printed
     assert "Mean prediction       0.3950" in printed
+
+
+def test_score_rejects_a_repeated_forecast_line(tmp_path, capsys):
+    first = (FIXTURES / "forecasts_val_hand.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text(f"{first}\n{first}\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["score", "--events", EVENTS, "--forecasts", str(twice), "--out", str(report)]) == 2
+    assert "duplicate event id 'evt-01'" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_score_market_needs_date(tmp_path, capsys):

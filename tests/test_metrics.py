@@ -7,18 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from foresight.events import Category, load_dataset
+from foresight.events import Category, DuplicateId, MalformedRecord, json_data, load_dataset
 from foresight.metrics import (
     EmptyClass,
     EmptyInput,
     ForecastRecord,
-    MalformedRecord,
     MismatchedEventSets,
     MissingSnapshot,
     ScoreReport,
     UnknownEvent,
+    bias,
     brier,
-    coherence_sum,
     load_forecasts,
     market_forecast_records,
     parse_forecasts,
@@ -120,6 +119,18 @@ def test_score_rejects_unknown_and_unresolved_events():
         score([unresolved], small)
 
 
+def test_score_counts_each_strategy_event_pair_once():
+    split = load_dataset(FIXTURES / "events_val.jsonl")
+    forecasts = load_forecasts(FIXTURES / "forecasts_val_hand.jsonl")
+    with pytest.raises(DuplicateId, match="duplicate event id 'evt-01'"):
+        score([*forecasts, forecasts[0]], split)
+    # the same event under two strategies is two forecasts, scored pooled
+    other = ForecastRecord("evt-01", "other", date(2022, 8, 1), 0.9)
+    pooled = score([forecasts[0], other], split)
+    assert pooled.n_total == 2
+    assert pooled.brier == pytest.approx((0.1**2 + 0.9**2) / 2, abs=1e-12)
+
+
 def test_score_randomized_against_naive_recompute():
     split = load_dataset(FIXTURES / "events_val.jsonl")
     resolved = [e for e in split.events if e.resolved]
@@ -158,31 +169,43 @@ def test_score_report_invariants():
         ScoreReport(2, 2, 0, 0.1, 0.1, None, 0.1, 0.5)  # weighted needs both classes
 
 
-def test_coherence_sum():
-    assert coherence_sum(0.2529, 0.6035) == pytest.approx(0.8564, abs=1e-12)
-    assert coherence_sum(0.5, 0.5) == 1.0
-    with pytest.raises(ValueError):
-        coherence_sum(1.2, 0.5)
-    with pytest.raises(ValueError):
-        coherence_sum(0.5, -0.1)
+def forecast_set(*pairs):
+    return [ForecastRecord(event_id, "s", date(2022, 8, 1), p) for event_id, p in pairs]
+
+
+def test_bias_report_undoes_the_reversed_complement():
+    report = bias(forecast_set(("a", 0.2), ("b", 0.3)), forecast_set(("b", 0.5), ("a", 0.3)))
+    assert report.n == 2
+    assert report.mean_forward == pytest.approx(0.25, abs=1e-15)
+    assert report.mean_reversed == pytest.approx(0.4, abs=1e-15)
+    assert report.implied_opposite == pytest.approx(0.6, abs=1e-15)
+    assert report.coherence_sum == pytest.approx(0.85, abs=1e-15)
+    assert list(json_data(report)) == [
+        "n", "mean_forward", "mean_reversed", "implied_opposite", "coherence_sum"
+    ]
+    coherent = bias(forecast_set(("a", 0.5)), forecast_set(("a", 0.5)))
+    assert coherent.coherence_sum == 1.0
 
 
 def test_prediction_shift_rows_sorted_by_event():
-    just = [("b", 0.2), ("a", 0.1)]
-    rationale = [("a", 0.4), ("b", 0.15)]
-    rows = prediction_shift(just, rationale)
+    just = forecast_set(("b", 0.2), ("a", 0.1))
+    rationale = forecast_set(("a", 0.4), ("b", 0.15))
+    rows, mean_delta = prediction_shift(just, rationale)
     assert rows == [
         ("a", 0.1, 0.4, pytest.approx(0.3)),
         ("b", 0.2, 0.15, pytest.approx(-0.05)),
     ]
+    assert mean_delta == pytest.approx(0.125)
 
 
 def test_prediction_shift_rejects_mismatch_and_duplicates():
     with pytest.raises(MismatchedEventSets) as info:
-        prediction_shift([("a", 0.1)], [("b", 0.2)])
+        prediction_shift(forecast_set(("a", 0.1)), forecast_set(("b", 0.2)))
     assert info.value.missing_ids == {"a", "b"}
-    with pytest.raises(ValueError):
-        prediction_shift([("a", 0.1), ("a", 0.2)], [("a", 0.3)])
+    with pytest.raises(DuplicateId):
+        prediction_shift(forecast_set(("a", 0.1), ("a", 0.2)), forecast_set(("a", 0.3)))
+    with pytest.raises(EmptyInput):
+        prediction_shift(forecast_set(), forecast_set())
 
 
 def test_market_forecast_records_midpoints():
