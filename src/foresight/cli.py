@@ -9,15 +9,19 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 import traceback
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from datetime import date
 from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .events import InputError, active_events, json_data, load_dataset, parse_date, write_text_atomic
+from .events import (
+    Event, InputError, active_events, json_data, load_dataset, parse_date, write_text_atomic
+)
 from .llm import (
     BASE_URL_ENV,
     CachedBackend,
@@ -27,6 +31,7 @@ from .llm import (
     NullBackend,
 )
 from .metrics import (
+    ForecastRecord,
     bias,
     load_forecasts,
     market_forecast_records,
@@ -44,6 +49,7 @@ from .news import (
     HackerNewsClient,
     NYTClient,
     NYT_API_KEY_ENV,
+    NewsClient,
 )
 from .strategies import (
     STRATEGY_IDS,
@@ -172,6 +178,84 @@ def _cache_location(args) -> tuple[Path | None, bool]:
     return Path(directory), True
 
 
+# Offline runs of at least this many active events fork --workers processes.
+# Below it, starting the pool costs more than a second CPU saves: on 2 CPUs
+# the cheapest chain (basic) breaks even at about 96 events, crowd at about 56.
+_MIN_PROCESS_EVENTS = 96
+# Events a forked worker takes per hand-off, to spread the cost of each
+# hand-off while keeping the workers' last chunks short.
+_PROCESS_CHUNK = 8
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What each event of one ``run`` needs: the chain's inputs and the trace's
+    file name."""
+
+    strategy: str
+    today: date
+    backend: CompletionBackend
+    hn_client: NewsClient | None
+    nyt_client: NewsClient | None
+    params: dict[str, int]
+    events: list[Event]
+    names: list[str]
+    out: Path
+
+
+def _run_event(run: _Run, index: int) -> tuple[ForecastRecord | None, str | None, str]:
+    """Run event ``index``'s chain and write its trace (or ``.failed.json``)
+    where the chain ran. Return its forecast record, or its failure message
+    and, for a fault outside the chain, the traceback text."""
+    event, ref = run.events[index], f"traces/{run.strategy}/{run.names[index]}"
+    try:
+        trace = run_strategy(
+            run.strategy,
+            event,
+            run.today,
+            run.backend,
+            hn_client=run.hn_client,
+            nyt_client=run.nyt_client,
+            params=run.params,
+        )
+    except ChainError as exc:
+        save_partial_trace(exc, run.out / f"{ref}.failed.json")
+        return None, str(exc), ""
+    except Exception as exc:
+        # One event's unexpected fault must not cost the other events' results.
+        return None, f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc))
+    save_trace(trace, run.out / f"{ref}.json")
+    return trace_to_forecast(trace, trace_ref=f"{ref}.json"), None, ""
+
+
+_forked_run: _Run | None = None  # set in each forked worker by _adopt
+
+
+def _adopt(run: _Run) -> None:
+    """Start a forked worker of ``run``; Ctrl-C is the parent's to handle."""
+    global _forked_run
+    _forked_run = run
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _forked_event(index: int) -> tuple[ForecastRecord | None, str | None, str]:
+    """:func:`_run_event` of this forked worker's run."""
+    return _run_event(_forked_run, index)
+
+
+def _fork_pool(run: _Run, workers: int):
+    """A pool of ``workers`` forked processes that run ``run``'s events, or
+    None where the platform cannot fork. Forked, the workers inherit the
+    backend and news clients rather than rebuilding them from the flags."""
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(workers, mp_context=context, initializer=_adopt, initargs=(run,))
+
+
 def cmd_run(args) -> int:
     config = _parse_config(args.config)
     today = parse_date(args.date, "--date")
@@ -201,63 +285,46 @@ def cmd_run(args) -> int:
     skipped = len(split.events) - len(active)
     out = Path(args.out)
     trace_dir = out / "traces" / args.strategy
+    taken: dict[str, str] = {}
+    names = [_safe_filename(event.id, taken) for event in active]
     try:
         # a rerun into the same --out keeps no trace of an earlier outcome
         stale = set(os.listdir(trace_dir))
     except FileNotFoundError:
         stale = set()
-    taken: dict[str, str] = {}
+    for old_name in stale & {name + suffix for name in names for suffix in (".json", ".failed.json")}:
+        (trace_dir / old_name).unlink(missing_ok=True)
+    run = _Run(args.strategy, today, backend, hn_client, nyt_client, params, active, names, out)
     records = []
     failures = []
 
-    def run_chain(event):
-        return run_strategy(
-            args.strategy,
-            event,
-            today,
-            backend,
-            hn_client=hn_client,
-            nyt_client=nyt_client,
-            params=params,
-        )
-
-    def finish(event, outcome) -> None:
-        """Write the outcome of ``event`` (``outcome()`` returns its trace or
-        raises) and keep only its forecast record, not its trace."""
-        name = _safe_filename(event.id, taken)
-        ref = f"traces/{args.strategy}/{name}.json"
-        for old_name in (f"{name}.failed.json", f"{name}.json"):
-            if old_name in stale:
-                (trace_dir / old_name).unlink(missing_ok=True)
-        try:
-            trace = outcome()
-        except ChainError as exc:
-            save_partial_trace(exc, trace_dir / f"{name}.failed.json")
-            failures.append((event.id, str(exc)))
-        except Exception as exc:
-            # One event's unexpected fault must not cost the other events'
-            # results; its traceback goes to stderr.
-            traceback.print_exception(exc)
-            failures.append((event.id, f"{type(exc).__name__}: {exc}"))
+    pool = None
+    indices = range(len(active))
+    try:
+        if any(getattr(part, "waits_on_network", False) for part in (backend, hn_client, nyt_client)):
+            # threads pay only while a chain waits on the network
+            pool = ThreadPoolExecutor(max_workers=args.workers)
+            outcomes = pool.map(partial(_run_event, run), indices)
+        elif (
+            args.workers > 1
+            and len(active) >= _MIN_PROCESS_EVENTS
+            and (pool := _fork_pool(run, args.workers))
+        ):
+            # offline chains hold the interpreter lock, so only processes run them at once
+            outcomes = pool.map(_forked_event, indices, chunksize=_PROCESS_CHUNK)
         else:
-            save_trace(trace, out / ref)
-            records.append(trace_to_forecast(trace, trace_ref=ref))
-
-    # Threads pay only while a chain waits on the network: offline chains
-    # hold the GIL, so they run here, one event after another.
-    if any(getattr(part, "waits_on_network", False) for part in (backend, hn_client, nyt_client)):
-        pool = ThreadPoolExecutor(max_workers=args.workers)
-        try:
-            futures = deque(pool.submit(run_chain, event) for event in active)
-            for event in active:
-                # in input order while later events still run
-                finish(event, futures.popleft().result)
-        finally:
+            outcomes = map(partial(_run_event, run), indices)
+        for event, (record, failure, traceback_text) in zip(active, outcomes):
+            # in input order while later events still run
+            if record is not None:
+                records.append(record)
+            else:
+                sys.stderr.write(traceback_text)
+                failures.append((event.id, failure))
+    finally:
+        if pool is not None:
             # a run stopped early (a failed write, Ctrl-C) starts no queued event
             pool.shutdown(cancel_futures=True)
-    else:
-        for event in active:
-            finish(event, partial(run_chain, event))
 
     out.mkdir(parents=True, exist_ok=True)
     forecasts_path = out / f"{args.strategy}.jsonl"

@@ -3,7 +3,10 @@
 import argparse
 import errno
 import json
+import multiprocessing
 import os
+import re
+import shutil
 import threading
 import time
 import weakref
@@ -327,6 +330,158 @@ def test_network_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch,
     assert main(argv) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert len(started) <= 2  # the failed event and the one the worker had taken
+
+
+def many_events(path, count, **changes):
+    """Write ``count`` events cycled from the fixture's, event k with id
+    ``e<k>`` and ``[case k]`` at the end of its condition; ``changes`` maps
+    ``e<k>`` to the fields that event gets in place of those."""
+    base = [json.loads(line) for line in Path(EVENTS).read_text(encoding="utf-8").splitlines()]
+    events = []
+    for k in range(count):
+        event = base[k % len(base)]
+        event = dict(event, id=f"e{k:03d}", condition=f"{event['condition']} [case {k}]")
+        events.append(dict(event, **changes.get(event["id"], {})))
+    path.write_text("".join(json.dumps(event) + "\n" for event in events), encoding="utf-8")
+    return str(path)
+
+
+class WatchedBackend:
+    """Wraps the mock backend. Before each request whose prompt states event
+    k's condition it notes, as the file ``seen/<k>.<pid>``, that the chain ran
+    in this process, and calls ``on_event(k)``. It raises a non-chain error on
+    a prompt that says ``(raises)``."""
+
+    def __init__(self, inner, seen, on_event):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.seen = seen
+        self.on_event = on_event
+
+    def complete(self, request):
+        case = re.search(r"\[case (\d+)\]", request.prompt)
+        if case:
+            (self.seen / f"{case[1]}.{os.getpid()}").touch()
+            self.on_event(int(case[1]))
+        if "(raises)" in request.prompt:
+            raise RuntimeError("wrapper bug")
+        return self.inner.complete(request)
+
+
+def watch_backend(monkeypatch, tmp_path, on_event=lambda k: None):
+    """Wrap every built backend in a WatchedBackend; return a function that
+    reads, and then forgets, which events ran in which processes."""
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    build_backend = cli.build_backend
+    monkeypatch.setattr(
+        cli,
+        "build_backend",
+        lambda spec, config: WatchedBackend(build_backend(spec, config), seen, on_event),
+    )
+
+    def ran():
+        marks = [path.name.split(".") for path in seen.iterdir()]
+        for path in seen.iterdir():
+            path.unlink()
+        return {int(k) for k, _ in marks}, {int(pid) for _, pid in marks}
+
+    return ran
+
+
+def test_forked_workers_write_what_the_calling_thread_writes(tmp_path, monkeypatch, capsys):
+    # two ids that share a file name, a chain that fails, a fault outside the chain
+    events = many_events(
+        tmp_path / "events.jsonl",
+        cli._MIN_PROCESS_EVENTS,
+        e001={"id": "a/b"},
+        e002={"id": "a_b"},
+        e003={"condition": "Nothing can be said (fails) [case 3]"},
+        e004={"condition": "A wrapper breaks (raises) [case 4]"},
+    )
+    rules = tmp_path / "fails.rules"
+    rules.write_text(
+        '{"match": "substring", "pattern": "(fails)", "response": "no number"}\n'
+        + (FIXTURES / "mock.rules").read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    nothing = tmp_path / "nothing.rules"
+    nothing.write_text('{"match": "any", "response": "no number"}\n', encoding="utf-8")
+    ran = watch_backend(monkeypatch, tmp_path)
+    out = tmp_path / "out"
+    argv = ["run", "--events", events, "--date", "2022-08-01", "--strategy", "basic", "--out", str(out)]
+
+    def run(workers):
+        shutil.rmtree(out, ignore_errors=True)
+        # an earlier run whose every chain failed leaves a .failed.json per event
+        assert main(argv + ["--backend", f"mock:{nothing}", "--workers", workers]) == 1
+        capsys.readouterr()
+        code = main(argv + ["--backend", f"mock:{rules}", "--workers", workers])
+        captured = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        _, pids = ran()
+        return (code, captured.out, captured.err, tree_bytes(out)), pids
+
+    in_thread, pids = run("1")
+    assert pids == {os.getpid()}
+    forked, pids = run("2")
+    assert pids and os.getpid() not in pids
+    assert forked == in_thread
+    code, printed, errors, tree = forked
+    assert code == 1
+    assert f"{cli._MIN_PROCESS_EVENTS} events: {cli._MIN_PROCESS_EVENTS - 2} ok, 2 failed" in printed
+    assert "FAILED e003: " in errors and "FAILED e004: RuntimeError: wrapper bug" in errors
+    assert 'raise RuntimeError("wrapper bug")' in errors  # the traceback
+    names = {Path(name).name for name in tree if name.startswith("traces/")}
+    assert {"e000.json", "a_b.json", "a_b_2.json", "e003.failed.json"} <= names
+    assert len(names) == cli._MIN_PROCESS_EVENTS - 1  # e004 left no trace
+    lines = [json.loads(line) for line in tree["basic.jsonl"].decode().splitlines()]
+    assert [line["event_id"] for line in lines][:3] == ["e000", "a/b", "a_b"]
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["below-gate", "at-gate"])
+def test_offline_runs_fork_workers_from_the_gate_on(tmp_path, monkeypatch, forked):
+    count = cli._MIN_PROCESS_EVENTS - (not forked)
+    events = many_events(tmp_path / "events.jsonl", count)
+    ran = watch_backend(monkeypatch, tmp_path)
+    argv = ["run", "--events", events, "--date", "2022-08-01", "--strategy", "basic",
+            "--backend", MOCK, "--out", str(tmp_path / "out"), "--workers", "2"]
+    assert main(argv) == 0
+    assert multiprocessing.active_children() == []
+    started, pids = ran()
+    assert started == set(range(count))
+    assert (os.getpid() not in pids) if forked else (pids == {os.getpid()})
+
+
+def test_forked_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch, capsys):
+    stopped = tmp_path / "stopped"
+
+    def on_event(k):
+        if k > 0:
+            # hold later events until a worker's write has failed
+            deadline = time.monotonic() + 2.0
+            while not stopped.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)
+
+    def disk_full(trace, path):
+        stopped.touch()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_trace", disk_full)
+    ran = watch_backend(monkeypatch, tmp_path, on_event)
+    events = many_events(tmp_path / "events.jsonl", 4 * cli._MIN_PROCESS_EVENTS)
+    argv = ["run", "--events", events, "--date", "2022-08-01", "--strategy", "basic",
+            "--backend", MOCK, "--out", str(tmp_path / "out"), "--workers", "2"]
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    started, pids = ran()
+    assert os.getpid() not in pids
+    # Every write fails, so each chunk of events stops at its first event. When
+    # the run stops, 2 chunks run and 3 wait in the pool's call queue; the pool
+    # may hand on one or two more before it cancels the other 40-odd chunks.
+    assert len(started) <= 2 * 2 + 3, sorted(started)
 
 
 @pytest.mark.parametrize("fault", ["write", "replace"])
