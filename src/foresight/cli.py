@@ -122,6 +122,7 @@ def build_backend(spec: str, config: dict) -> CompletionBackend:
             raise InputError("the live backend needs --config model=NAME")
         if not os.environ.get(BASE_URL_ENV):
             raise InputError(f"the live backend needs {BASE_URL_ENV} set")
+        _check_endpoint(BASE_URL_ENV, os.environ[BASE_URL_ENV])
         # every other key set is the HttpBackend option of its name
         options = {key: config[key] for key in config.keys() - {"model", "replay_backend_id"}}
         return HttpBackend(model, **options)

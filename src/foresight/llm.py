@@ -6,26 +6,30 @@ content-addressed record/replay cache that wraps either.  Cache keys are the
 SHA-256 of the backend id plus the canonicalized request, so any change to
 prompt or sampling parameters is a distinct entry.  The cache's
 :class:`ContentStore`, the HTTP retry policy of :func:`send_with_retries` and
-the sessions of :func:`http_session` also serve the news clients.  Calls that
-do not depend on each other go out concurrently through :func:`fan_out`.
+the keep-alive transport :class:`HttpSession` also serve the news clients.
+Calls that do not depend on each other go out concurrently through
+:func:`fan_out`.
 """
 
 from __future__ import annotations
 
+import base64
 import contextvars
 import hashlib
+import http.client
 import json
+import netrc
 import os
 import re
+import ssl
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from urllib.parse import unquote, urlencode, urlsplit
 
 from .events import json_data, read_json_lines, write_text_atomic
 
@@ -51,7 +55,9 @@ __all__ = [
     "TokenBucket",
     "send_with_retries",
     "fan_out",
-    "http_session",
+    "HttpSession",
+    "HttpReply",
+    "TransportError",
     "DEFAULT_TEMPERATURE",
     "FINAL_SAMPLE_COUNT",
 ]
@@ -328,37 +334,231 @@ class NullBackend:
         raise BackendUnavailable("replay backend cannot issue live calls")
 
 
-def _retry_delay(response: requests.Response | None, attempt: int) -> float:
+class TransportError(Exception):
+    """An HTTP request got no reply: the connection failed, broke or timed out."""
+
+
+@dataclass(frozen=True)
+class HttpReply:
+    """A complete HTTP reply, its body read."""
+
+    status_code: int
+    headers: Mapping[str, str]  # case-insensitive for replies that come off the wire
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        """The body parsed as JSON; ``ValueError`` when it is not JSON."""
+        return json.loads(self.content)
+
+
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+
+
+def _netrc_auth(host: str) -> str | None:
+    """Basic credentials for ``host`` from the netrc file that ``requests``
+    would read: ``$NETRC``, else the first of ``~/.netrc`` and ``~/_netrc``
+    that exists.  An unreadable or malformed file gives none."""
+    named = os.environ.get("NETRC")
+    paths = [named] if named else [os.path.expanduser("~/.netrc"), os.path.expanduser("~/_netrc")]
+    for path in paths:
+        if os.path.exists(path):
+            try:
+                entry = netrc.netrc(path).authenticators(host)
+            except (OSError, netrc.NetrcParseError):
+                return None
+            return None if entry is None else _basic_auth(entry[0] or entry[1], entry[2] or "")
+    return None
+
+
+class HttpSession:
+    """Keep-alive HTTP/1.1 requests to one URL.
+
+    The proxy, the TLS trust store and netrc credentials for ``url`` are read
+    from the environment once, when the session is built, as ``requests``
+    reads them:
+
+    - the proxy from :func:`urllib.request.getproxies` (``HTTPS_PROXY``,
+      ``HTTP_PROXY``, ``ALL_PROXY``) unless :func:`urllib.request.proxy_bypass`
+      exempts the host (``NO_PROXY``); an https target is tunnelled through
+      it with ``CONNECT``;
+    - the CA bundle from ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``, else
+      the default verify paths;
+    - Basic credentials for the host from netrc, sent when a request sets no
+      ``Authorization`` header of its own.
+
+    No socket opens before the first request.  Each request checks out an
+    idle connection for itself alone, the most recently used first, or opens
+    a new one; at most ``FAN_OUT_THREADS`` idle connections are kept.  When
+    the server has closed a pooled connection the request goes out once more
+    on a fresh one, which is not an attempt of :func:`send_with_retries`.
+    Redirects are not followed and no compressed reply is asked for.  A
+    request that gets no reply raises :class:`TransportError`.
+    """
+
+    def __init__(self, url: str):
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http or https URL with a host: {url!r}")
+        self.scheme = parts.scheme
+        self.host = parts.hostname
+        self.port = parts.port or (443 if parts.scheme == "https" else 80)
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        proxies = urllib.request.getproxies()
+        proxy = None if urllib.request.proxy_bypass(self.host) else proxies.get(self.scheme) or proxies.get("all")
+        self.proxy: tuple[str, int] | None = None
+        self._headers = {"User-Agent": "foresight", "Accept": "*/*"}
+        self._tunnel_headers: dict[str, str] = {}
+        if proxy:
+            proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            self.proxy = (proxy_parts.hostname or "", proxy_parts.port or 80)
+            if proxy_parts.username is not None:
+                # an https request sends the proxy's credentials with its CONNECT
+                sent_with = self._tunnel_headers if self.scheme == "https" else self._headers
+                sent_with["Proxy-Authorization"] = _basic_auth(
+                    unquote(proxy_parts.username), unquote(proxy_parts.password or "")
+                )
+            if self.scheme == "http":  # a proxy takes the absolute form
+                self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+        self.ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        self.auth = _netrc_auth(self.host)
+        self._tls: ssl.SSLContext | None = None
+
+    def __del__(self) -> None:
+        # the idle connections' sockets close with the session, not whenever
+        # the collector reaches them
+        for connection in self._idle:
+            connection.close()
+
+    def post(self, *, json: object, headers: Mapping[str, str] | None = None, timeout: float) -> HttpReply:
+        """POST ``json`` encoded as the JSON body."""
+        fields = {"Content-Type": "application/json", **(headers or {})}
+        return self._request("POST", self._target, _json_body(json), fields, timeout)
+
+    def get(self, *, params: Mapping[str, str] | None = None, timeout: float) -> HttpReply:
+        """GET with ``params`` added to the URL's query."""
+        target = self._target
+        if params:
+            target += ("&" if "?" in target else "?") + urlencode(params)
+        return self._request("GET", target, None, {}, timeout)
+
+    def _request(self, method: str, target: str, body: bytes | None, headers: Mapping[str, str],
+                 timeout: float) -> HttpReply:
+        fields = {**self._headers, **headers}
+        if self.auth is not None:
+            fields.setdefault("Authorization", self.auth)
+        if body is not None:
+            fields["Content-Length"] = str(len(body))
+        connection = self._checkout()
+        pooled = connection is not None
+        if connection is None:
+            connection = self._connect(timeout)
+        elif connection.timeout != timeout:
+            connection.timeout = timeout
+            connection.sock.settimeout(timeout)
+        try:
+            try:
+                response = _exchange(connection, method, target, body, fields)
+            except ConnectionError:  # the server closed the pooled connection while it sat idle
+                if not pooled:
+                    raise
+                connection.close()
+                connection = self._connect(timeout)
+                response = _exchange(connection, method, target, body, fields)
+            content = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
+        if response.will_close:
+            connection.close()
+        else:
+            self._checkin(connection)
+        return HttpReply(response.status, response.headers, content)
+
+    def _checkout(self) -> http.client.HTTPConnection | None:
+        with self._lock:
+            return self._idle.pop() if self._idle else None
+
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < FAN_OUT_THREADS:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        """A new connection; its socket opens with its first request."""
+        host, port = self.proxy or (self.host, self.port)
+        if self.scheme == "http":
+            return http.client.HTTPConnection(host, port, timeout=timeout)
+        if self._tls is None:  # two threads racing here only build it twice
+            if self.ca_bundle and os.path.isdir(self.ca_bundle):
+                self._tls = ssl.create_default_context(capath=self.ca_bundle)
+            else:
+                self._tls = ssl.create_default_context(cafile=self.ca_bundle)
+        connection = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+        if self.proxy is not None:
+            connection.set_tunnel(self.host, self.port, headers=self._tunnel_headers)
+        return connection
+
+
+def _json_body(payload: object) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+def _exchange(connection: http.client.HTTPConnection, method: str, target: str, body: bytes | None,
+              fields: Mapping[str, str]) -> http.client.HTTPResponse:
+    """Send one request on ``connection`` and read the reply's head."""
+    connection.putrequest(method, target, skip_accept_encoding=True)
+    for name, value in fields.items():
+        connection.putheader(name, value)
+    connection.endheaders(body)
+    return connection.getresponse()
+
+
+def _retry_delay(response: HttpReply | None, attempt: int) -> float:
     """Seconds to wait after failed attempt ``attempt`` (0-based): the
-    response's Retry-After when it gives one, else 0.5 * 2**attempt."""
+    response's Retry-After when it gives a usable number of seconds, else
+    0.5 * 2**attempt.  A negative, infinite or NaN value, or one that
+    :func:`time.sleep` cannot take, counts as not given."""
     header = None if response is None else response.headers.get("Retry-After")
     if header is not None:
         try:
-            return max(0.0, float(header))
+            delay = float(header)
         except ValueError:
             pass
+        else:
+            if 0.0 <= delay < threading.TIMEOUT_MAX:  # False for NaN
+                return delay
     return 0.5 * 2**attempt
 
 
 def send_with_retries(
-    send: Callable[[], requests.Response],
+    send: Callable[[], HttpReply],
     *,
     max_retries: int,
     sleep: Callable[[float], None],
-) -> requests.Response:
+) -> HttpReply:
     """Call ``send`` until its outcome is final; the one HTTP retry policy.
 
-    A connection error or timeout, HTTP 429 and HTTP 5xx are retried up to
-    ``max_retries`` times, each after :func:`_retry_delay`.  Returns the last
-    response, whatever its status, or re-raises the last connection error;
-    the caller maps either to its own error types.
+    A :class:`TransportError` (the connection failed or timed out), HTTP 429
+    and HTTP 5xx are retried up to ``max_retries`` times, each after
+    :func:`_retry_delay`.  Returns the last reply, whatever its status, or
+    re-raises the last transport error; the caller maps either to its own
+    error types.
     """
     attempt = 0
     while True:
         response = None
         try:
             response = send()
-        except (requests.ConnectionError, requests.Timeout):
+        except TransportError:
             if attempt >= max_retries:
                 raise
         else:
@@ -367,26 +567,6 @@ def send_with_retries(
                 return response
         sleep(_retry_delay(response, attempt))
         attempt += 1
-
-
-def http_session(url: str) -> requests.Session:
-    """A session for requests to ``url`` that reads the environment once.
-
-    ``requests`` looks up proxies, the CA bundle and netrc credentials in the
-    environment on every request.  This session resolves them for ``url``
-    when it is built, as ``requests`` would, and then stops looking.  Its
-    connection pool holds one connection per :func:`fan_out` thread.
-    """
-    session = requests.Session()
-    settings = session.merge_environment_settings(url, {}, None, None, None)
-    session.proxies = settings["proxies"]
-    session.verify = settings["verify"]
-    session.auth = requests.utils.get_netrc_auth(url)
-    session.trust_env = False
-    adapter = HTTPAdapter(pool_maxsize=FAN_OUT_THREADS)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
 
 
 class HttpBackend:
@@ -398,8 +578,9 @@ class HttpBackend:
     calls go out concurrently through :func:`fan_out`.  A token bucket paces
     every attempt; :func:`send_with_retries` retries connection errors, 429
     and 5xx up to ``max_retries`` times before surfacing
-    ``BackendUnavailable``, ``RateLimited`` or ``ProviderError``.  Without a
-    ``session`` it builds one with :func:`http_session`.
+    ``BackendUnavailable``, ``RateLimited`` or ``ProviderError``; a redirect
+    is a ``ProviderError`` too.  Without a ``session`` it builds an
+    :class:`HttpSession` for its URL.
     """
 
     waits_on_network = True
@@ -414,7 +595,7 @@ class HttpBackend:
         requests_per_second: float = 1.0,
         max_retries: int = 3,
         supports_multi_sample: bool = False,
-        session: requests.Session | None = None,
+        session: HttpSession | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         base_url = base_url or os.environ.get(BASE_URL_ENV)
@@ -429,7 +610,8 @@ class HttpBackend:
         self.backend_id = f"http:{model}"
         self.calls = 0
         self._calls_lock = threading.Lock()
-        self._session = session or http_session(self.url)
+        self._session = session or HttpSession(self.url)
+        self._headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         self._sleep = sleep
         self._bucket = TokenBucket(requests_per_second)
 
@@ -450,23 +632,20 @@ class HttpBackend:
         }
         if request.stop is not None:
             payload["stop"] = list(request.stop)
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
 
-        def send() -> requests.Response:
+        def send() -> HttpReply:
             self._bucket.acquire()
             with self._calls_lock:
                 self.calls += 1
-            return self._session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
+            return self._session.post(json=payload, headers=self._headers, timeout=self.timeout)
 
         try:
             resp = send_with_retries(send, max_retries=self.max_retries, sleep=self._sleep)
-        except requests.RequestException as exc:
-            raise BackendUnavailable(str(exc)) from exc
+        except TransportError as exc:
+            raise BackendUnavailable(f"request to {self.url} failed: {exc}") from exc
         if resp.status_code == 429:
             raise RateLimited(_retry_delay(resp, self.max_retries))
-        if resp.status_code >= 400:
+        if resp.status_code >= 300:  # redirects are not followed
             raise ProviderError(resp.status_code, resp.text)
         try:
             choices = resp.json()["choices"]
@@ -533,8 +712,12 @@ class ContentStore:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         path = self.path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, json.dumps(record, ensure_ascii=False))
+        text = json.dumps(record, ensure_ascii=False)
+        try:
+            write_text_atomic(path, text)
+        except FileNotFoundError:  # the first entry of its shard
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_text_atomic(path, text)
 
     def get_or_compute(
         self,

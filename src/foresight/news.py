@@ -9,10 +9,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-import requests
-
 from .events import json_data, parse_date
-from .llm import ContentStore, ReplayMiss, http_session, send_with_retries
+from .llm import ContentStore, HttpSession, ReplayMiss, TransportError, send_with_retries
 
 __all__ = [
     "DEFAULT_HN_ENDPOINT",
@@ -111,8 +109,9 @@ class NewsClient(Protocol):
 
 class _JsonService:
     """GET of a JSON search endpoint under the HTTP retry policy of
-    :func:`~foresight.llm.send_with_retries`, failing with :class:`NewsError`;
-    without a ``session`` it builds one with :func:`~foresight.llm.http_session`."""
+    :func:`~foresight.llm.send_with_retries`, failing with :class:`NewsError`
+    (a redirect too); without a ``session`` it builds an
+    :class:`~foresight.llm.HttpSession` for ``endpoint``."""
 
     waits_on_network = True
 
@@ -122,23 +121,23 @@ class _JsonService:
         *,
         timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = 2,
-        session: requests.Session | None = None,
+        session: HttpSession | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
-        self.session = session or http_session(endpoint)
+        self.session = session or HttpSession(endpoint)
         self._sleep = sleep
 
     def _get_json(self, params: dict):
         try:
             response = send_with_retries(
-                lambda: self.session.get(self.endpoint, params=params, timeout=self.timeout),
+                lambda: self.session.get(params=params, timeout=self.timeout),
                 max_retries=self.max_retries,
                 sleep=self._sleep,
             )
-        except requests.RequestException as exc:
+        except TransportError as exc:
             raise NetworkError(f"request to {self.endpoint} failed: {exc}") from None
         if response.status_code != 200:
             raise UpstreamError(response.status_code, response.text[:200])

@@ -723,6 +723,9 @@ def test_run_live_backend_needs_model_and_url(tmp_path, capsys, monkeypatch):
             "--backend", "live", "--out", out]
     assert main(argv) == 2
     assert "model" in capsys.readouterr().err
+    monkeypatch.setenv("FORESIGHT_LLM_BASE_URL", "ftp://provider.test/v1")
+    assert main(argv + ["--config", "model=test"]) == 2
+    assert "FORESIGHT_LLM_BASE_URL must be an http or https URL" in capsys.readouterr().err
     # a closed local port: the backend builds, then every live call fails fast
     monkeypatch.setenv("FORESIGHT_LLM_BASE_URL", "http://127.0.0.1:9/v1")
     fast = ["--config", "model=test", "--config", "timeout=0.2",

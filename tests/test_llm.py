@@ -1,17 +1,19 @@
 """Tests for completion backends, the content store and its two cache
 wrappers, and rate limiting."""
 
+import base64
 import contextvars
 import json
+import os
 import random
 import sys
 import threading
 import time
+from collections.abc import MutableMapping
 from datetime import date
 from pathlib import Path
 
 import pytest
-import requests
 
 from foresight import cli
 from foresight.events import MalformedRecord
@@ -25,6 +27,7 @@ from foresight.llm import (
     CompletionResponse,
     ContentStore,
     HttpBackend,
+    HttpSession,
     MockBackend,
     MockRule,
     NoRuleMatched,
@@ -33,12 +36,13 @@ from foresight.llm import (
     RateLimited,
     ReplayMiss,
     TokenBucket,
+    TransportError,
     complete,
     fan_out,
-    http_session,
     key_digest,
 )
 from foresight.news import CachedNewsClient, Headline, QueryWindow, Source
+from stubserver import StubProvider
 
 
 def test_request_validation():
@@ -317,7 +321,7 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Scripted stand-in for requests.Session; records each POST payload.
+    """Scripted stand-in for :class:`HttpSession`; records each POST payload.
 
     Concurrent POSTs take the scripted replies in the order they arrive.
     """
@@ -329,9 +333,9 @@ class FakeSession:
         self.in_flight = self.peak_in_flight = 0
         self._lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, json=None, headers=None, timeout=None):
         with self._lock:
-            self.posts.append({"url": url, "payload": json, "headers": headers})
+            self.posts.append({"payload": json, "headers": headers})
             item = self.responses.pop(0)
             self.in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
@@ -369,8 +373,8 @@ def test_http_backend_single_sample():
     resp = complete(backend, CompletionRequest("hi", temperature=0.3, stop=("END",)))
     assert resp.texts == ("hello",)
     assert resp.backend_id == "http:test-model"
+    assert backend.url == "http://fake.test/v1/chat/completions"
     post = session.posts[0]
-    assert post["url"] == "http://fake.test/v1/chat/completions"
     assert post["payload"]["messages"] == [{"role": "user", "content": "hi"}]
     assert post["payload"]["temperature"] == 0.3
     assert post["payload"]["stop"] == ["END"]
@@ -456,7 +460,7 @@ def test_http_backend_rate_limit_exhausted():
     "failure",
     [
         lambda: FakeResponse(status_code=503, text="busy"),
-        lambda: requests.ConnectionError("refused"),
+        lambda: TransportError("refused"),
     ],
     ids=["503", "connection-error"],
 )
@@ -503,7 +507,7 @@ def test_http_backend_error_paths():
     assert info.value.status == 500
     assert len(session.posts) == 2
 
-    session = FakeSession([requests.ConnectionError("refused") for _ in range(2)])
+    session = FakeSession([TransportError("refused") for _ in range(2)])
     backend = make_backend(session, max_retries=1)
     with pytest.raises(BackendUnavailable):
         backend.complete(CompletionRequest("p"))
@@ -720,52 +724,72 @@ def test_store_single_flights_concurrent_misses(tmp_path):
     assert replay.backend.calls == 0
 
 
-def canned_send(adapter, request, **kwargs):
-    """Stand-in for HTTPAdapter.send: a chat reply, without a socket."""
-    response = requests.Response()
-    response.status_code = 200
-    response._content = json.dumps(chat_payload("ok")).encode("utf-8")
-    response.url = request.url
-    response.request = request
-    return response
+def test_store_creates_a_shard_directory_once(tmp_path, monkeypatch):
+    store = ContentStore(tmp_path)
+    store.save("ab" + "0" * 62, {"value": 1})
+    made = []
+    original = os.mkdir
+    monkeypatch.setattr(os, "mkdir", lambda *args, **kwargs: (made.append(args), original(*args, **kwargs)))
+    for index in range(1, 4):
+        store.save(f"ab{index:062d}", {"value": index})
+    assert made == []
+    assert sorted(path.name for path in (tmp_path / "ab").iterdir()) == [f"ab{i:062d}.json" for i in range(4)]
+    store.save("cd" + "0" * 62, {"value": 0})
+    assert len(made) == 1
+
+
+class WatchedEnviron(MutableMapping):
+    """A copy of ``os.environ`` that records every variable looked up."""
+
+    def __init__(self, data):
+        self.data = dict(data)
+        self.lookups = []
+
+    def __getitem__(self, name):
+        self.lookups.append(name)
+        return self.data[name]
+
+    def __iter__(self):
+        self.lookups.append("*")
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+    def __setitem__(self, name, value):
+        self.data[name] = value
+
+    def __delitem__(self, name):
+        del self.data[name]
 
 
 def test_http_backend_reads_proxy_environment_once(monkeypatch):
-    scans = []
-    original = requests.utils.get_environ_proxies
-
-    def counting(*args, **kwargs):
-        scans.append(args)
-        return original(*args, **kwargs)
-
-    # sessions.py imports the function by name, so patch both bindings
-    monkeypatch.setattr(requests.utils, "get_environ_proxies", counting)
-    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting)
-    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", canned_send)
-    backend = HttpBackend("m", base_url="http://provider.test/v1", requests_per_second=10000.0)
-    scans.clear()
-    for _ in range(3):
-        assert complete(backend, CompletionRequest("p", n_samples=4)).texts == ("ok",) * 4
-    assert backend.calls == 12
-    assert scans == []
+    with StubProvider() as provider:
+        backend = HttpBackend("m", base_url=provider.url + "/v1", requests_per_second=10000.0)
+        environ = WatchedEnviron(os.environ)
+        monkeypatch.setattr(os, "environ", environ)
+        for _ in range(3):
+            assert complete(backend, CompletionRequest("p", n_samples=4)).texts == ("ok",) * 4
+    assert backend.calls == provider.count("POST") == 12
+    assert environ.lookups == []
 
 
-@pytest.mark.parametrize(
-    "url, proxies",
-    [
-        # requests also passes the NO_PROXY list on, under the key "no"
-        (
-            "https://provider.test/v1/chat/completions",
-            {"https": "http://proxy.test:3128", "no": "internal.test"},
-        ),
-        ("https://internal.test/v1/chat/completions", {}),
-    ],
-    ids=["proxied", "no-proxy"],
-)
-def test_http_session_resolves_environment_like_requests(monkeypatch, tmp_path, url, proxies):
+def _clear_proxy_environment(monkeypatch):
     for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.mark.parametrize(
+    "url, proxy, auth",
+    [
+        ("https://provider.test/v1/chat/completions", ("proxy.test", 3128), ("user", "secret")),
+        ("https://internal.test/v1/chat/completions", None, None),
+    ],
+    ids=["proxied", "no-proxy"],
+)
+def test_http_session_resolves_environment_like_requests(monkeypatch, tmp_path, url, proxy, auth):
+    _clear_proxy_environment(monkeypatch)
     monkeypatch.setenv("HTTPS_PROXY", "http://proxy.test:3128")
     monkeypatch.setenv("NO_PROXY", "internal.test")
     monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "bundle.pem"))
@@ -774,11 +798,16 @@ def test_http_session_resolves_environment_like_requests(monkeypatch, tmp_path, 
     netrc.chmod(0o600)
     monkeypatch.setenv("NETRC", str(netrc))
 
-    session = http_session(url)
-    resolved = session.merge_environment_settings(url, {}, None, None, None)
-    expected = requests.Session().merge_environment_settings(url, {}, None, None, None)
-    assert not session.trust_env
-    assert resolved["proxies"] == expected["proxies"] == proxies
-    assert resolved["verify"] == expected["verify"] == str(tmp_path / "bundle.pem")
-    assert session.auth == requests.utils.get_netrc_auth(url)
-    assert (session.auth is not None) == ("provider" in url)
+    session = HttpSession(url)
+    assert session.proxy == proxy
+    assert session.ca_bundle == str(tmp_path / "bundle.pem")
+    if auth is None:
+        assert session.auth is None
+    else:
+        assert session.auth == "Basic " + base64.b64encode(":".join(auth).encode()).decode()
+
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE")
+    monkeypatch.setenv("CURL_CA_BUNDLE", str(tmp_path / "curl.pem"))
+    assert HttpSession(url).ca_bundle == str(tmp_path / "curl.pem")
+    monkeypatch.delenv("CURL_CA_BUNDLE")
+    assert HttpSession(url).ca_bundle is None  # the default verify paths

@@ -135,13 +135,13 @@ def test_hackernews_client_client_errors_not_retried():
 
 
 class ScriptedSession:
-    """Stand-in for requests.Session that answers GETs from a script."""
+    """Stand-in for :class:`~foresight.llm.HttpSession` that answers GETs from a script."""
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.gets = 0
 
-    def get(self, url, params=None, timeout=None):
+    def get(self, params=None, timeout=None):
         self.gets += 1
         return self.responses.pop(0)
 

@@ -11,13 +11,12 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foresight.strategies
 from foresight.events import Category, Event, json_data, load_dataset
-from foresight.llm import CachedBackend, HttpBackend, MockBackend, MockRule, NullBackend, ProviderError
+from foresight.llm import CachedBackend, HttpBackend, HttpReply, MockBackend, MockRule, NullBackend, ProviderError
 from foresight.news import Headline, NewsError, Source
 from foresight.prompts import aggregate_probabilities, bindings, extract_probability, get_template
 from foresight.strategies import (
@@ -659,7 +658,7 @@ def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
 
 
 class ChatSession:
-    """A fake provider behind ``requests.Session.post``, 20 ms per POST: "10%"
+    """A fake provider behind ``HttpSession.post``, 20 ms per POST: "10%"
     to every forecast prompt, and a new reply to each extraction prompt, as
     a sampling model might give."""
 
@@ -668,7 +667,7 @@ class ChatSession:
         self.in_flight = self.peak_in_flight = 0
         self._lock = threading.Lock()
 
-    def post(self, url, **kwargs):
+    def post(self, **kwargs):
         with self._lock:
             self.posts += 1
             self.in_flight += 1
@@ -680,10 +679,7 @@ class ChatSession:
         time.sleep(0.02)
         with self._lock:
             self.in_flight -= 1
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8")
-        return response
+        return HttpReply(200, {}, json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8"))
 
 
 def test_identical_parallel_samples_replay_byte_identical(tmp_path):
