@@ -59,6 +59,7 @@ from .strategies import (
     save_partial_trace,
     save_trace,
     trace_to_forecast,
+    waits_on_network,
 )
 
 __all__ = ["EXIT_CONFIG", "EXIT_OK", "EXIT_RUN_FAILURES", "build_parser", "main"]
@@ -302,7 +303,7 @@ def cmd_run(args) -> int:
     pool = None
     indices = range(len(active))
     try:
-        if any(getattr(part, "waits_on_network", False) for part in (backend, hn_client, nyt_client)):
+        if waits_on_network(backend, hn_client, nyt_client):
             # threads pay only while a chain waits on the network
             pool = ThreadPoolExecutor(max_workers=args.workers)
             outcomes = pool.map(partial(_run_event, run), indices)

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, is_dataclass
 from datetime import date
 from functools import partial
+from itertools import takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
@@ -56,6 +57,7 @@ __all__ = [
     "save_partial_trace",
     "save_trace",
     "trace_to_forecast",
+    "waits_on_network",
 ]
 
 DEFAULT_PERSONA_COUNT = 8
@@ -143,13 +145,18 @@ class ChainError(RuntimeError):
         super().__init__(trace.error)
 
 
-class _Prediction(NamedTuple):
-    """A prediction step's outcome before it is recorded."""
+class _Outcome(NamedTuple):
+    """A step's outcome before it is recorded."""
 
     step_id: str
     step: StepRecord | None  # None when sampling failed
-    failure: BackendError | ExtractionFailed | None
-    drop_failed: bool
+    failure: BackendError | ExtractionFailed | None = None
+    drop_failed: bool = False
+
+
+def waits_on_network(*parts: object) -> bool:
+    """Whether a chain's backend or one of its news clients waits on the network."""
+    return any(getattr(part, "waits_on_network", False) for part in parts)
 
 
 class _ChainBuilder:
@@ -161,6 +168,7 @@ class _ChainBuilder:
         event: Event,
         today: date,
         backend: CompletionBackend,
+        *clients: NewsClient | None,
     ):
         self.strategy_id = strategy_id
         self.event = event
@@ -169,12 +177,12 @@ class _ChainBuilder:
         # raises PredictionWindowError before any call when the window is closed
         self.bindings = bindings(event, today)
         self.steps: list[StepRecord] = []
-        self.parallel = getattr(backend, "waits_on_network", False)
+        self.parallel = waits_on_network(backend, *clients)
 
     def each(self, fn: Callable, items: Iterable) -> Iterable:
-        """``fn`` over ``items``: all at once through :func:`fan_out` when the
-        backend waits on the network, else one by one as the caller iterates,
-        so a caller that stops early makes no further calls."""
+        """``fn`` over ``items``: all at once through :func:`fan_out` when a
+        part of the chain waits on the network, else one by one as the caller
+        iterates, so a caller that stops early makes no further calls."""
         return fan_out(fn, items) if self.parallel else map(fn, items)
 
     def fail(self, step_id: str, message: str) -> ChainError:
@@ -198,24 +206,26 @@ class _ChainBuilder:
         extra: Mapping[str, str] | None = None,
         parse: Callable[..., tuple[object, tuple[str, ...]]] | None = None,
         n_samples: int = 1,
-    ):
+    ) -> _Outcome:
         """A step whose replies later steps read: sample ``n_samples``
-        replies, record them, and return the value of ``parse(*replies)``,
-        which gives (value, warnings), or without ``parse`` the reply."""
+        replies; its value is ``parse(*replies)``, which gives (value,
+        warnings), or without ``parse`` the reply.  Nothing is recorded, so
+        that independent steps can run at once."""
         try:
             _, prompt, replies = self._sample(template_id, extra, n_samples)
         except BackendError as exc:
-            raise self.fail(step_id, str(exc)) from exc
+            return _Outcome(step_id, None, exc)
         parsed, warnings = parse(*replies) if parse else (replies[0], ())
-        self.steps.append(StepRecord(step_id, prompt, replies, parsed=parsed, warnings=warnings))
-        return parsed
+        return _Outcome(step_id, StepRecord(step_id, prompt, replies, parsed=parsed, warnings=warnings))
 
-    def non_llm(self, step_id: str, parsed: object, warnings: Sequence[str] = ()) -> None:
-        self.steps.append(StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings)))
+    def non_llm(self, step_id: str, parsed: object, warnings: Sequence[str] = ()) -> _Outcome:
+        """A step that made no model call, unrecorded."""
+        return _Outcome(step_id, StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings)))
 
-    def predict(self, *args, **kwargs) -> tuple[float, tuple[float, ...]] | None:
-        """A recorded :meth:`prediction`; returns :meth:`record`'s result."""
-        return self.record(self.prediction(*args, **kwargs))
+    def predict(self, *args, **kwargs) -> tuple[float, tuple[float, ...]]:
+        """A recorded :meth:`prediction`; returns its mean and samples."""
+        step = self.record(self.prediction(*args, **kwargs))
+        return step.parsed, tuple(extraction.probability for extraction in step.extractions)
 
     def prediction(
         self,
@@ -225,17 +235,17 @@ class _ChainBuilder:
         *,
         n_samples: int = FINAL_SAMPLE_COUNT,
         drop_failed: bool = False,
-    ) -> _Prediction:
+    ) -> _Outcome:
         """A prediction step: sample, extract each reply, aggregate; nothing
         is recorded, so that independent predictions can run at once.
 
         A reply with no probability fails the chain; with ``drop_failed`` the
-        step is recorded as dropped instead and the result is None.
+        step is recorded as dropped instead, its value None.
         """
         try:
             template, prompt, replies = self._sample(template_id, extra, n_samples)
         except BackendError as exc:
-            return _Prediction(step_id, None, exc, drop_failed)
+            return _Outcome(step_id, None, exc, drop_failed)
 
         def extract(item: tuple[int, str]):
             index, raw = item
@@ -261,20 +271,17 @@ class _ChainBuilder:
         samples = [extraction.probability for extraction in extractions]
         mean = aggregate_probabilities(samples) if failure is None else None
         step = StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings))
-        return _Prediction(step_id, step, failure, drop_failed)
+        return _Outcome(step_id, step, failure, drop_failed)
 
-    def record(self, prediction: _Prediction) -> tuple[float, tuple[float, ...]] | None:
-        """Append a prediction's step; returns its mean and samples, or None
-        for a dropped step, and raises :class:`ChainError` for a failed one."""
-        failure = prediction.failure
-        if prediction.step is not None:
-            self.steps.append(prediction.step)
-        if failure is None:
-            step = prediction.step
-            return step.parsed, tuple(extraction.probability for extraction in step.extractions)
-        if isinstance(failure, ExtractionFailed) and prediction.drop_failed:
-            return None
-        raise self.fail(prediction.step_id, str(failure)) from failure
+    def record(self, outcome: _Outcome) -> StepRecord:
+        """Append a step and return it; raises :class:`ChainError` for a
+        failed step unless it is a dropped prediction."""
+        failure = outcome.failure
+        if outcome.step is not None:
+            self.steps.append(outcome.step)
+        if failure is None or (isinstance(failure, ExtractionFailed) and outcome.drop_failed):
+            return outcome.step
+        raise self.fail(outcome.step_id, str(failure)) from failure
 
     def trace(self, samples: tuple[float, ...], final: float) -> ChainTrace:
         return ChainTrace(
@@ -369,8 +376,10 @@ _OPPOSITE = Step(
     empty_error="reworded event text was empty",
 )
 
-# Each chain strategy as rows in run order: single-sample steps, then the
-# prediction as the last row.
+# Each chain strategy as rows in the order its trace records them:
+# single-sample steps, then the prediction as the last row.  A row runs after
+# the rows it reads; on the network, rows that read none of each other run
+# at once.
 CHAINS: dict[str, tuple[Step, ...]] = {
     # basic asks directly, forecaster adds the persona preamble, and
     # basic_with_rationale asks for reasoning before the number.
@@ -417,11 +426,23 @@ def _run_chain(strategy_id: str, event: Event, today: date, backend: CompletionB
         template = step.template or f"{strategy_id}/{step.step_id}"
         return template, {placeholder: shown[source] for placeholder, source in step.reads.items()}
 
-    for step in steps:
-        value = builder.intermediate(step.step_id, *bind(step), parse=step.parse)
-        if step.empty_error and not value:
-            raise builder.fail(step.step_id, step.empty_error)
-        shown[step.step_id] = step.show(value) if step.show else value
+    def sample(step: Step) -> _Outcome:
+        return builder.intermediate(step.step_id, *bind(step), parse=step.parse)
+
+    done = 0
+    while done < len(steps):
+        # A wave: the next row and the rows after it that read only earlier
+        # waves.  Its rows sample n = 1, as fan_out on a pool thread sends n
+        # one by one; the prediction's n samples go from the chain's thread.
+        wave = steps[done:done + 1]
+        wave += takewhile(lambda step: shown.keys() >= set(step.reads.values()), steps[done + 1:])
+        # the rows run at once, but are recorded in row order
+        for step, outcome in zip(wave, builder.each(sample, wave)):
+            value = builder.record(outcome).parsed
+            if step.empty_error and not value:
+                raise builder.fail(step.step_id, step.empty_error)
+            shown[step.step_id] = step.show(value) if step.show else value
+        done += len(wave)
     mean, samples = builder.predict(last.step_id, *bind(last))
     if last.complement:
         # the prediction step's parsed value keeps the raw, unflipped mean
@@ -452,27 +473,23 @@ def run_crowd(
 ) -> ChainTrace:
     """Pick experts, ask each for a windowed probability, average them."""
     builder = _ChainBuilder("crowd", event, today, backend)
-    jobs = builder.intermediate("expert", "crowd/expert", parse=_parse_jobs, n_samples=persona_count)
+    expert = builder.intermediate("expert", "crowd/expert", parse=_parse_jobs, n_samples=persona_count)
+    jobs = builder.record(expert).parsed
 
-    def persona(item: tuple[int, str]) -> _Prediction | None:
+    def persona(item: tuple[int, str]) -> _Outcome:
         index, job = item
         if not job:
-            return None
+            return builder.non_llm(f"persona_{index}", None, warnings=("dropped: empty expert description",))
         return builder.prediction(
             f"persona_{index}", "crowd/predict", {"job": job}, n_samples=1, drop_failed=True
         )
 
     values: list[float] = []
     # the personas run at once, but their steps are recorded in persona order
-    for index, prediction in enumerate(builder.each(persona, enumerate(jobs))):
-        if prediction is None:
-            builder.non_llm(
-                f"persona_{index}", None, warnings=("dropped: empty expert description",)
-            )
-            continue
-        result = builder.record(prediction)
-        if result is not None:
-            values.append(result[0])
+    for outcome in builder.each(persona, enumerate(jobs)):
+        value = builder.record(outcome).parsed
+        if value is not None:
+            values.append(value)
     if not values:
         raise builder.fail("predict", "every persona prediction failed")
     final = aggregate_probabilities(values)
@@ -496,8 +513,8 @@ def _parse_keywords(reply: str, limit: int) -> tuple[tuple[str, ...], tuple[str,
 
 def _fetch_headlines(
     builder: _ChainBuilder, step_id: str, client: NewsClient | None, window: QueryWindow
-) -> str:
-    """Record a fetch step; returns the formatted headlines, "" when none."""
+) -> tuple[_Outcome, str]:
+    """A fetch step, unrecorded, and the formatted headlines, "" when none."""
     headlines: tuple = ()
     warnings: tuple[str, ...] = ()
     if client is None:
@@ -510,10 +527,9 @@ def _fetch_headlines(
             warnings = (f"headline fetch failed: {exc}",)
         except BackendError as exc:
             # A cache fault (replay miss, corrupt entry) fails the chain.
-            raise builder.fail(step_id, str(exc)) from exc
+            return _Outcome(step_id, None, exc), ""
     text = format_headlines(headlines)
-    builder.non_llm(step_id, text or NO_HEADLINES_TEXT, warnings=warnings)
-    return text
+    return builder.non_llm(step_id, text or NO_HEADLINES_TEXT, warnings=warnings), text
 
 
 def _is_none_reply(reply: str) -> bool:
@@ -530,13 +546,13 @@ def run_news(
     keyword_count: int = DEFAULT_KEYWORD_COUNT,
 ) -> ChainTrace:
     """Search the news up to the prediction date, then predict from it."""
-    builder = _ChainBuilder("news", event, today, backend)
-    terms = builder.intermediate(
+    builder = _ChainBuilder("news", event, today, backend, hn_client, nyt_client)
+    terms = builder.record(builder.intermediate(
         "keywords",
         "news/keywords",
         {"number of terms": str(keyword_count)},
         parse=lambda reply: _parse_keywords(reply, keyword_count),
-    )
+    )).parsed
     if not terms:
         raise builder.fail("keywords", "no search terms parsed from the reply")
     window = QueryWindow(terms=tuple(terms), until=today)
@@ -553,14 +569,25 @@ def run_news(
             ("nyt_paraphrase", "filtered NYT headlines"),
         )),
     )
-    found: dict[str, str] = {}
-    for fetch_id, client, found_placeholder, filters in branches:
-        text = _fetch_headlines(builder, fetch_id, client, window)
+
+    def branch(row: tuple) -> tuple[list[_Outcome], str]:
+        """A branch's unrecorded steps, up to a failure, and the text it found."""
+        fetch_id, client, _, filters = row
+        outcome, text = _fetch_headlines(builder, fetch_id, client, window)
+        outcomes = [outcome]
         for step_id, placeholder in filters:
             if not text:
                 break
-            reply = builder.intermediate(step_id, f"news/{step_id}", {placeholder: text})
+            outcomes.append(builder.intermediate(step_id, f"news/{step_id}", {placeholder: text}))
+            reply = outcomes[-1].step.parsed if outcomes[-1].step else ""
             text = "" if _is_none_reply(reply) else reply
+        return outcomes, text
+
+    found: dict[str, str] = {}
+    # the branches run at once, but their steps are recorded in branch order
+    for (_, _, found_placeholder, _), (outcomes, text) in zip(branches, builder.each(branch, branches)):
+        for outcome in outcomes:
+            builder.record(outcome)
         found[found_placeholder] = text or NO_HEADLINES_TEXT
     mean, samples = builder.predict("predict", "news/predict", found)
     return builder.trace(samples, mean)

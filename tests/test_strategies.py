@@ -565,7 +565,8 @@ class Networked:
     """A backend that says it waits on the network, so chains fan out its
     calls; ``concurrent=False`` keeps them serial.  Each call first sleeps
     ``delay(prompt)`` seconds; a prompt holding ``fail_on`` raises
-    ProviderError, else ``inner`` answers."""
+    ProviderError, else ``inner`` answers.  ``prompts`` lists the prompts
+    in the order the calls arrived."""
 
     def __init__(self, inner, *, delay=lambda prompt: 0.0, fail_on=None, concurrent=True):
         self.inner = inner
@@ -573,11 +574,13 @@ class Networked:
         self.waits_on_network = concurrent
         self.delay = delay
         self.fail_on = fail_on
+        self.prompts = []
         self.in_flight = self.peak_in_flight = 0
         self._lock = threading.Lock()
 
     def complete(self, request):
         with self._lock:
+            self.prompts.append(request.prompt)
             self.in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         try:
@@ -588,6 +591,48 @@ class Networked:
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+class Rendezvous(Networked):
+    """A Networked backend whose call holding ``waiter`` waits, for at most
+    ``bound`` seconds, until a call holding ``arriver`` has arrived; ``met``
+    says whether it did.  A serial backend does not wait, since there the
+    other call cannot arrive first."""
+
+    def __init__(self, inner, waiter, arriver, *, bound=5.0, **kwargs):
+        super().__init__(inner, **kwargs)
+        self.waiter, self.arriver, self.bound = waiter, arriver, bound
+        self.arrived = threading.Event()
+        self.met = False
+
+    def complete(self, request):
+        if self.arriver in request.prompt:
+            self.arrived.set()
+        if self.waiter in request.prompt and self.waits_on_network:
+            self.met = self.arrived.wait(self.bound)
+        return super().complete(request)
+
+
+PROS = "detailing all evidence that the event will happen"
+CONS = "detailing all evidence that the event will not happen"
+POSITIVE = "cause an event to happen"
+OPPOSITE = "[OPPOSITE]"
+HN_FILTER = "remove any which are totally irrelevant"
+NYT_EXTRACT = "pull all information from the headlines"
+
+
+@pytest.mark.parametrize(
+    "strategy, waiter, arriver",
+    [("both_sides", PROS, CONS), ("sequences", POSITIVE, OPPOSITE), ("news", HN_FILTER, NYT_EXTRACT)],
+    ids=["both_sides", "sequences", "news"],
+)
+def test_independent_steps_overlap(strategy, waiter, arriver):
+    backend = Rendezvous(mock_backend(), waiter, arriver)
+    kwargs = news_clients() if strategy == "news" else {}
+    trace = run(strategy, backend=backend, **kwargs)
+    # the waiting call holds until its sibling is sent, which a serial chain never does
+    assert backend.met
+    assert trace == run(strategy, **kwargs)
 
 
 def reverse_arrivals(marker, count, step=0.02):
@@ -636,25 +681,49 @@ def test_parallel_crowd_records_personas_in_index_order():
     assert backend.peak_in_flight > 1
 
 
+def fixture_rules():
+    return mock_backend().rules
+
+
+# strategy, its rules, the prompt marker that raises ProviderError, the
+# rendezvous (waiter, arriver), the failed step, a marker of its prompt, and
+# the steps recorded before it fails
+FAILING_WAVES = [
+    (
+        "crowd", crowd_rules, "a banker", ("a banker", "a diver"),
+        "persona_1", "a banker", ["expert", "persona_0"],
+    ),
+    ("sequences", fixture_rules, POSITIVE, (POSITIVE, OPPOSITE), "positive", POSITIVE, []),
+    (
+        "sequences", lambda: [MockRule("substring", OPPOSITE, "[END]"), *fixture_rules()], None,
+        (POSITIVE, OPPOSITE), "opposite", OPPOSITE, ["positive", "opposite"],
+    ),
+    ("both_sides", fixture_rules, CONS, (PROS, CONS), "cons", CONS, ["pros"]),
+    ("news", fixture_rules, HN_FILTER, (HN_FILTER, NYT_EXTRACT), "hn_filter", HN_FILTER, ["keywords", "hn_fetch"]),
+]
+
+
 def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
-    partial = {}
-    for concurrent in (False, True):
-        backend = Networked(
-            MockBackend(crowd_rules()),
-            delay=reverse_arrivals("Using your expertise", 4),
-            fail_on="a banker",
-            concurrent=concurrent,
-        )
-        with pytest.raises(ChainError) as info:
-            run("crowd", backend=backend, params={"persona_count": 4})
-        path = tmp_path / f"{concurrent}.json"
-        save_partial_trace(info.value, path)
-        partial[concurrent] = path.read_bytes()
-    assert partial[True] == partial[False]
-    payload = json.loads(partial[True])
-    assert payload["failed_step"] == "persona_1"
-    assert [step["step_id"] for step in payload["steps"]] == ["expert", "persona_0"]
-    assert backend.peak_in_flight > 1
+    for strategy, rules, fail_on, rendezvous, failed_step, failed_marker, step_ids in FAILING_WAVES:
+        case = (strategy, failed_step)
+        partial = {}
+        for concurrent in (False, True):
+            backend = Rendezvous(MockBackend(rules()), *rendezvous, fail_on=fail_on, concurrent=concurrent)
+            kwargs = {"crowd": {"params": {"persona_count": 4}}, "news": news_clients()}.get(strategy, {})
+            with pytest.raises(ChainError) as info:
+                run(strategy, backend=backend, **kwargs)
+            path = tmp_path / f"{strategy}-{failed_step}-{concurrent}.json"
+            save_partial_trace(info.value, path)
+            partial[concurrent] = path.read_bytes()
+            if not concurrent:
+                # a serial chain makes no call after the step that failed
+                assert failed_marker in backend.prompts[-1], case
+        assert partial[True] == partial[False], case
+        payload = json.loads(partial[True])
+        assert payload["failed_step"] == failed_step, case
+        assert [step["step_id"] for step in payload["steps"]] == step_ids, case
+        # the failing call and its sibling were in flight together
+        assert backend.met, case
 
 
 class ChatSession:
