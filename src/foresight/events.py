@@ -219,10 +219,11 @@ def parse_number(value: object, name: str) -> float:
 
 
 def require_strings(obj: dict, keys: Iterable[str]) -> None:
-    """Raise ``ValueError`` unless each of ``obj``'s ``keys`` holds a string."""
+    """Raise ``ValueError`` unless each of ``obj``'s ``keys`` holds a string UTF-8 can encode."""
     for key in keys:
         if not isinstance(obj[key], str):
             raise ValueError(f"field {key!r} must be a string")
+        obj[key].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
 
 
 def read_text(path: str | Path) -> str:

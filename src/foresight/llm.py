@@ -150,9 +150,9 @@ class CompletionBackend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
-def _canonical_json(key: object) -> str:
-    # Sorted keys fix the order, so logically equal keys serialize identically.
-    return json.dumps(key, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# Sorted keys fix the order, so logically equal keys serialize identically.
+# One encoder serves every call: json.dumps would build a new one each time.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
 
 
 def key_digest(key: object) -> str:
@@ -652,6 +652,7 @@ class HttpBackend:
             texts = [c["message"]["content"] for c in choices]
             if not all(isinstance(text, str) for text in texts):
                 raise TypeError("a choice's content is not a string")
+            "".join(texts).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
         except (ValueError, KeyError, TypeError):
             raise ProviderError(resp.status_code, f"unexpected response shape: {resp.text[:200]}")
         if len(texts) != n:
@@ -665,7 +666,8 @@ class ContentStore:
     Layout: ``<root>/<first 2 hex>/<digest>.json``, one file per key digest
     (:func:`key_digest`), written atomically (temp file + rename).  In
     replay-only mode a miss raises :class:`ReplayMiss`, so the caller never
-    computes a fresh value.  :meth:`get_or_compute` is single-flight.
+    computes a fresh value; a recording store's :meth:`get_or_compute` is
+    single-flight.
     """
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
@@ -677,25 +679,30 @@ class ContentStore:
         self.misses = 0
         self._lock = threading.Lock()
         self._in_flight: dict[str, threading.Lock] = {}
+        self._prefix = str(self.root / "_")[:-1]  # what ``root / name`` puts before ``name``
 
-    def path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+    def path(self, digest: str) -> str:
+        return f"{self._prefix}{digest[:2]}{os.sep}{digest}.json"
 
     def load(self, digest: str, decode: Callable[[dict], _T]) -> _T | None:
         """The decoded entry for ``digest``, or None on a miss to be recorded.
 
-        An entry that is not JSON or that ``decode`` cannot read (KeyError,
-        TypeError, ValueError) raises :class:`CacheCorrupt`.
+        An entry that cannot be read (a directory, EACCES, EIO), that is not
+        JSON or that ``decode`` cannot read (KeyError, TypeError, ValueError)
+        raises :class:`CacheCorrupt`.
         """
         path = self.path(digest)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
             if self.replay_only:
                 raise ReplayMiss(digest) from None
             with self._lock:
                 self.misses += 1
             return None
+        except OSError:
+            raise CacheCorrupt(path) from None
         try:
             value = decode(json.loads(raw.decode("utf-8")))
         except (ValueError, KeyError, TypeError):
@@ -711,7 +718,7 @@ class ContentStore:
             **payload,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        path = self.path(digest)
+        path = Path(self.path(digest))
         text = json.dumps(record, ensure_ascii=False)
         try:
             write_text_atomic(path, text)
@@ -737,6 +744,8 @@ class ContentStore:
         hits and misses count as in a serial run.
         """
         digest = key_digest(key)
+        if self.replay_only:  # never computes, so nothing is in flight
+            return self.load(digest, decode)  # type: ignore[return-value]
         while True:
             with self._lock:
                 flight = self._in_flight.get(digest)

@@ -156,9 +156,14 @@ def _reply_part(obj: object, key: str, kind: type[list] | type[dict]) -> list | 
 
 
 def _headline(title: object, published: object, source: Source) -> Headline | None:
-    """One search result's headline; None when its title or date is unusable."""
+    """One search result's headline; None when its title or date is unusable.
+    A title that is not valid Unicode fails the search as an UpstreamError."""
     if not title or not isinstance(title, str) or not isinstance(published, str):
         return None
+    try:
+        title.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, from an escape such as "\udc80"
+        raise UpstreamError(200, f"headline title is not valid Unicode: {title!r}") from None
     try:
         # timestamps vary by service; only the calendar date matters
         return Headline(title=title, date=parse_date(published[:10]), source=source)

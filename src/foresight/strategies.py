@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
-from functools import partial
+from functools import cache, partial
 from itertools import takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -660,6 +660,21 @@ def _float_text(value: float) -> str:
     return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
+# How _encode writes a value of exactly one of these types.
+_LEAF_TEXT: dict[type, Callable[[object], str]] = {
+    str: encode_basestring, float: _float_text, int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+}
+# How _encode writes a tuple of only items of one of these types in one pass.
+_ONE_PASS: dict[type, Callable[[object], str]] = {str: encode_basestring, float: float.__repr__}
+
+
+@cache
+def _keys(cls: type) -> tuple[tuple[str, str], ...]:
+    # each field name in sorted order, with its encoded '"name": ' text
+    return tuple((name, encode_basestring(name) + ": ") for name in sorted(f.name for f in fields(cls)))
+
+
 def _encode(value: object, indent: str, out: list[str]) -> None:
     """Append a trace record or one of its values to ``out`` as
     ``json.dumps(json_data(value), indent=2, sort_keys=True,
@@ -677,6 +692,17 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = "\n" + indent + "  "
+        encode = _ONE_PASS.get(type(value[0]))
+        if encode is not None:
+            try:
+                text = ("," + inner).join(map(encode, value))
+            except TypeError:  # a later item of another type
+                pass
+            else:
+                # no finite float's repr, and no separator, has an "n"; "nan" and "inf" do
+                if encode is encode_basestring or "n" not in text:
+                    out.append("[" + inner + text + "\n" + indent + "]")
+                    return
         for i, item in enumerate(value):
             out.append(("," if i else "[") + inner)
             _encode(item, inner[1:], out)
@@ -690,9 +716,16 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
     elif is_dataclass(value):  # every record has fields
         members = vars(value)
         inner = "\n" + indent + "  "
-        for i, key in enumerate(sorted(members)):
-            out.append(("," if i else "{") + inner + encode_basestring(key) + ": ")
-            _encode(members[key], inner[1:], out)
+        opening = "{" + inner
+        for name, key_text in _keys(type(value)):
+            member = members[name]
+            leaf = _LEAF_TEXT.get(type(member))
+            if leaf is None:
+                out.append(opening + key_text)
+                _encode(member, inner[1:], out)
+            else:  # written in place, without a call of its own
+                out.append(opening + key_text + leaf(member))
+            opening = "," + inner
         out.append("\n" + indent + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -703,14 +736,15 @@ def _write_json(record: object, path: str | Path) -> None:
     text unescaped and one trailing newline."""
     out: list[str] = []
     _encode(record, "", out)
-    text = "".join(out) + "\n"
+    # encoded before the file is made, so that a lone surrogate leaves no file
+    data = ("".join(out) + "\n").encode("utf-8")
     path = Path(path)
     try:
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
     except FileNotFoundError:
         # only the first write into a new directory creates it
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
 
 
 def save_trace(trace: ChainTrace, path: str | Path) -> None:

@@ -154,6 +154,29 @@ def test_run_replay_miss_is_failure(tmp_path, capsys):
     assert "no cached response" in capsys.readouterr().err
 
 
+def test_run_replay_unreadable_entry_fails_the_event(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(RUN_BASE + ["--strategy", "basic", "--cache", str(cache), "--out", str(tmp_path / "live")]) == 0
+    name = load_dataset(EVENTS).events[0].name
+    for entry in (cache / "llm").rglob("*.json"):
+        if name in json.loads(entry.read_text(encoding="utf-8"))["key"]["prompt"]:
+            entry.unlink()
+            entry.mkdir()  # a directory where evt-01's entry was
+    capsys.readouterr()
+
+    out = tmp_path / "replay"
+    argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", f"replay:{cache}", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "9 ok, 1 failed" in captured.out
+    assert "Traceback" not in captured.err
+    failed = json.loads((out / "traces" / "basic" / "evt-01.failed.json").read_text(encoding="utf-8"))
+    assert failed["failed_step"] == "predict"
+    assert "failed at step 'predict': cache file unreadable: " in failed["error"]
+    assert (out / "traces" / "basic" / "evt-02.json").is_file()
+
+
 def test_run_missing_replay_cache_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir"
     out = tmp_path / "out"
@@ -914,6 +937,22 @@ def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert f"error: {latin1}: not UTF-8 text" in capsys.readouterr().err
     assert not Path(out).exists()
+
+
+def test_dataset_text_that_is_not_unicode_is_an_input_error(tmp_path, capsys):
+    first, second = Path(EVENTS).read_text(encoding="utf-8").splitlines()[:2]
+    record = json.loads(second)
+    record["description"] += "\udc80"  # a lone surrogate, which UTF-8 cannot hold
+    events = tmp_path / "events.jsonl"
+    events.write_text(f"{first}\n{json.dumps(record)}\n", encoding="utf-8")  # written as an escape
+    out = tmp_path / "out"
+    argv = ["run", "--events", str(events), "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", MOCK, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 2: 'utf-8' codec can't encode character '\\udc80'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_safe_filename_collisions():

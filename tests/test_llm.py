@@ -14,6 +14,8 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foresight import cli
 from foresight.events import MalformedRecord
@@ -37,6 +39,7 @@ from foresight.llm import (
     ReplayMiss,
     TokenBucket,
     TransportError,
+    _canonical_json,
     complete,
     fan_out,
     key_digest,
@@ -192,6 +195,21 @@ def test_canonical_request_is_stable_and_sensitive(tmp_path):
     ):
         record("b", variant)
     assert len(entry_files(tmp_path)) == 7
+
+
+# Any JSON value a cache key could hold, lone surrogates (Cs) and NaN included.
+_KEY_TEXT = st.text(st.characters(categories=["Cs", "Cc", "L", "N", "P", "S", "Z"]))
+_KEY_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _KEY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEY_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEY_VALUES)
+def test_canonical_json_is_json_dumps(key):
+    assert _canonical_json(key) == json.dumps(key, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def test_cached_backend_records_then_replays(tmp_path):
@@ -480,6 +498,14 @@ def test_http_backend_rejects_non_string_content(content):
         backend.complete(CompletionRequest("p"))
 
 
+def test_http_backend_rejects_content_that_is_not_unicode():
+    # the JSON escape decodes to a lone surrogate, which UTF-8 cannot hold
+    payload = json.loads('{"choices": [{"message": {"content": "ok \\udc80"}}]}')
+    backend = make_backend(FakeSession([FakeResponse(payload=payload)]))
+    with pytest.raises(ProviderError, match="unexpected response shape"):
+        backend.complete(CompletionRequest("p"))
+
+
 def test_null_content_fails_the_event_and_records_nothing(tmp_path, monkeypatch, capsys):
     events = tmp_path / "one.jsonl"
     lines = (Path(__file__).parent / "fixtures" / "events_val.jsonl").read_text(encoding="utf-8")
@@ -575,7 +601,7 @@ def test_store_layout_and_entry_format(tmp_path):
     assert store.load(digest, dict) is None
     store.save(digest, {"payload": ["é"]})
     path = tmp_path / "root" / "ab" / f"{digest}.json"
-    assert store.path(digest) == path
+    assert store.path(digest) == str(path)
     assert list(path.parent.iterdir()) == [path]  # no temp file left behind
     text = path.read_text(encoding="utf-8")
     assert text.startswith(f'{{"digest": "{digest}", "payload": ["é"], "timestamp": "')
@@ -590,13 +616,35 @@ def test_store_replay_only_miss_and_corrupt_entry(tmp_path):
     assert info.value.digest == "cd" + "1" * 62
     assert (store.hits, store.misses) == (0, 0)
     digest = "ef" + "2" * 62
-    store.path(digest).parent.mkdir()
-    store.path(digest).write_text("[1, 2", encoding="utf-8")
+    path = Path(store.path(digest))
+    path.parent.mkdir()
+    path.write_text("[1, 2", encoding="utf-8")
     with pytest.raises(CacheCorrupt):
         store.load(digest, dict)
-    store.path(digest).write_text("{}", encoding="utf-8")
+    path.write_text("{}", encoding="utf-8")
     with pytest.raises(CacheCorrupt):
         store.load(digest, lambda entry: entry["missing"])
+
+
+@pytest.mark.parametrize("replay_only", [False, True])
+def test_store_unreadable_entry_is_corrupt(tmp_path, replay_only):
+    store = ContentStore(tmp_path, replay_only=replay_only)
+    digest = "ab" + "3" * 62
+    Path(store.path(digest)).mkdir(parents=True)  # a directory where the entry goes
+    with pytest.raises(CacheCorrupt) as info:
+        store.load(digest, dict)
+    assert info.value.path == str(tmp_path / "ab" / f"{digest}.json")
+    assert (store.hits, store.misses) == (0, 0)
+
+
+def test_store_path_text_is_the_pathlib_join(tmp_path, monkeypatch):
+    digest = "cd" + "4" * 62
+    monkeypatch.chdir(tmp_path)
+    for root in (".", "cache/", tmp_path, tmp_path / "a" / ".." / "b"):
+        store = ContentStore(root, replay_only=True)
+        with pytest.raises(ReplayMiss):
+            store.load(digest, dict)
+        assert store.path(digest) == str(Path(root) / digest[:2] / f"{digest}.json")
 
 
 def test_entries_in_the_older_format_still_replay(tmp_path):

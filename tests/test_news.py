@@ -210,6 +210,22 @@ def test_news_clients_reject_malformed_replies(make_client, payload):
         client.search(window())
 
 
+@pytest.mark.parametrize(
+    "make_client, payload",
+    [
+        (HackerNewsClient, '{"hits": [{"title": "ok \\udc80", "created_at": "2022-07-01T00:00:00Z"}]}'),
+        (lambda **kw: NYTClient("test-key", **kw),
+         '{"response": {"docs": [{"headline": {"main": "ok \\udc80"}, "pub_date": "2022-07-01"}]}}'),
+    ],
+    ids=["hn", "nyt"],
+)
+def test_news_clients_reject_titles_that_are_not_unicode(make_client, payload):
+    # the JSON escape decodes to a lone surrogate, which UTF-8 cannot hold
+    client = make_client(session=ScriptedSession([ScriptedResponse(200, json.loads(payload))]))
+    with pytest.raises(UpstreamError, match="not valid Unicode"):
+        client.search(window())
+
+
 def test_hackernews_client_network_error():
     client = HackerNewsClient("http://127.0.0.1:9/hn", timeout=0.2, max_retries=0)
     with pytest.raises(NetworkError):

@@ -11,7 +11,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import foresight.strategies
@@ -485,14 +485,37 @@ def test_trace_codec_round_trips(trace):
         assert first.read_bytes() == second.read_bytes()
 
 
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(-10**6, 10**6).map(float)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | _TEXT
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# The writer encodes a tuple of only strings, or of only finite floats, in
+# one pass. These tuples start as one of those and may stop being one at
+# any later item.
+_ONE_PASS_PREFIXES = st.builds(
+    lambda first, rest: (first, *rest),
+    _TEXT | _FINITE,
+    st.lists(_TEXT | _FINITE | _LEAVES, max_size=3),
+)
 # Any value a step may carry as ``parsed``: the floats (integer-valued, NaN,
 # infinite) and ints and bools that a writer could confuse with one another.
 _ANY_PARSED = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.integers(-10**6, 10**6).map(float) | _TEXT,
+    _LEAVES | _ONE_PASS_PREFIXES,
     lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=6,
 )
+# Each one-pass kind and each way out of it, written whatever the draws.
+# _TEXT's alphabet holds control characters, which JSON escapes, and U+2028,
+# which it leaves as it is.
+_PARSED_EXAMPLES = [
+    ("a", "b\u2028\x01\"\\"),
+    ("a", 1), ("a", None), ("a", ("b",)), ("a", 0.5),
+    (0.5, -0.0, 1e16), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+    (0.5, 1), (0.5, True), (0.5, "a"), (0.5, None),
+    (True, 0.5), (1, 0.5), (-0.0,), (math.nan, 0.5),
+]
 _FAILED_TRACES = st.builds(
     FailedTrace,
     event_id=_TEXT,
@@ -506,6 +529,10 @@ _FAILED_TRACES = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_traces(_steps(_ANY_PARSED)), _FAILED_TRACES))
+@example(FailedTrace(
+    "evt", "basic", date(2022, 8, 1), "predict", "e",
+    tuple(StepRecord(f"s{i}", "p", ("r",), parsed) for i, parsed in enumerate(_PARSED_EXAMPLES)),
+))
 def test_trace_writer_matches_json_dumps(record):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "record.json"
@@ -515,6 +542,14 @@ def test_trace_writer_matches_json_dumps(record):
             save_trace(record, path)
         text = json.dumps(json_data(record), indent=2, sort_keys=True, ensure_ascii=False)
         assert path.read_bytes() == (text + "\n").encode("utf-8")
+
+
+def test_trace_that_is_not_unicode_leaves_no_file(tmp_path):
+    path = tmp_path / "trace.json"
+    # a lone surrogate, which UTF-8 cannot hold
+    with pytest.raises(UnicodeEncodeError):
+        save_trace(dataclasses.replace(run("basic"), event_id="evt-\udc80"), path)
+    assert not path.exists()
 
 
 def test_trace_dict_rejects_inconsistent_payloads(tmp_path):
