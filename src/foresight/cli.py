@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -155,17 +156,25 @@ def _build_news_clients(args, cache_dir: Path | None, replay_only: bool):
 
 
 _UNSAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
+# The longest trace name whose ".failed.json" file still fits a 255-byte name.
+_MAX_NAME = 255 - len(".failed.json")
 
 
 def _safe_filename(event_id: str, taken: dict[str, str]) -> str:
+    """The trace name of ``event_id``: safe characters only, at most
+    ``_MAX_NAME`` long, and unique among ``taken`` (case-folded name -> id),
+    as a case-insensitive filesystem compares names."""
     base = _UNSAFE_ID.sub("_", event_id) or "event"
     name = base
     counter = 2
-    while name in taken and taken[name] != event_id:
+    while True:
+        if len(name) > _MAX_NAME:
+            # a cut name ends in a digest of the whole id, which no other id shares
+            name = name[:_MAX_NAME - 13] + "-" + hashlib.sha256(event_id.encode("utf-8")).hexdigest()[:12]
+        if taken.setdefault(name.casefold(), event_id) == event_id:
+            return name
         name = f"{base}_{counter}"
         counter += 1
-    taken[name] = event_id
-    return name
 
 
 def _cache_location(args) -> tuple[Path | None, bool]:
@@ -208,7 +217,8 @@ class _Run:
 def _run_event(run: _Run, index: int) -> tuple[ForecastRecord | None, str | None, str]:
     """Run event ``index``'s chain and write its trace (or ``.failed.json``)
     where the chain ran. Return its forecast record, or its failure message
-    and, for a fault outside the chain, the traceback text."""
+    (a failed write included) and, for a fault outside the chain, the
+    traceback text."""
     event, ref = run.events[index], f"traces/{run.strategy}/{run.names[index]}"
     try:
         trace = run_strategy(
@@ -221,13 +231,20 @@ def _run_event(run: _Run, index: int) -> tuple[ForecastRecord | None, str | None
             params=run.params,
         )
     except ChainError as exc:
-        save_partial_trace(exc, run.out / f"{ref}.failed.json")
-        return None, str(exc), ""
+        record, failure = None, str(exc)
+        write = partial(save_partial_trace, exc, run.out / f"{ref}.failed.json")
     except Exception as exc:
         # One event's unexpected fault must not cost the other events' results.
         return None, f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc))
-    save_trace(trace, run.out / f"{ref}.json")
-    return trace_to_forecast(trace, trace_ref=f"{ref}.json"), None, ""
+    else:
+        record, failure = trace_to_forecast(trace, trace_ref=f"{ref}.json"), None
+        write = partial(save_trace, trace, run.out / f"{ref}.json")
+    try:
+        write()
+    except (OSError, UnicodeEncodeError) as exc:
+        # a trace that cannot be written fails its event, not the run
+        return None, "; ".join(filter(None, (failure, f"trace not written: {exc}"))), ""
+    return record, failure, ""
 
 
 _forked_run: _Run | None = None  # set in each forked worker by _adopt

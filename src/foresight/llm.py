@@ -42,6 +42,7 @@ __all__ = [
     "RateLimited",
     "ProviderError",
     "NoRuleMatched",
+    "CacheFault",
     "ReplayMiss",
     "CacheCorrupt",
     "complete",
@@ -102,7 +103,12 @@ class NoRuleMatched(BackendError):
         self.prompt = prompt
 
 
-class ReplayMiss(BackendError):
+class CacheFault(BackendError):
+    """A cache entry is missing on replay or unreadable: not the provider's
+    answer, so nothing may fall back from it."""
+
+
+class ReplayMiss(CacheFault):
     """Replay-only cache lookup found no recorded entry."""
 
     def __init__(self, digest: str):
@@ -110,7 +116,7 @@ class ReplayMiss(BackendError):
         self.digest = digest
 
 
-class CacheCorrupt(BackendError):
+class CacheCorrupt(CacheFault):
     def __init__(self, path: str | Path):
         super().__init__(f"cache file unreadable: {path}")
         self.path = str(path)
@@ -246,6 +252,8 @@ def _rule_from_object(obj: dict) -> MockRule:
     texts = response if isinstance(response, tuple) else (response,)
     if not all(isinstance(text, str) for text in texts):
         raise ValueError("response must be a string or a list of strings")
+    for text in texts:
+        text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
     if not isinstance(pattern, (str, type(None))):
         raise ValueError("pattern must be a string")
     return MockRule(match=match, pattern=pattern, response=response)

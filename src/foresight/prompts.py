@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .events import Event
-from .llm import BackendError, CompletionBackend, CompletionRequest, complete
+from .llm import BackendError, CacheFault, CompletionBackend, CompletionRequest, complete
 from .metrics import EmptyInput
 
 __all__ = [
@@ -290,14 +290,16 @@ def extract_probability(
     probability.
 
     An extraction prompt is sent to ``extractor`` first and its reply parsed
-    on the unit scale. Any failure on that route falls back to parsing the
-    raw reply directly.
+    on the unit scale. A :class:`CacheFault` there is raised as it is; any
+    other failure on that route falls back to parsing the raw reply directly.
     """
     template = get_template(EXTRACTION_TEMPLATE_ID)
     prompt = render(template, {"response": raw})
     response = None
     try:
         result = complete(extractor, CompletionRequest(prompt=prompt, n_samples=1))
+    except CacheFault:
+        raise
     except BackendError as exc:
         error = f"extractor backend failed: {exc}"
     else:

@@ -8,7 +8,6 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from functools import cache, partial
-from itertools import takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
@@ -17,6 +16,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .events import Event, InputError, parse_date
 from .llm import (
     BackendError,
+    CacheFault,
     CompletionBackend,
     CompletionRequest,
     DEFAULT_TEMPERATURE,
@@ -150,7 +150,7 @@ class _Outcome(NamedTuple):
 
     step_id: str
     step: StepRecord | None  # None when sampling failed
-    failure: BackendError | ExtractionFailed | None = None
+    failure: Exception | None = None
     drop_failed: bool = False
 
 
@@ -222,11 +222,6 @@ class _ChainBuilder:
         """A step that made no model call, unrecorded."""
         return _Outcome(step_id, StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings)))
 
-    def predict(self, *args, **kwargs) -> tuple[float, tuple[float, ...]]:
-        """A recorded :meth:`prediction`; returns its mean and samples."""
-        step = self.record(self.prediction(*args, **kwargs))
-        return step.parsed, tuple(extraction.probability for extraction in step.extractions)
-
     def prediction(
         self,
         step_id: str,
@@ -240,7 +235,8 @@ class _ChainBuilder:
         is recorded, so that independent predictions can run at once.
 
         A reply with no probability fails the chain; with ``drop_failed`` the
-        step is recorded as dropped instead, its value None.
+        step is recorded as dropped instead, its value None.  A cache fault
+        in extraction always fails the chain.
         """
         try:
             template, prompt, replies = self._sample(template_id, extra, n_samples)
@@ -253,17 +249,17 @@ class _ChainBuilder:
                 return extract_probability(
                     raw, scale=template.scale, extractor=self.backend, sample_index=index
                 )[1]
-            except ExtractionFailed as exc:
+            except (ExtractionFailed, CacheFault) as exc:
                 return exc
 
         extractions: list[SampleExtraction] = []
         warnings: list[str] = []
-        failure: ExtractionFailed | None = None
+        failure: Exception | None = None
         for index, outcome in enumerate(self.each(extract, enumerate(replies))):
-            if isinstance(outcome, ExtractionFailed):
+            if isinstance(outcome, Exception):
                 failure = outcome
-                label = "dropped" if drop_failed else f"sample {index}"
-                warnings.append(f"{label}: {outcome}")
+                dropped = drop_failed and isinstance(outcome, ExtractionFailed)
+                warnings.append(f"{'dropped' if dropped else f'sample {index}'}: {outcome}")
                 break
             extractions.append(outcome)
             if outcome.error:
@@ -282,16 +278,6 @@ class _ChainBuilder:
         if failure is None or (isinstance(failure, ExtractionFailed) and outcome.drop_failed):
             return outcome.step
         raise self.fail(outcome.step_id, str(failure)) from failure
-
-    def trace(self, samples: tuple[float, ...], final: float) -> ChainTrace:
-        return ChainTrace(
-            event_id=self.event.id,
-            strategy=self.strategy_id,
-            prediction_date=self.today,
-            steps=tuple(self.steps),
-            final_samples=samples,
-            final_probability=final,
-        )
 
 
 _SEQUENCE_MARKER = re.compile(r"^\[PATH TO (?:POSITIVE|NEGATIVE) OUTCOME\]\s*$")
@@ -354,103 +340,6 @@ def _compose_sequences(blocks: Sequence[str], *, positive: bool) -> str:
     )
 
 
-class Step(NamedTuple):
-    """One row of a chain table: a prompt step and what it reads."""
-
-    step_id: str
-    # {placeholder: earlier step id}; that step's shown value fills it
-    reads: Mapping[str, str] = MappingProxyType({})
-    template: str | None = None  # default "<strategy>/<step_id>"
-    # reply -> (value, warnings); without it the value is the reply
-    parse: Callable[[str], tuple[object, tuple[str, ...]]] | None = None
-    show: Callable[[object], str] | None = None  # value -> text later steps read
-    empty_error: str | None = None  # an empty value fails the chain with this
-    complement: bool = False  # prediction row: the trace reports 1 - each sample
-
-
-# The opposite-rewording step that sequences and reversed share.
-_OPPOSITE = Step(
-    "opposite",
-    template="sequences/opposite",
-    parse=_parse_opposite_reply,
-    empty_error="reworded event text was empty",
-)
-
-# Each chain strategy as rows in the order its trace records them:
-# single-sample steps, then the prediction as the last row.  A row runs after
-# the rows it reads; on the network, rows that read none of each other run
-# at once.
-CHAINS: dict[str, tuple[Step, ...]] = {
-    # basic asks directly, forecaster adds the persona preamble, and
-    # basic_with_rationale asks for reasoning before the number.
-    "basic": (Step("predict"),),
-    "forecaster": (Step("predict"),),
-    "base_rate": (
-        Step("question"),
-        Step("answer", {"base rate question": "question"}),
-        Step("predict", {"base rate": "answer"}),
-    ),
-    "both_sides": (
-        Step("pros"),
-        Step("cons"),
-        Step("predict", {"pros": "pros", "cons": "cons"}),
-    ),
-    "basic_with_rationale": (Step("predict"),),
-    # paths toward the event and toward its opposite, then weigh them
-    "sequences": (
-        Step("positive", parse=_parse_sequence_blocks, show=partial(_compose_sequences, positive=True)),
-        _OPPOSITE,
-        Step(
-            "negative",
-            {"Opposite Event": "opposite"},
-            parse=_parse_sequence_blocks,
-            show=partial(_compose_sequences, positive=False),
-        ),
-        Step("predict", {"positive sequences": "positive", "negative sequences": "negative"}),
-    ),
-    # predict the opposite event with basic's question, then complement
-    "reversed": (
-        _OPPOSITE,
-        Step("predict", {"condition": "opposite"}, template="basic/predict", complement=True),
-    ),
-}
-
-
-def _run_chain(strategy_id: str, event: Event, today: date, backend: CompletionBackend) -> ChainTrace:
-    """Run the rows ``CHAINS`` lists for ``strategy_id``."""
-    builder = _ChainBuilder(strategy_id, event, today, backend)
-    *steps, last = CHAINS[strategy_id]
-    shown: dict[str, object] = {}
-
-    def bind(step: Step) -> tuple[str, dict[str, object]]:
-        template = step.template or f"{strategy_id}/{step.step_id}"
-        return template, {placeholder: shown[source] for placeholder, source in step.reads.items()}
-
-    def sample(step: Step) -> _Outcome:
-        return builder.intermediate(step.step_id, *bind(step), parse=step.parse)
-
-    done = 0
-    while done < len(steps):
-        # A wave: the next row and the rows after it that read only earlier
-        # waves.  Its rows sample n = 1, as fan_out on a pool thread sends n
-        # one by one; the prediction's n samples go from the chain's thread.
-        wave = steps[done:done + 1]
-        wave += takewhile(lambda step: shown.keys() >= set(step.reads.values()), steps[done + 1:])
-        # the rows run at once, but are recorded in row order
-        for step, outcome in zip(wave, builder.each(sample, wave)):
-            value = builder.record(outcome).parsed
-            if step.empty_error and not value:
-                raise builder.fail(step.step_id, step.empty_error)
-            shown[step.step_id] = step.show(value) if step.show else value
-        done += len(wave)
-    mean, samples = builder.predict(last.step_id, *bind(last))
-    if last.complement:
-        # the prediction step's parsed value keeps the raw, unflipped mean
-        samples = tuple(1.0 - value for value in samples)
-        mean = aggregate_probabilities(samples)
-    return builder.trace(samples, mean)
-
-
 def _parse_jobs(*replies: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Each reply's expert description; "" where a reply names none."""
     jobs = []
@@ -462,38 +351,6 @@ def _parse_jobs(*replies: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
             job = job[len("i choose to talk to"):].strip()
         jobs.append(job.rstrip(".").strip())
     return tuple(jobs), ()
-
-
-def run_crowd(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    persona_count: int = DEFAULT_PERSONA_COUNT,
-) -> ChainTrace:
-    """Pick experts, ask each for a windowed probability, average them."""
-    builder = _ChainBuilder("crowd", event, today, backend)
-    expert = builder.intermediate("expert", "crowd/expert", parse=_parse_jobs, n_samples=persona_count)
-    jobs = builder.record(expert).parsed
-
-    def persona(item: tuple[int, str]) -> _Outcome:
-        index, job = item
-        if not job:
-            return builder.non_llm(f"persona_{index}", None, warnings=("dropped: empty expert description",))
-        return builder.prediction(
-            f"persona_{index}", "crowd/predict", {"job": job}, n_samples=1, drop_failed=True
-        )
-
-    values: list[float] = []
-    # the personas run at once, but their steps are recorded in persona order
-    for outcome in builder.each(persona, enumerate(jobs)):
-        value = builder.record(outcome).parsed
-        if value is not None:
-            values.append(value)
-    if not values:
-        raise builder.fail("predict", "every persona prediction failed")
-    final = aggregate_probabilities(values)
-    return builder.trace(tuple(values), final)
 
 
 def _parse_keywords(reply: str, limit: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -513,8 +370,9 @@ def _parse_keywords(reply: str, limit: int) -> tuple[tuple[str, ...], tuple[str,
 
 def _fetch_headlines(
     builder: _ChainBuilder, step_id: str, client: NewsClient | None, window: QueryWindow
-) -> tuple[_Outcome, str]:
-    """A fetch step, unrecorded, and the formatted headlines, "" when none."""
+) -> _Outcome:
+    """A fetch step, unrecorded: the formatted headlines, or
+    ``NO_HEADLINES_TEXT`` when there are none."""
     headlines: tuple = ()
     warnings: tuple[str, ...] = ()
     if client is None:
@@ -525,91 +383,132 @@ def _fetch_headlines(
         except NewsError as exc:
             # A service fault degrades to no headlines; the chain still runs.
             warnings = (f"headline fetch failed: {exc}",)
-        except BackendError as exc:
-            # A cache fault (replay miss, corrupt entry) fails the chain.
-            return _Outcome(step_id, None, exc), ""
-    text = format_headlines(headlines)
-    return builder.non_llm(step_id, text or NO_HEADLINES_TEXT, warnings=warnings), text
+        except CacheFault as exc:
+            # A replay miss or a corrupt entry fails the chain.
+            return _Outcome(step_id, None, exc)
+    return builder.non_llm(step_id, format_headlines(headlines) or NO_HEADLINES_TEXT, warnings=warnings)
 
 
-def _is_none_reply(reply: str) -> bool:
-    return not reply.strip() or reply.strip().upper() == "NONE"
+class Step(NamedTuple):
+    """One row of a chain table: a step and what it reads."""
+
+    step_id: str
+    # {placeholder: earlier step id or parameter}; that value fills it
+    reads: Mapping[str, str] = MappingProxyType({})
+    template: str | None = None  # default "<strategy>/<step_id>"
+    # replies -> (value, warnings); without it the value is the reply
+    parse: Callable[..., tuple[object, tuple[str, ...]]] | None = None
+    show: Callable[[object], str] | None = None  # value -> text later steps read
+    empty_error: str | None = None  # an empty value fails the chain with this
+    samples: str | None = None  # a parameter: sample that many replies, not one
+    limit: str | None = None  # a parameter: passed to ``parse`` as ``limit``
+    # fetch row: the news client it queries, for the QueryWindow fields it reads
+    fetch: str | None = None
+    # skipped when a row it reads found no headlines; a NONE reply finds none
+    guard: bool = False
+    # prediction row: predict once per item of the value it reads, as steps
+    # "<items>_<i>" that sample once, and drop an item that fails
+    items: str | None = None
+    complement: bool = False  # prediction row: the trace reports 1 - each sample
 
 
-def run_news(
-    event: Event,
-    today: date,
-    backend: CompletionBackend,
-    *,
-    hn_client: NewsClient | None = None,
-    nyt_client: NewsClient | None = None,
-    keyword_count: int = DEFAULT_KEYWORD_COUNT,
-) -> ChainTrace:
-    """Search the news up to the prediction date, then predict from it."""
-    builder = _ChainBuilder("news", event, today, backend, hn_client, nyt_client)
-    terms = builder.record(builder.intermediate(
-        "keywords",
-        "news/keywords",
-        {"number of terms": str(keyword_count)},
-        parse=lambda reply: _parse_keywords(reply, keyword_count),
-    )).parsed
-    if not terms:
-        raise builder.fail("keywords", "no search terms parsed from the reply")
-    window = QueryWindow(terms=tuple(terms), until=today)
-    # Each headline branch: its fetch step, its client, the news/predict
-    # placeholder its text fills, and its filter steps in order, each as
-    # (step id, placeholder the text before it fills).  An empty fetch or a
-    # NONE reply ends the branch.
-    branches = (
-        ("hn_fetch", hn_client, "filtered Hackernews headlines", (
-            ("hn_filter", "Hackernews headlines"),
-        )),
-        ("nyt_fetch", nyt_client, "summarized NYT headlines", (
-            ("nyt_extract", "NYT headlines"),
-            ("nyt_paraphrase", "filtered NYT headlines"),
-        )),
-    )
-
-    def branch(row: tuple) -> tuple[list[_Outcome], str]:
-        """A branch's unrecorded steps, up to a failure, and the text it found."""
-        fetch_id, client, _, filters = row
-        outcome, text = _fetch_headlines(builder, fetch_id, client, window)
-        outcomes = [outcome]
-        for step_id, placeholder in filters:
-            if not text:
-                break
-            outcomes.append(builder.intermediate(step_id, f"news/{step_id}", {placeholder: text}))
-            reply = outcomes[-1].step.parsed if outcomes[-1].step else ""
-            text = "" if _is_none_reply(reply) else reply
-        return outcomes, text
-
-    found: dict[str, str] = {}
-    # the branches run at once, but their steps are recorded in branch order
-    for (_, _, found_placeholder, _), (outcomes, text) in zip(branches, builder.each(branch, branches)):
-        for outcome in outcomes:
-            builder.record(outcome)
-        found[found_placeholder] = text or NO_HEADLINES_TEXT
-    mean, samples = builder.predict("predict", "news/predict", found)
-    return builder.trace(samples, mean)
+def _beside(*branches: Step | tuple[Step, ...]) -> tuple[tuple[Step, ...], ...]:
+    """Branches that run at once on the network, each its rows in order."""
+    return tuple((branch,) if isinstance(branch, Step) else branch for branch in branches)
 
 
-STRATEGY_IDS = (*CHAINS, "crowd", "news")
+# The opposite-rewording step that sequences and reversed share.
+_OPPOSITE = Step(
+    "opposite",
+    template="sequences/opposite",
+    parse=_parse_opposite_reply,
+    empty_error="reworded event text was empty",
+)
 
-# The parameters each strategy accepts.
-_ALLOWED_PARAMS: dict[str, frozenset[str]] = {
-    **dict.fromkeys(CHAINS, frozenset()),
-    "crowd": frozenset({"persona_count"}),
-    "news": frozenset({"keyword_count"}),
+# Each strategy as rows in the order its trace records them, the prediction
+# last.  A row runs after the rows before it; the branches of a _beside group
+# run at once when a part of the chain waits on the network.
+CHAINS: dict[str, tuple[Step | tuple[tuple[Step, ...], ...], ...]] = {
+    # basic asks directly, forecaster adds the persona preamble, and
+    # basic_with_rationale asks for reasoning before the number.
+    "basic": (Step("predict"),),
+    "forecaster": (Step("predict"),),
+    "base_rate": (
+        Step("question"),
+        Step("answer", {"base rate question": "question"}),
+        Step("predict", {"base rate": "answer"}),
+    ),
+    "both_sides": (
+        _beside(Step("pros"), Step("cons")),
+        Step("predict", {"pros": "pros", "cons": "cons"}),
+    ),
+    "basic_with_rationale": (Step("predict"),),
+    # paths toward the event and toward its opposite, then weigh them
+    "sequences": (
+        _beside(
+            Step("positive", parse=_parse_sequence_blocks, show=partial(_compose_sequences, positive=True)),
+            _OPPOSITE,
+        ),
+        Step(
+            "negative",
+            {"Opposite Event": "opposite"},
+            parse=_parse_sequence_blocks,
+            show=partial(_compose_sequences, positive=False),
+        ),
+        Step("predict", {"positive sequences": "positive", "negative sequences": "negative"}),
+    ),
+    # predict the opposite event with basic's question, then complement
+    "reversed": (
+        _OPPOSITE,
+        Step("predict", {"condition": "opposite"}, template="basic/predict", complement=True),
+    ),
+    # pick experts, ask each for a windowed probability, average them
+    "crowd": (
+        Step("expert", samples="persona_count", parse=_parse_jobs),
+        Step("predict", {"job": "expert"}, items="persona"),
+    ),
+    # search the news up to the prediction date, filter it, predict from it
+    "news": (
+        Step(
+            "keywords",
+            {"number of terms": "keyword_count"},
+            parse=_parse_keywords,
+            limit="keyword_count",
+            empty_error="no search terms parsed from the reply",
+        ),
+        _beside(
+            (
+                Step("hn_fetch", {"terms": "keywords"}, fetch="hn_client"),
+                Step("hn_filter", {"Hackernews headlines": "hn_fetch"}, guard=True),
+            ),
+            (
+                Step("nyt_fetch", {"terms": "keywords"}, fetch="nyt_client"),
+                Step("nyt_extract", {"NYT headlines": "nyt_fetch"}, guard=True),
+                Step("nyt_paraphrase", {"filtered NYT headlines": "nyt_extract"}, guard=True),
+            ),
+        ),
+        Step("predict", {
+            "filtered Hackernews headlines": "hn_filter",
+            "summarized NYT headlines": "nyt_paraphrase",
+        }),
+    ),
+}
+
+STRATEGY_IDS = tuple(CHAINS)
+
+# The parameters each strategy accepts, with their defaults.
+_PARAMS: dict[str, Mapping[str, int]] = {
+    "crowd": {"persona_count": DEFAULT_PERSONA_COUNT},
+    "news": {"keyword_count": DEFAULT_KEYWORD_COUNT},
 }
 
 
 def check_params(strategy_id: str, params: Mapping[str, int] | None) -> None:
     """Raise unless ``strategy_id`` is registered and ``params`` suit it."""
-    allowed = _ALLOWED_PARAMS.get(strategy_id)
-    if allowed is None:
+    if strategy_id not in CHAINS:
         raise UnknownStrategy(strategy_id)
     params = params or {}
-    unknown = set(params) - allowed
+    unknown = params.keys() - _PARAMS.get(strategy_id, {}).keys()
     if unknown:
         names = ", ".join(sorted(unknown))
         raise InvalidParam(f"strategy {strategy_id!r} does not accept: {names}")
@@ -628,18 +527,91 @@ def run_strategy(
     nyt_client: NewsClient | None = None,
     params: Mapping[str, int] | None = None,
 ) -> ChainTrace:
-    """Dispatch to a registered strategy, validating its parameters.
-
-    Every step, extraction included, completes against ``backend``.
-    """
+    """Run the rows ``CHAINS`` lists for ``strategy_id``, validating its
+    parameters.  Every step, extraction included, completes against
+    ``backend``."""
     check_params(strategy_id, params)
-    if strategy_id == "crowd":
-        return run_crowd(event, today, backend, **(params or {}))
-    if strategy_id == "news":
-        return run_news(
-            event, today, backend, hn_client=hn_client, nyt_client=nyt_client, **(params or {})
-        )
-    return _run_chain(strategy_id, event, today, backend)
+    params = {**_PARAMS.get(strategy_id, {}), **(params or {})}
+    clients = {"hn_client": hn_client, "nyt_client": nyt_client}
+    builder = _ChainBuilder(strategy_id, event, today, backend, hn_client, nyt_client)
+    *groups, last = CHAINS[strategy_id]
+    # what later rows read: parameters as text, then each row's shown value
+    shown: dict[str, object] = {name: str(value) for name, value in params.items()}
+    found_none: set[str] = set()
+
+    def bind(step: Step) -> tuple[str, dict[str, object]]:
+        template = step.template or f"{strategy_id}/{step.step_id}"
+        return template, {placeholder: shown[source] for placeholder, source in step.reads.items()}
+
+    def run_row(step: Step) -> _Outcome | None:
+        """A row's outcome, unrecorded, with its shown value noted; None
+        when its guard skips it."""
+        if step.guard and not found_none.isdisjoint(step.reads.values()):
+            found_none.add(step.step_id)
+            shown[step.step_id] = NO_HEADLINES_TEXT
+            return None
+        template, extra = bind(step)
+        if step.fetch:
+            window = QueryWindow(**extra, until=today)
+            outcome = _fetch_headlines(builder, step.step_id, clients[step.fetch], window)
+        else:
+            parse = partial(step.parse, limit=params[step.limit]) if step.limit else step.parse
+            outcome = builder.intermediate(step.step_id, template, extra, parse, params.get(step.samples, 1))
+        if outcome.failure is not None:
+            return outcome
+        value = outcome.step.parsed
+        if step.empty_error and not value:
+            return outcome._replace(failure=ValueError(step.empty_error))
+        if (value == NO_HEADLINES_TEXT) if step.fetch else (step.guard and value.strip().upper() in ("", "NONE")):
+            # a headline row that found none: later rows read NO_HEADLINES_TEXT
+            found_none.add(step.step_id)
+            value = NO_HEADLINES_TEXT
+        shown[step.step_id] = step.show(value) if step.show else value
+        return outcome
+
+    def run_branch(rows: tuple[Step, ...]) -> list[_Outcome]:
+        """A branch's outcomes, unrecorded, up to the first failure."""
+        outcomes: list[_Outcome] = []
+        for step in rows:
+            outcome = run_row(step)
+            if outcome is not None:
+                outcomes.append(outcome)
+                if outcome.failure is not None:
+                    break
+        return outcomes
+
+    for group in groups:
+        # The branches run at once, but are recorded in table order.  Only a
+        # group's single row may sample n > 1: fan_out runs it inline on the
+        # chain's thread, where the backend can send its samples at once.
+        for outcomes in builder.each(run_branch, _beside(group) if isinstance(group, Step) else group):
+            for outcome in outcomes:
+                builder.record(outcome)
+    template, extra = bind(last)
+    if last.items:
+        ((placeholder, source),) = last.reads.items()
+
+        def predict_item(item: tuple[int, str]) -> _Outcome:
+            index, value = item
+            step_id = f"{last.items}_{index}"
+            if not value:
+                return builder.non_llm(step_id, None, warnings=(f"dropped: empty {source} description",))
+            return builder.prediction(step_id, template, {placeholder: value}, n_samples=1, drop_failed=True)
+
+        # the items run at once, but are recorded in item order
+        steps = [builder.record(outcome) for outcome in builder.each(predict_item, enumerate(shown[source]))]
+        samples = tuple(step.parsed for step in steps if step.parsed is not None)
+        if not samples:
+            raise builder.fail(last.step_id, f"every {last.items} prediction failed")
+        mean = aggregate_probabilities(samples)
+    else:
+        step = builder.record(builder.prediction(last.step_id, template, extra))
+        mean, samples = step.parsed, tuple(extraction.probability for extraction in step.extractions)
+        if last.complement:
+            # the prediction step's parsed value keeps the raw, unflipped mean
+            samples = tuple(1.0 - value for value in samples)
+            mean = aggregate_probabilities(samples)
+    return ChainTrace(event.id, strategy_id, today, tuple(builder.steps), samples, mean)
 
 
 def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> ForecastRecord:

@@ -5,6 +5,7 @@ import errno
 import json
 import multiprocessing
 import os
+import random
 import re
 import shutil
 import threading
@@ -343,16 +344,17 @@ def test_network_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch,
             stopped.wait(2.0)
             time.sleep(0.05)
 
-    def disk_full(trace, path):
+    def interrupted(trace, path):
+        # a failed write fails only its event; an interrupt stops the run
         stopped.set()
-        raise OSError(errno.ENOSPC, "No space left on device")
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "save_trace", disk_full)
+    monkeypatch.setattr(cli, "save_trace", interrupted)
     script_backend(monkeypatch, on_event, waits_on_network=True)
     argv = RUN_BASE + ["--strategy", "basic", "--out", str(tmp_path / "out"), "--workers", "1"]
-    assert main(argv) == 2
-    assert "No space left on device" in capsys.readouterr().err
-    assert len(started) <= 2  # the failed event and the one the worker had taken
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert len(started) <= 2  # the interrupted event and the one the worker had taken
 
 
 def many_events(path, count, **changes):
@@ -487,21 +489,22 @@ def test_forked_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch, 
                 time.sleep(0.005)
             time.sleep(0.05)
 
-    def disk_full(trace, path):
+    def interrupted(trace, path):
+        # a failed write fails only its event; an interrupt stops the run
         stopped.touch()
-        raise OSError(errno.ENOSPC, "No space left on device")
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "save_trace", disk_full)
+    monkeypatch.setattr(cli, "save_trace", interrupted)
     ran = watch_backend(monkeypatch, tmp_path, on_event)
     events = many_events(tmp_path / "events.jsonl", 4 * cli._MIN_PROCESS_EVENTS)
     argv = ["run", "--events", events, "--date", "2022-08-01", "--strategy", "basic",
             "--backend", MOCK, "--out", str(tmp_path / "out"), "--workers", "2"]
-    assert main(argv) == 2
-    assert "No space left on device" in capsys.readouterr().err
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
     assert multiprocessing.active_children() == []
     started, pids = ran()
     assert os.getpid() not in pids
-    # Every write fails, so each chunk of events stops at its first event. When
+    # Every write is interrupted, so each chunk of events stops at its first event. When
     # the run stops, 2 chunks run and 3 wait in the pool's call queue; the pool
     # may hand on one or two more before it cancels the other 40-odd chunks.
     assert len(started) <= 2 * 2 + 3, sorted(started)
@@ -962,3 +965,189 @@ def test_safe_filename_collisions():
     assert _safe_filename("evt:01", taken) == "evt_01_2"
     assert _safe_filename("evt-01", taken) == "evt-01"  # same id, same name
     assert _safe_filename("", taken) == "event"
+
+
+def test_safe_filename_fits_and_folds_case():
+    taken = {}
+    # a case-insensitive filesystem would give these one file
+    assert _safe_filename("A", taken) == "A"
+    assert _safe_filename("a", taken) == "a_2"
+    fits = "x" * cli._MAX_NAME
+    assert _safe_filename(fits, taken) == fits  # a name that fits keeps it
+    first, second = (_safe_filename("y" * 299 + end, taken) for end in "12")
+    # a cut name ends in a digest of the whole id, so ids sharing a prefix stay apart
+    assert len(first) == len(second) == cli._MAX_NAME
+    assert first[:-12] == second[:-12] and first != second
+
+
+def one_event_per_line(tmp_path):
+    """The fixture events written one file each, keyed by id."""
+    (tmp_path / "events").mkdir()
+    files = {}
+    for k, line in enumerate(Path(EVENTS).read_text(encoding="utf-8").splitlines()):
+        path = files[json.loads(line)["id"]] = tmp_path / "events" / f"{k}.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+    return files
+
+
+def test_run_writes_the_trace_of_a_long_event_id(tmp_path, capsys):
+    long_id = "evt-" + "x" * 296
+    events = tmp_path / "events.jsonl"
+    lines = Path(EVENTS).read_text(encoding="utf-8").splitlines()[:3]
+    record = json.loads(lines[1])
+    record["id"] = long_id
+    events.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--events", str(events), "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", MOCK, "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    lines = [json.loads(line) for line in (out / "basic.jsonl").read_text().splitlines()]
+    assert [line["event_id"] for line in lines] == ["evt-01", long_id, "evt-03"]
+    assert json.loads((out / lines[1]["trace_ref"]).read_text())["event_id"] == long_id
+
+
+@pytest.mark.parametrize("outcome", ["trace", "failed"])
+def test_failed_trace_write_fails_only_its_event(tmp_path, monkeypatch, capsys, outcome):
+    rules = tmp_path / "rules"
+    # evt-02's prediction has no number, so its chain fails
+    name = VAL_EVENTS[1].name
+    rules.write_text(json.dumps({"pattern": name, "response": "no number"}) + "\n"
+                     + (FIXTURES / "mock.rules").read_text(encoding="utf-8"), encoding="utf-8")
+    faulty = {"trace": "evt-03.json", "failed": "evt-02.failed.json"}[outcome]
+    for writer in ("save_trace", "save_partial_trace"):
+        def write(record, path, real=getattr(cli, writer)):
+            if Path(path).name == faulty:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(record, path)
+        monkeypatch.setattr(cli, writer, write)
+    out = tmp_path / "out"
+    argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", f"mock:{rules}", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    failed = {"evt-02", faulty.split(".")[0]}
+    assert f"10 events: {10 - len(failed)} ok, {len(failed)} failed" in captured.out
+    assert "FAILED evt-02: event 'evt-02' failed at step 'predict'" in captured.err
+    write_fault = f"trace not written: [Errno {errno.ENOSPC}] No space left on device"
+    assert re.search(f"^FAILED {faulty.split('.')[0]}: .*{re.escape(write_fault)}$", captured.err, re.M)
+    assert "Traceback" not in captured.err
+    # the run went on past the fault and wrote the forecasts of the others
+    lines = [json.loads(line) for line in (out / "basic.jsonl").read_text().splitlines()]
+    assert [line["event_id"] for line in lines] == [f"evt-{i:02d}" for i in range(1, 11) if f"evt-{i:02d}" not in failed]
+    written = {path.name for path in (out / "traces" / "basic").iterdir()}
+    assert faulty not in written and len(written) == 9
+
+
+def test_mock_rule_that_is_not_unicode_is_an_input_error(tmp_path, capsys):
+    rules = tmp_path / "rules"
+    rules.write_text('{"pattern": "x", "response": "1%"}\n{"response": "10% \\udc80"}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", f"mock:{rules}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 2: 'utf-8' codec can't encode character '\\udc80'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+EXTRACTION_PROMPT = "emit only the final probability"
+
+
+def test_replay_missing_extraction_entry_fails_instead_of_falling_back(tmp_path, capsys):
+    rules = tmp_path / "rules"
+    rules.write_text(json.dumps({"pattern": EXTRACTION_PROMPT, "response": "0.35"}) + "\n"
+                     + json.dumps({"response": "Somewhere between 20% and 40%."}) + "\n", encoding="utf-8")
+    cache = tmp_path / "cache"
+    argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01"]
+    assert main(argv + ["--backend", f"mock:{rules}", "--cache", str(cache), "--out", str(tmp_path / "live")]) == 0
+    live = [json.loads(line) for line in (tmp_path / "live" / "basic.jsonl").read_text().splitlines()]
+    assert {line["probability"] for line in live} == {0.35}
+    [entry] = [path for path in (cache / "llm").rglob("*.json")
+               if EXTRACTION_PROMPT in json.loads(path.read_text(encoding="utf-8"))["key"]["prompt"]]
+    entry.unlink()
+    capsys.readouterr()
+
+    # the raw replies would read 0.4; a replay with a hole must not say so
+    out = tmp_path / "replay"
+    assert main(argv + ["--backend", f"replay:{cache}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "10 events: 0 ok, 10 failed" in captured.out
+    assert f"failed at step 'predict': no cached response for digest {entry.stem}" in captured.err
+    assert (out / "basic.jsonl").read_text() == ""
+    failed = json.loads((out / "traces" / "basic" / "evt-01.failed.json").read_text(encoding="utf-8"))
+    assert failed["failed_step"] == "predict"
+    assert failed["steps"][-1]["warnings"] == [f"sample 0: no cached response for digest {entry.stem}"]
+
+
+def cache_entries(cache):
+    return {str(path.relative_to(cache)) for path in Path(cache).rglob("*.json")}
+
+
+def entry_kind(cache, name):
+    if name.startswith("news"):
+        return "news"
+    prompt = json.loads((Path(cache) / name).read_text(encoding="utf-8"))["key"]["prompt"]
+    if EXTRACTION_PROMPT in prompt:
+        return "extraction"
+    return "persona" if "Using your expertise" in prompt else "other"
+
+
+@pytest.mark.parametrize("fault", ["delete", "truncate"])
+@pytest.mark.parametrize("strategy", ["basic", "crowd", "news"])
+def test_lost_cache_entry_fails_exactly_the_events_that_read_it(tmp_path, monkeypatch, capsys, strategy, fault):
+    monkeypatch.setenv("FORESIGHT_NYT_API_KEY", "stub-key")
+    with StubNewsServer(hn_hits=NEWS_HITS, nyt_docs=NEWS_DOCS) as server:
+        def record(events, cache, out):
+            assert main(["run", "--events", str(events), "--strategy", strategy, "--date", "2022-08-01",
+                         "--backend", MOCK, "--cache", str(cache), "--out", str(out),
+                         "--hn-endpoint", server.hn_endpoint, "--nyt-endpoint", server.nyt_endpoint]) == 0
+
+        # what each event's chain reads: what recording it alone writes
+        reads = {}
+        for event_id, events in one_event_per_line(tmp_path).items():
+            record(events, tmp_path / "by_event" / event_id, tmp_path / "scratch")
+            reads[event_id] = cache_entries(tmp_path / "by_event" / event_id)
+        cache, recorded = tmp_path / "cache", tmp_path / "recorded"
+        record(EVENTS, cache, recorded)
+    assert cache_entries(cache) == set().union(*reads.values())
+    recorded_files = tree_bytes(recorded)
+    recorded_lines = {json.loads(line)["event_id"]: line
+                      for line in (recorded / f"{strategy}.jsonl").read_text().splitlines()}
+
+    # one entry of each kind the strategy reads, chosen by a fixed seed
+    by_kind = {}
+    for name in sorted(cache_entries(cache)):
+        by_kind.setdefault(entry_kind(cache, name), []).append(name)
+    rng = random.Random(21)
+    sample = [rng.choice(names) for _, names in sorted(by_kind.items())]
+    expected_kinds = {"basic": {"extraction", "other"}, "crowd": {"extraction", "persona", "other"},
+                      "news": {"extraction", "news", "other"}}[strategy]
+    assert set(by_kind) == expected_kinds
+    for k, name in enumerate(sample):
+        faulty = tmp_path / f"faulty-{k}"
+        shutil.copytree(cache, faulty)
+        if fault == "delete":
+            (faulty / name).unlink()
+        else:
+            data = (faulty / name).read_bytes()
+            (faulty / name).write_bytes(data[: len(data) // 2])
+        out = tmp_path / f"replay-{k}"
+        capsys.readouterr()
+        assert main(["run", "--events", EVENTS, "--strategy", strategy, "--date", "2022-08-01",
+                     "--backend", f"replay:{faulty}", "--out", str(out)]) == 1, name
+        assert "Traceback" not in capsys.readouterr().err
+        affected = {event_id for event_id, names in reads.items() if name in names}
+        digest = Path(name).stem
+        replayed = tree_bytes(out)
+        for event_id in recorded_lines:
+            trace = f"traces/{strategy}/{event_id}"
+            if event_id in affected:
+                assert f"{trace}.json" not in replayed, (name, event_id)
+                failed = json.loads(replayed.pop(f"{trace}.failed.json"))
+                assert digest in failed["error"], (name, event_id)
+            else:
+                assert replayed.pop(f"{trace}.json") == recorded_files[f"{trace}.json"], (name, event_id)
+        kept = "".join(line + "\n" for event_id, line in recorded_lines.items() if event_id not in affected)
+        assert replayed.pop(f"{strategy}.jsonl").decode("utf-8") == kept, name
+        assert replayed == {}, name

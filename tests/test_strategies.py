@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import foresight.strategies
 from foresight.events import Category, Event, json_data, load_dataset
 from foresight.llm import CachedBackend, HttpBackend, HttpReply, MockBackend, MockRule, NullBackend, ProviderError
-from foresight.news import Headline, NewsError, Source
+from foresight.news import Headline, NewsError, QueryWindow, Source
 from foresight.prompts import aggregate_probabilities, bindings, extract_probability, get_template
 from foresight.strategies import (
     CHAINS,
@@ -29,6 +29,7 @@ from foresight.strategies import (
     PredictionWindowError,
     STRATEGY_IDS,
     SampleExtraction,
+    Step,
     StepRecord,
     UnknownStrategy,
     load_trace,
@@ -187,14 +188,35 @@ def test_reversed_opposite_failure_aborts_chain():
 
 def test_chain_table_is_consistent():
     standard = set(bindings(tesla_event(), TODAY))
-    for strategy, steps in CHAINS.items():
-        earlier = set()
-        for step in steps:
-            assert set(step.reads.values()) <= earlier, (strategy, step.step_id)
-            template = get_template(step.template or f"{strategy}/{step.step_id}")
-            unbound = set(template.placeholders) - standard - set(step.reads)
-            assert not unbound, (strategy, step.step_id, unbound)
-            earlier.add(step.step_id)
+    window_fields = {field.name for field in dataclasses.fields(QueryWindow)}
+    for strategy, groups in CHAINS.items():
+        params = set(foresight.strategies._PARAMS.get(strategy, {}))
+        earlier, used = set(), set()
+        for group in groups:
+            branches = ((group,),) if isinstance(group, Step) else group
+            for branch in branches:
+                # a branch reads none of the rows that run beside it
+                beside = {step.step_id for other in branches if other is not branch for step in other}
+                for step in branch:
+                    case = (strategy, step.step_id)
+                    assert step.step_id not in earlier | params, case
+                    assert set(step.reads.values()) <= earlier | params, case
+                    assert not set(step.reads.values()) & beside, case
+                    # the parameters a row samples by or parses with are its strategy's
+                    assert {step.samples, step.limit} - {None} <= params, case
+                    if step.fetch:
+                        # a fetch row queries a client run_strategy takes, with window fields
+                        assert step.fetch in ("hn_client", "nyt_client"), case
+                        assert set(step.reads) <= window_fields, case
+                        assert step.template is step.parse is None, case
+                    else:
+                        template = get_template(step.template or f"{strategy}/{step.step_id}")
+                        unbound = set(template.placeholders) - standard - set(step.reads)
+                        assert not unbound, (*case, unbound)
+                    earlier.add(step.step_id)
+                    used.update((*step.reads.values(), step.samples, step.limit))
+        # every parameter is used by a row
+        assert params <= used, strategy
 
 
 def test_crowd_chain_one_prediction_per_persona():
@@ -738,7 +760,21 @@ FAILING_WAVES = [
 ]
 
 
+# (strategy, failed step) of each FAILING_WAVES case -> the backend calls a
+# serial chain and a concurrent one make before they fail, extractions
+# included.  A concurrent chain finishes what runs beside the failed step, and
+# starts nothing after it.
+FAILING_WAVE_CALLS = {
+    ("crowd", "persona_1"): (4, 8),
+    ("sequences", "positive"): (1, 2),
+    ("sequences", "opposite"): (2, 2),
+    ("both_sides", "cons"): (2, 2),
+    ("news", "hn_filter"): (2, 4),
+}
+
+
 def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
+    assert set(FAILING_WAVE_CALLS) == {(case[0], case[4]) for case in FAILING_WAVES}
     for strategy, rules, fail_on, rendezvous, failed_step, failed_marker, step_ids in FAILING_WAVES:
         case = (strategy, failed_step)
         partial = {}
@@ -750,6 +786,7 @@ def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
             path = tmp_path / f"{strategy}-{failed_step}-{concurrent}.json"
             save_partial_trace(info.value, path)
             partial[concurrent] = path.read_bytes()
+            assert len(backend.prompts) == FAILING_WAVE_CALLS[case][concurrent], (case, concurrent)
             if not concurrent:
                 # a serial chain makes no call after the step that failed
                 assert failed_marker in backend.prompts[-1], case
