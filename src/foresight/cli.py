@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -464,14 +465,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """``sys.stdout`` while a command runs, flushed at each write.  Once its
+    reader has gone (a closed pipe, as in ``| head -0``) output is dropped, so
+    the command finishes and keeps the exit code it earned."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            self.stream.write(text)
+            self.stream.flush()
+        except BrokenPipeError:
+            # signal's note on SIGPIPE: devnull takes the rest, so the flush at exit passes
+            with contextlib.suppress(OSError, ValueError):  # a stream without one
+                fd = self.stream.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return len(text)
+
+    def flush(self) -> None:  # each write has flushed
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ class UnresolvedEvent(InputError):
         self.event_id = event_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketSnapshot:
     """A prediction-market spread on one day; its event is the one holding it."""
 
@@ -184,6 +184,7 @@ class DatasetSplit:
 
 _EVENT_KEYS = tuple(f.name for f in fields(Event) if f.name != "market")
 _SNAPSHOT_KEYS = {f.name for f in fields(MarketSnapshot)}
+_set_date, _set_lower, _set_upper = (getattr(MarketSnapshot, n).__set__ for n in MarketSnapshot.__slots__)
 _CATEGORY_BY_VALUE = {c.value: c for c in Category}
 
 
@@ -303,6 +304,20 @@ def _parse_record(obj: dict) -> Event:
         raise ValueError("field 'market' must be a list")
     snapshots = []
     for i, entry in enumerate(market or ()):
+        # The common entry is checked and built in one pass, without __init__: three keys
+        # found holding the types it needs are exactly date, lower and upper.  Any other
+        # entry goes through the checks below, which word its error.
+        if (type(entry) is dict and len(entry) == 3
+                and type(lower := entry.get("lower")) is float
+                and type(upper := entry.get("upper")) is float
+                and 0.0 <= lower <= upper <= 1.0
+                and type(day := entry.get("date")) is str and (day := _iso_date(day)) is not None):
+            snapshot = object.__new__(MarketSnapshot)
+            _set_date(snapshot, day)
+            _set_lower(snapshot, lower)
+            _set_upper(snapshot, upper)
+            snapshots.append(snapshot)
+            continue
         if not isinstance(entry, dict) or entry.keys() != _SNAPSHOT_KEYS:
             raise ValueError(f"market entry {i} must have exactly keys date, lower, upper")
         try:
@@ -345,7 +360,8 @@ def json_data(value: object) -> object:
     if isinstance(value, tuple):
         return [json_data(item) for item in value]
     if is_dataclass(value):
-        return {name: json_data(field) for name, field in vars(value).items()}
+        names = getattr(value, "__slots__", None) or vars(value)
+        return {name: json_data(getattr(value, name)) for name in names}
     if isinstance(value, date):
         return value.isoformat()
     if isinstance(value, Enum):

@@ -782,6 +782,7 @@ def _response_from_entry(entry: dict) -> CompletionResponse:
     texts = response["texts"]
     if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
         raise TypeError(f"cached texts are not a list of strings: {texts!r}")
+    "".join(texts).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
     return CompletionResponse(**{**response, "texts": tuple(texts), "cached": True})
 
 

@@ -76,6 +76,7 @@ class Headline:
     def __post_init__(self):
         if not isinstance(self.title, str) or not self.title:
             raise ValueError(f"headline title must be non-empty text, got {self.title!r}")
+        self.title.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 import argparse
 import errno
+import io
 import json
 import multiprocessing
 import os
 import random
 import re
 import shutil
+import sys
 import threading
 import time
 import weakref
@@ -49,6 +51,33 @@ def test_run_writes_forecasts_and_traces(tmp_path, capsys):
         assert trace_path.is_file()
         trace = json.loads(trace_path.read_text())
         assert trace["event_id"] == line["event_id"]
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as in ``foresight run ... | head -0``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path, monkeypatch, capsys):
+    empty_rules = tmp_path / "empty.rules"
+    empty_rules.write_text('{"pattern": "emit only the final probability", "response": ""}\n')
+    out = tmp_path / "out"
+    closed = ClosedPipe()
+    monkeypatch.setattr("sys.stdout", closed)
+    assert main(RUN_BASE + ["--strategy", "basic", "--out", str(out)]) == 0
+    report = tmp_path / "report.json"
+    forecasts = str(out / "basic.jsonl")
+    assert main(["score", "--events", EVENTS, "--forecasts", forecasts, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["n_total"] == 10
+    failing = RUN_BASE[:-2] + ["--backend", f"mock:{empty_rules}", "--strategy", "basic"]
+    assert main(failing + ["--out", str(tmp_path / "failing")]) == 1
+    assert sys.stdout is closed
+    assert "FAILED evt-01" in capsys.readouterr().err
 
 
 def test_run_is_deterministic(tmp_path):

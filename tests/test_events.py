@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foresight import events
 from foresight.events import (
     Category,
     DatasetSplit,
@@ -26,6 +27,7 @@ from foresight.events import (
     outcome_indicator,
     parse_dataset,
     parse_date,
+    read_json_lines,
     serialize_dataset,
 )
 
@@ -222,6 +224,86 @@ def test_round_trip_random_datasets(split):
     again = parse_dataset(text)
     assert again == split  # snapshot order included
     assert serialize_dataset(again) == text
+
+
+class _Entry(dict):
+    """A market entry the parser's one-pass build does not take (not exactly a
+    dict), so it goes through parse_date, parse_number and the constructor."""
+
+
+def _checked_parse(text):
+    """``parse_dataset`` with every snapshot built through the constructor."""
+
+    def build(obj):
+        if isinstance(obj.get("market"), list):
+            obj = {**obj, "market": [_Entry(e) if type(e) is dict else e for e in obj["market"]]}
+        return events._parse_record(obj)
+
+    return DatasetSplit(tuple(read_json_lines(text, build, events._EVENT_KEYS, ("market",))))
+
+
+def _outcome(parse, text):
+    try:
+        split = parse(text)
+    except MalformedRecord as exc:
+        return ("error", exc.line, str(exc))
+    return ("ok", split, serialize_dataset(split))
+
+
+# Entries inside the event's window [2022-06-01, 2022-12-31], and the same
+# entries with one part changed: a date, a bound, a key, or not a dict at all.
+_VALID_ENTRIES = st.builds(
+    lambda day, bounds: {"date": day.isoformat(), "lower": min(bounds), "upper": max(bounds)},
+    st.dates(date(2022, 6, 1), date(2022, 12, 31)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+_DATES = st.one_of(
+    st.dates(date(2022, 5, 30), date(2023, 1, 2)).map(date.isoformat),
+    st.sampled_from(["2022-8-1", "20220801", "2022-W31-1", "2022-02-30", "", 20220801, None, []]),
+)
+_BOUNDS = st.one_of(
+    st.sampled_from([0, 1, True, False, -0.0, 0.0, 1.0, 2, -1, "0.5", None]),
+    st.floats(-0.5, 1.5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_ENTRIES = st.one_of(
+    _VALID_ENTRIES,
+    st.builds(lambda e, day: {**e, "date": day}, _VALID_ENTRIES, _DATES),
+    st.builds(lambda e, lower: {**e, "lower": lower}, _VALID_ENTRIES, _BOUNDS),
+    st.builds(lambda e, upper: {**e, "upper": upper}, _VALID_ENTRIES, _BOUNDS),
+    st.builds(lambda e, key: {**e, key: 0.5}, _VALID_ENTRIES, st.sampled_from(["volume", "Date"])),
+    st.builds(lambda e, key: {k: v for k, v in e.items() if k != key}, _VALID_ENTRIES,
+              st.sampled_from(["date", "lower", "upper"])),
+    st.sampled_from([None, 1, 0.5, "2022-08-01", ["2022-08-01", 0.1, 0.2]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRIES, max_size=3))
+def test_one_pass_snapshots_match_the_constructor_path(market):
+    good = serialize_dataset(DatasetSplit((make_event(),)))
+    record = json.loads(good)
+    record.update(id="e2", market=market)
+    text = good + json.dumps(record) + "\n"  # the generated market sits on line 2
+    fast = _outcome(parse_dataset, text)
+    assert fast == _outcome(_checked_parse, text)
+    if fast[0] == "ok":
+        assert all(not hasattr(s, "__dict__") for e in fast[1].events for s in e.market)
+
+
+def test_integer_bounds_serialize_as_floats():
+    record = json.loads(serialize_dataset(DatasetSplit((make_event(),))))
+    record["market"] = [
+        {"date": "2022-08-01", "lower": 0, "upper": 1},
+        {"date": "2022-08-02", "lower": 0, "upper": 0.5},
+        {"date": "2022-08-03", "lower": 0.5, "upper": 1},
+    ]
+    (event,) = parse_dataset(json.dumps(record)).events
+    assert not any(hasattr(s, "__dict__") for s in event.market)
+    assert [(type(s.lower), type(s.upper)) for s in event.market] == [(float, float)] * 3
+    assert '"market": [{"date": "2022-08-01", "lower": 0.0, "upper": 1.0}, ' in serialize_dataset(
+        DatasetSplit((event,))
+    )
 
 
 def test_round_trip_keeps_unicode_line_separators():

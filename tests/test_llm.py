@@ -284,6 +284,19 @@ def test_cached_backend_rejects_mistyped_texts(tmp_path):
             cache.complete(req)
 
 
+@pytest.mark.parametrize("replay_only", [False, True])
+def test_cached_backend_rejects_text_utf8_cannot_hold(tmp_path, replay_only):
+    inner = MockBackend([MockRule("any", None, ("a", "b"))])
+    req = CompletionRequest("p", n_samples=2)
+    CachedBackend(tmp_path, inner).complete(req)
+    (entry,) = entry_files(tmp_path)
+    record = json.loads(entry.read_text(encoding="utf-8"))
+    record["response"]["texts"][1] += "\udc80"  # the JSON escape decodes to a lone surrogate
+    entry.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        CachedBackend(tmp_path, NullBackend("mock"), replay_only=replay_only).complete(req)
+
+
 def test_cached_complete_round_trip_randomized(tmp_path):
     rng = random.Random(5150)
     inner = MockBackend([MockRule("any", None, ("alpha", "beta", "gamma"))])

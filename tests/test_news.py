@@ -319,6 +319,24 @@ def test_cached_news_client_rejects_mistyped_title(tmp_path):
         cached.search(window())
 
 
+def test_cached_news_client_rejects_title_utf8_cannot_hold(tmp_path):
+    class Fixed:
+        source = Source.HACKERNEWS
+
+        def search(self, w):
+            return (Headline("story", date(2022, 7, 1), Source.HACKERNEWS),)
+
+    cached = CachedNewsClient(tmp_path, Fixed())
+    cached.search(window())
+    (entry,) = tmp_path.glob("*/*.json")
+    record = json.loads(entry.read_text(encoding="utf-8"))
+    record["headlines"][0]["title"] += "\udc80"  # the JSON escape decodes to a lone surrogate
+    entry.write_text(json.dumps(record), encoding="utf-8")
+    assert "\\udc80" in entry.read_text(encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        cached.search(window())
+
+
 def test_cached_news_client_distinguishes_windows(tmp_path):
     with StubNewsServer(hn_hits=[hn_hit("story", "2022-07-01T00:00:00Z")]) as server:
         cached = CachedNewsClient(tmp_path, HackerNewsClient(server.hn_endpoint))
