@@ -58,7 +58,6 @@ from .strategies import (
     ChainError,
     check_params,
     run_strategy,
-    save_partial_trace,
     save_trace,
     trace_to_forecast,
     waits_on_network,
@@ -190,7 +189,7 @@ def _cache_location(args) -> tuple[Path | None, bool]:
     return Path(directory), True
 
 
-# Offline runs of at least this many active events fork --workers processes.
+# Offline runs of at least this many active events fork worker processes.
 # Below it, starting the pool costs more than a second CPU saves: on 2 CPUs
 # the cheapest chain (basic) breaks even at about 96 events, crowd at about 56.
 _MIN_PROCESS_EVENTS = 96
@@ -232,16 +231,15 @@ def _run_event(run: _Run, index: int) -> tuple[ForecastRecord | None, str | None
             params=run.params,
         )
     except ChainError as exc:
-        record, failure = None, str(exc)
-        write = partial(save_partial_trace, exc, run.out / f"{ref}.failed.json")
+        trace, name, record, failure = exc.trace, f"{ref}.failed.json", None, str(exc)
     except Exception as exc:
         # One event's unexpected fault must not cost the other events' results.
         return None, f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc))
     else:
-        record, failure = trace_to_forecast(trace, trace_ref=f"{ref}.json"), None
-        write = partial(save_trace, trace, run.out / f"{ref}.json")
+        name = f"{ref}.json"
+        record, failure = trace_to_forecast(trace, trace_ref=name), None
     try:
-        write()
+        save_trace(trace, run.out / name)
     except (OSError, UnicodeEncodeError) as exc:
         # a trace that cannot be written fails its event, not the run
         return None, "; ".join(filter(None, (failure, f"trace not written: {exc}"))), ""
@@ -320,15 +318,18 @@ def cmd_run(args) -> int:
 
     pool = None
     indices = range(len(active))
+    # a fork pool starts all its workers at once: at most one per CPU, and
+    # none that would find no chunk of events to take
+    processes = min(args.workers, os.cpu_count() or 1, math.ceil(len(active) / _PROCESS_CHUNK))
     try:
         if waits_on_network(backend, hn_client, nyt_client):
             # threads pay only while a chain waits on the network
             pool = ThreadPoolExecutor(max_workers=args.workers)
             outcomes = pool.map(partial(_run_event, run), indices)
         elif (
-            args.workers > 1
+            processes > 1
             and len(active) >= _MIN_PROCESS_EVENTS
-            and (pool := _fork_pool(run, args.workers))
+            and (pool := _fork_pool(run, processes))
         ):
             # offline chains hold the interpreter lock, so only processes run them at once
             outcomes = pool.map(_forked_event, indices, chunksize=_PROCESS_CHUNK)

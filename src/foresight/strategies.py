@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import date
 from functools import cache, partial
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .events import Event, InputError, parse_date
 from .llm import (
@@ -54,7 +54,6 @@ __all__ = [
     "check_params",
     "load_trace",
     "run_strategy",
-    "save_partial_trace",
     "save_trace",
     "trace_to_forecast",
     "waits_on_network",
@@ -145,139 +144,9 @@ class ChainError(RuntimeError):
         super().__init__(trace.error)
 
 
-class _Outcome(NamedTuple):
-    """A step's outcome before it is recorded."""
-
-    step_id: str
-    step: StepRecord | None  # None when sampling failed
-    failure: Exception | None = None
-    drop_failed: bool = False
-
-
 def waits_on_network(*parts: object) -> bool:
     """Whether a chain's backend or one of its news clients waits on the network."""
     return any(getattr(part, "waits_on_network", False) for part in parts)
-
-
-class _ChainBuilder:
-    """Accumulates step records while a chain runs."""
-
-    def __init__(
-        self,
-        strategy_id: str,
-        event: Event,
-        today: date,
-        backend: CompletionBackend,
-        *clients: NewsClient | None,
-    ):
-        self.strategy_id = strategy_id
-        self.event = event
-        self.today = today
-        self.backend = backend
-        # raises PredictionWindowError before any call when the window is closed
-        self.bindings = bindings(event, today)
-        self.steps: list[StepRecord] = []
-        self.parallel = waits_on_network(backend, *clients)
-
-    def each(self, fn: Callable, items: Iterable) -> Iterable:
-        """``fn`` over ``items``: all at once through :func:`fan_out` when a
-        part of the chain waits on the network, else one by one as the caller
-        iterates, so a caller that stops early makes no further calls."""
-        return fan_out(fn, items) if self.parallel else map(fn, items)
-
-    def fail(self, step_id: str, message: str) -> ChainError:
-        error = f"event {self.event.id!r} failed at step {step_id!r}: {message}"
-        return ChainError(FailedTrace(
-            self.event.id, self.strategy_id, self.today, step_id, error, tuple(self.steps)
-        ))
-
-    def _sample(self, template_id: str, extra: Mapping[str, str] | None, n_samples: int):
-        """Render a step's prompt and sample it; returns the template, the
-        prompt and the replies, and raises what the backend raises."""
-        template = get_template(template_id)
-        prompt = render(template, self.bindings if not extra else {**self.bindings, **extra})
-        request = CompletionRequest(prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples)
-        return template, prompt, complete(self.backend, request).texts
-
-    def intermediate(
-        self,
-        step_id: str,
-        template_id: str,
-        extra: Mapping[str, str] | None = None,
-        parse: Callable[..., tuple[object, tuple[str, ...]]] | None = None,
-        n_samples: int = 1,
-    ) -> _Outcome:
-        """A step whose replies later steps read: sample ``n_samples``
-        replies; its value is ``parse(*replies)``, which gives (value,
-        warnings), or without ``parse`` the reply.  Nothing is recorded, so
-        that independent steps can run at once."""
-        try:
-            _, prompt, replies = self._sample(template_id, extra, n_samples)
-        except BackendError as exc:
-            return _Outcome(step_id, None, exc)
-        parsed, warnings = parse(*replies) if parse else (replies[0], ())
-        return _Outcome(step_id, StepRecord(step_id, prompt, replies, parsed=parsed, warnings=warnings))
-
-    def non_llm(self, step_id: str, parsed: object, warnings: Sequence[str] = ()) -> _Outcome:
-        """A step that made no model call, unrecorded."""
-        return _Outcome(step_id, StepRecord(step_id, None, (), parsed=parsed, warnings=tuple(warnings)))
-
-    def prediction(
-        self,
-        step_id: str,
-        template_id: str,
-        extra: Mapping[str, str] | None = None,
-        *,
-        n_samples: int = FINAL_SAMPLE_COUNT,
-        drop_failed: bool = False,
-    ) -> _Outcome:
-        """A prediction step: sample, extract each reply, aggregate; nothing
-        is recorded, so that independent predictions can run at once.
-
-        A reply with no probability fails the chain; with ``drop_failed`` the
-        step is recorded as dropped instead, its value None.  A cache fault
-        in extraction always fails the chain.
-        """
-        try:
-            template, prompt, replies = self._sample(template_id, extra, n_samples)
-        except BackendError as exc:
-            return _Outcome(step_id, None, exc, drop_failed)
-
-        def extract(item: tuple[int, str]):
-            index, raw = item
-            try:
-                return extract_probability(
-                    raw, scale=template.scale, extractor=self.backend, sample_index=index
-                )[1]
-            except (ExtractionFailed, CacheFault) as exc:
-                return exc
-
-        extractions: list[SampleExtraction] = []
-        warnings: list[str] = []
-        failure: Exception | None = None
-        for index, outcome in enumerate(self.each(extract, enumerate(replies))):
-            if isinstance(outcome, Exception):
-                failure = outcome
-                dropped = drop_failed and isinstance(outcome, ExtractionFailed)
-                warnings.append(f"{'dropped' if dropped else f'sample {index}'}: {outcome}")
-                break
-            extractions.append(outcome)
-            if outcome.error:
-                warnings.append(f"sample {index}: {outcome.error}")
-        samples = [extraction.probability for extraction in extractions]
-        mean = aggregate_probabilities(samples) if failure is None else None
-        step = StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings))
-        return _Outcome(step_id, step, failure, drop_failed)
-
-    def record(self, outcome: _Outcome) -> StepRecord:
-        """Append a step and return it; raises :class:`ChainError` for a
-        failed step unless it is a dropped prediction."""
-        failure = outcome.failure
-        if outcome.step is not None:
-            self.steps.append(outcome.step)
-        if failure is None or (isinstance(failure, ExtractionFailed) and outcome.drop_failed):
-            return outcome.step
-        raise self.fail(outcome.step_id, str(failure)) from failure
 
 
 _SEQUENCE_MARKER = re.compile(r"^\[PATH TO (?:POSITIVE|NEGATIVE) OUTCOME\]\s*$")
@@ -366,27 +235,6 @@ def _parse_keywords(reply: str, limit: int) -> tuple[tuple[str, ...], tuple[str,
             break
     warnings = () if terms else ("no search terms parsed from the reply",)
     return tuple(terms), warnings
-
-
-def _fetch_headlines(
-    builder: _ChainBuilder, step_id: str, client: NewsClient | None, window: QueryWindow
-) -> _Outcome:
-    """A fetch step, unrecorded: the formatted headlines, or
-    ``NO_HEADLINES_TEXT`` when there are none."""
-    headlines: tuple = ()
-    warnings: tuple[str, ...] = ()
-    if client is None:
-        warnings = ("no headline client configured",)
-    else:
-        try:
-            headlines = query_headlines(client, window)
-        except NewsError as exc:
-            # A service fault degrades to no headlines; the chain still runs.
-            warnings = (f"headline fetch failed: {exc}",)
-        except CacheFault as exc:
-            # A replay miss or a corrupt entry fails the chain.
-            return _Outcome(step_id, None, exc)
-    return builder.non_llm(step_id, format_headlines(headlines) or NO_HEADLINES_TEXT, warnings=warnings)
 
 
 class Step(NamedTuple):
@@ -533,50 +381,121 @@ def run_strategy(
     check_params(strategy_id, params)
     params = {**_PARAMS.get(strategy_id, {}), **(params or {})}
     clients = {"hn_client": hn_client, "nyt_client": nyt_client}
-    builder = _ChainBuilder(strategy_id, event, today, backend, hn_client, nyt_client)
+    # raises PredictionWindowError before any call when the window is closed
+    context = bindings(event, today)
+    # fn over items all at once when a part of the chain waits on the network,
+    # else one by one as the caller iterates, so a chain that stops early
+    # makes no further calls
+    each = fan_out if waits_on_network(backend, hn_client, nyt_client) else map
     *groups, last = CHAINS[strategy_id]
+    steps: list[StepRecord] = []
     # what later rows read: parameters as text, then each row's shown value
     shown: dict[str, object] = {name: str(value) for name, value in params.items()}
     found_none: set[str] = set()
 
-    def bind(step: Step) -> tuple[str, dict[str, object]]:
-        template = step.template or f"{strategy_id}/{step.step_id}"
-        return template, {placeholder: shown[source] for placeholder, source in step.reads.items()}
+    def fail(step_id: str, message: str) -> ChainError:
+        error = f"event {event.id!r} failed at step {step_id!r}: {message}"
+        return ChainError(FailedTrace(event.id, strategy_id, today, step_id, error, tuple(steps)))
 
-    def run_row(step: Step) -> _Outcome | None:
-        """A row's outcome, unrecorded, with its shown value noted; None
-        when its guard skips it."""
-        if step.guard and not found_none.isdisjoint(step.reads.values()):
-            found_none.add(step.step_id)
-            shown[step.step_id] = NO_HEADLINES_TEXT
+    def record(step_id: str, step: StepRecord | None, failure: Exception | None) -> StepRecord | None:
+        """Append ``step`` (None when sampling failed) and return it; raise
+        :class:`ChainError` for ``failure``."""
+        if step is not None:
+            steps.append(step)
+        if failure is not None:
+            raise fail(step_id, str(failure)) from failure
+        return step
+
+    def bind(row: Step) -> dict[str, object]:
+        return {placeholder: shown[source] for placeholder, source in row.reads.items()}
+
+    def sample(row: Step, extra: Mapping[str, object], n_samples: int):
+        """Render ``row``'s prompt and sample it; returns the template, the
+        prompt and the replies, and raises what the backend raises."""
+        template = get_template(row.template or f"{strategy_id}/{row.step_id}")
+        prompt = render(template, {**context, **extra} if extra else context)
+        request = CompletionRequest(prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples)
+        return template, prompt, complete(backend, request).texts
+
+    def predict(step_id: str, extra: Mapping[str, object], n_samples: int = FINAL_SAMPLE_COUNT):
+        """The last row's prediction step, unrecorded, and its failure:
+        sample, extract each reply, aggregate.  A reply with no probability
+        or a cache fault in extraction fails it."""
+        try:
+            template, prompt, replies = sample(last, extra, n_samples)
+        except BackendError as exc:
+            return None, exc
+
+        def extract(item: tuple[int, str]):
+            index, raw = item
+            try:
+                return extract_probability(raw, scale=template.scale, extractor=backend, sample_index=index)[1]
+            except (ExtractionFailed, CacheFault) as exc:
+                return exc
+
+        extractions: list[SampleExtraction] = []
+        warnings: list[str] = []
+        failure: Exception | None = None
+        for index, outcome in enumerate(each(extract, enumerate(replies))):
+            if isinstance(outcome, Exception):
+                failure = outcome
+                warnings.append(f"sample {index}: {outcome}")
+                break
+            extractions.append(outcome)
+            if outcome.error:
+                warnings.append(f"sample {index}: {outcome.error}")
+        mean = aggregate_probabilities([e.probability for e in extractions]) if failure is None else None
+        return StepRecord(step_id, prompt, replies, mean, tuple(extractions), tuple(warnings)), failure
+
+    def run_row(row: Step) -> tuple[StepRecord | None, Exception | None] | None:
+        """A row's step, unrecorded, and its failure, with its shown value
+        noted; None when its guard skips it."""
+        if row.guard and not found_none.isdisjoint(row.reads.values()):
+            found_none.add(row.step_id)
+            shown[row.step_id] = NO_HEADLINES_TEXT
             return None
-        template, extra = bind(step)
-        if step.fetch:
-            window = QueryWindow(**extra, until=today)
-            outcome = _fetch_headlines(builder, step.step_id, clients[step.fetch], window)
+        extra = bind(row)
+        if row.fetch:
+            client, headlines, warnings = clients[row.fetch], (), ()
+            if client is None:
+                warnings = ("no headline client configured",)
+            else:
+                try:
+                    headlines = query_headlines(client, QueryWindow(**extra, until=today))
+                except NewsError as exc:
+                    # A service fault degrades to no headlines; the chain still runs.
+                    warnings = (f"headline fetch failed: {exc}",)
+                except CacheFault as exc:
+                    # A replay miss or a corrupt entry fails the chain.
+                    return None, exc
+            step = StepRecord(row.step_id, None, (), format_headlines(headlines) or NO_HEADLINES_TEXT, (), warnings)
         else:
-            parse = partial(step.parse, limit=params[step.limit]) if step.limit else step.parse
-            outcome = builder.intermediate(step.step_id, template, extra, parse, params.get(step.samples, 1))
-        if outcome.failure is not None:
-            return outcome
-        value = outcome.step.parsed
-        if step.empty_error and not value:
-            return outcome._replace(failure=ValueError(step.empty_error))
-        if (value == NO_HEADLINES_TEXT) if step.fetch else (step.guard and value.strip().upper() in ("", "NONE")):
+            try:
+                _, prompt, replies = sample(row, extra, params.get(row.samples, 1))
+            except BackendError as exc:
+                return None, exc
+            parse = partial(row.parse, limit=params[row.limit]) if row.limit else row.parse
+            parsed, warnings = parse(*replies) if parse else (replies[0], ())
+            step = StepRecord(row.step_id, prompt, replies, parsed, (), warnings)
+        value = step.parsed
+        if row.empty_error and not value:
+            return step, ValueError(row.empty_error)
+        if (value == NO_HEADLINES_TEXT) if row.fetch else (row.guard and value.strip().upper() in ("", "NONE")):
             # a headline row that found none: later rows read NO_HEADLINES_TEXT
-            found_none.add(step.step_id)
+            found_none.add(row.step_id)
             value = NO_HEADLINES_TEXT
-        shown[step.step_id] = step.show(value) if step.show else value
-        return outcome
+        shown[row.step_id] = row.show(value) if row.show else value
+        return step, None
 
-    def run_branch(rows: tuple[Step, ...]) -> list[_Outcome]:
-        """A branch's outcomes, unrecorded, up to the first failure."""
-        outcomes: list[_Outcome] = []
-        for step in rows:
-            outcome = run_row(step)
+    def run_branch(rows: tuple[Step, ...]) -> list[tuple]:
+        """A branch's (step id, step, failure) outcomes, unrecorded, up to
+        the first failure."""
+        outcomes = []
+        for row in rows:
+            outcome = run_row(row)
             if outcome is not None:
-                outcomes.append(outcome)
-                if outcome.failure is not None:
+                outcomes.append((row.step_id, *outcome))
+                if outcome[1] is not None:
                     break
         return outcomes
 
@@ -584,34 +503,39 @@ def run_strategy(
         # The branches run at once, but are recorded in table order.  Only a
         # group's single row may sample n > 1: fan_out runs it inline on the
         # chain's thread, where the backend can send its samples at once.
-        for outcomes in builder.each(run_branch, _beside(group) if isinstance(group, Step) else group):
+        for outcomes in each(run_branch, _beside(group) if isinstance(group, Step) else group):
             for outcome in outcomes:
-                builder.record(outcome)
-    template, extra = bind(last)
+                record(*outcome)
     if last.items:
         ((placeholder, source),) = last.reads.items()
 
-        def predict_item(item: tuple[int, str]) -> _Outcome:
+        def predict_item(item: tuple[int, str]) -> tuple[StepRecord | None, Exception | None]:
             index, value = item
             step_id = f"{last.items}_{index}"
             if not value:
-                return builder.non_llm(step_id, None, warnings=(f"dropped: empty {source} description",))
-            return builder.prediction(step_id, template, {placeholder: value}, n_samples=1, drop_failed=True)
+                return StepRecord(step_id, None, (), warnings=(f"dropped: empty {source} description",)), None
+            step, failure = predict(step_id, {placeholder: value}, 1)
+            if isinstance(failure, ExtractionFailed):
+                # a reply with no probability drops its item; a backend or
+                # cache fault still fails the chain
+                return replace(step, warnings=(f"dropped: {failure}",)), None
+            return step, failure
 
         # the items run at once, but are recorded in item order
-        steps = [builder.record(outcome) for outcome in builder.each(predict_item, enumerate(shown[source]))]
-        samples = tuple(step.parsed for step in steps if step.parsed is not None)
+        outcomes = enumerate(each(predict_item, enumerate(shown[source])))
+        kept = [record(f"{last.items}_{index}", *outcome) for index, outcome in outcomes]
+        samples = tuple(step.parsed for step in kept if step.parsed is not None)
         if not samples:
-            raise builder.fail(last.step_id, f"every {last.items} prediction failed")
+            raise fail(last.step_id, f"every {last.items} prediction failed")
         mean = aggregate_probabilities(samples)
     else:
-        step = builder.record(builder.prediction(last.step_id, template, extra))
+        step = record(last.step_id, *predict(last.step_id, bind(last)))
         mean, samples = step.parsed, tuple(extraction.probability for extraction in step.extractions)
         if last.complement:
             # the prediction step's parsed value keeps the raw, unflipped mean
             samples = tuple(1.0 - value for value in samples)
             mean = aggregate_probabilities(samples)
-    return ChainTrace(event.id, strategy_id, today, tuple(builder.steps), samples, mean)
+    return ChainTrace(event.id, strategy_id, today, tuple(steps), samples, mean)
 
 
 def trace_to_forecast(trace: ChainTrace, *, trace_ref: str | None = None) -> ForecastRecord:
@@ -703,9 +627,10 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(record: object, path: str | Path) -> None:
-    """Write ``record`` as 2-space indented JSON with sorted keys, non-ASCII
-    text unescaped and one trailing newline."""
+def save_trace(record: ChainTrace | FailedTrace, path: str | Path) -> None:
+    """Write a trace, or a failed chain's record, as stable, diffable JSON:
+    2-space indented, keys sorted, non-ASCII text unescaped, one trailing
+    newline.  Its keys are the field names of the records it holds."""
     out: list[str] = []
     _encode(record, "", out)
     # encoded before the file is made, so that a lone surrogate leaves no file
@@ -717,12 +642,6 @@ def _write_json(record: object, path: str | Path) -> None:
         # only the first write into a new directory creates it
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
-
-
-def save_trace(trace: ChainTrace, path: str | Path) -> None:
-    """Write a trace as stable, diffable JSON whose keys are the field names
-    of :class:`ChainTrace`, :class:`StepRecord` and :class:`SampleExtraction`."""
-    _write_json(trace, path)
 
 
 def _tuples(payload: dict) -> dict:
@@ -741,9 +660,3 @@ def load_trace(path: str | Path) -> ChainTrace:
         "prediction_date": parse_date(payload["prediction_date"], "prediction_date"),
         "steps": tuple(steps),
     })
-
-
-def save_partial_trace(error: ChainError, path: str | Path) -> None:
-    """Write a failed chain's :class:`FailedTrace` for later inspection, its
-    keys the record's field names, as :func:`save_trace` does."""
-    _write_json(error.trace, path)

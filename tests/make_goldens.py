@@ -24,7 +24,6 @@ from foresight.strategies import (
     STRATEGY_IDS,
     ChainError,
     run_strategy,
-    save_partial_trace,
     save_trace,
 )
 
@@ -143,7 +142,7 @@ def write_traces(directory, wrap=lambda backend: backend):
 
     One ``save_trace`` file per strategy on the scripted backend; one crowd
     trace whose personas are dropped both ways (empty job, reply without a
-    number); and one ``save_partial_trace`` file whose prediction step fails
+    number); and one ``.failed.json`` file whose prediction step fails
     on its second sample.  Each chain runs on ``wrap(backend)``.
     """
     directory = Path(directory)
@@ -169,7 +168,7 @@ def write_traces(directory, wrap=lambda backend: backend):
     try:
         _run("basic", wrap(failing))
     except ChainError as exc:
-        save_partial_trace(exc, directory / "basic.failed.json")
+        save_trace(exc.trace, directory / "basic.failed.json")
     else:
         raise AssertionError("the failing basic chain did not fail")
     names.append("basic.failed.json")

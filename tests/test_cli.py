@@ -444,6 +444,8 @@ def watch_backend(monkeypatch, tmp_path, on_event=lambda k: None):
 
 
 def test_forked_workers_write_what_the_calling_thread_writes(tmp_path, monkeypatch, capsys):
+    # forks on a runner of any CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # two ids that share a file name, a chain that fails, a fault outside the chain
     events = many_events(
         tmp_path / "events.jsonl",
@@ -495,6 +497,8 @@ def test_forked_workers_write_what_the_calling_thread_writes(tmp_path, monkeypat
 
 @pytest.mark.parametrize("forked", [False, True], ids=["below-gate", "at-gate"])
 def test_offline_runs_fork_workers_from_the_gate_on(tmp_path, monkeypatch, forked):
+    # forks on a runner of any CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     count = cli._MIN_PROCESS_EVENTS - (not forked)
     events = many_events(tmp_path / "events.jsonl", count)
     ran = watch_backend(monkeypatch, tmp_path)
@@ -507,7 +511,31 @@ def test_offline_runs_fork_workers_from_the_gate_on(tmp_path, monkeypatch, forke
     assert (os.getpid() not in pids) if forked else (pids == {os.getpid()})
 
 
+@pytest.mark.parametrize(
+    "workers, cpus, forked",
+    [("64", 2, 2), ("64", 64, 13), ("3", 64, 3), ("64", 1, None), ("64", None, None)],
+    ids=["per-cpu", "per-chunk", "asked", "one-cpu", "unknown-cpus"],
+)
+def test_offline_run_forks_no_more_workers_than_cpus_or_chunks(tmp_path, monkeypatch, workers, cpus, forked):
+    asked = []
+
+    def fork_pool(run, processes):
+        asked.append(processes)
+        return None  # as where the platform cannot fork: the calling thread runs the events
+
+    monkeypatch.setattr(cli, "_fork_pool", fork_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # 97 events make 13 chunks of at most 8
+    events = many_events(tmp_path / "events.jsonl", cli._MIN_PROCESS_EVENTS + 1)
+    argv = ["run", "--events", events, "--date", "2022-08-01", "--strategy", "basic",
+            "--backend", MOCK, "--out", str(tmp_path / "out"), "--workers", workers]
+    assert main(argv) == 0
+    assert asked == ([forked] if forked else [])
+
+
 def test_forked_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch, capsys):
+    # forks on a runner of any CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     stopped = tmp_path / "stopped"
 
     def on_event(k):
@@ -1043,12 +1071,14 @@ def test_failed_trace_write_fails_only_its_event(tmp_path, monkeypatch, capsys, 
     rules.write_text(json.dumps({"pattern": name, "response": "no number"}) + "\n"
                      + (FIXTURES / "mock.rules").read_text(encoding="utf-8"), encoding="utf-8")
     faulty = {"trace": "evt-03.json", "failed": "evt-02.failed.json"}[outcome]
-    for writer in ("save_trace", "save_partial_trace"):
-        def write(record, path, real=getattr(cli, writer)):
-            if Path(path).name == faulty:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            real(record, path)
-        monkeypatch.setattr(cli, writer, write)
+    real = cli.save_trace
+
+    def write(record, path):
+        if Path(path).name == faulty:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(record, path)
+
+    monkeypatch.setattr(cli, "save_trace", write)
     out = tmp_path / "out"
     argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
             "--backend", f"mock:{rules}", "--out", str(out)]

@@ -34,7 +34,6 @@ from foresight.strategies import (
     UnknownStrategy,
     load_trace,
     run_strategy,
-    save_partial_trace,
     save_trace,
     trace_to_forecast,
 )
@@ -312,31 +311,47 @@ NYT_SUMMARY = "2022-07-18: Tesla progressing toward L3 without approval yet"
 ALL_NEWS_STEPS = ["keywords", "hn_fetch", "hn_filter", "nyt_fetch", "nyt_extract", "nyt_paraphrase", "predict"]
 
 
+# id -> (hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt)
+NEWS_BRANCH_EXITS = {
+    "empty_hn_fetch": ((), None, [s for s in ALL_NEWS_STEPS if s != "hn_filter"], NO_HEADLINES_TEXT, NYT_SUMMARY),
+    "hn_filter_none": (
+        HN_HEADLINES, "remove any which are totally irrelevant", ALL_NEWS_STEPS, NO_HEADLINES_TEXT, NYT_SUMMARY
+    ),
+    "nyt_extract_none": (
+        HN_HEADLINES,
+        "pull all information from the headlines",
+        [s for s in ALL_NEWS_STEPS if s != "nyt_paraphrase"],
+        HN_FILTERED,
+        NO_HEADLINES_TEXT,
+    ),
+    "nyt_paraphrase_none": (
+        HN_HEADLINES, "paraphrase each one as it relates", ALL_NEWS_STEPS, HN_FILTERED, NO_HEADLINES_TEXT
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt",
+    "hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt, concurrent",
     [
-        ((), None, [s for s in ALL_NEWS_STEPS if s != "hn_filter"], NO_HEADLINES_TEXT, NYT_SUMMARY),
-        (HN_HEADLINES, "remove any which are totally irrelevant", ALL_NEWS_STEPS, NO_HEADLINES_TEXT, NYT_SUMMARY),
-        (
-            HN_HEADLINES,
-            "pull all information from the headlines",
-            [s for s in ALL_NEWS_STEPS if s != "nyt_paraphrase"],
-            HN_FILTERED,
-            NO_HEADLINES_TEXT,
-        ),
-        (HN_HEADLINES, "paraphrase each one as it relates", ALL_NEWS_STEPS, HN_FILTERED, NO_HEADLINES_TEXT),
+        pytest.param(*case, concurrent, id=name + ("-concurrent" if concurrent else ""))
+        for concurrent in (False, True)
+        for name, case in NEWS_BRANCH_EXITS.items()
     ],
-    ids=["empty_hn_fetch", "hn_filter_none", "nyt_extract_none", "nyt_paraphrase_none"],
 )
-def test_news_branch_exits(hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt):
+def test_news_branch_exits(hn_headlines, none_prompt, step_ids, filtered_hn, summarized_nyt, concurrent):
     rules = mock_backend().rules
     if none_prompt is not None:
         rules = (MockRule("substring", none_prompt, "NONE"), *rules)
-    clients = {
-        "hn_client": ScriptedNews(Source.HACKERNEWS, hn_headlines),
-        "nyt_client": ScriptedNews(Source.NYT, NYT_HEADLINES),
-    }
-    trace = run("news", backend=MockBackend(rules), **clients)
+
+    def clients():
+        return {
+            "hn_client": ScriptedNews(Source.HACKERNEWS, hn_headlines),
+            "nyt_client": ScriptedNews(Source.NYT, NYT_HEADLINES),
+        }
+
+    # concurrent, the two branches note their exits from their own threads
+    trace = run("news", backend=Networked(MockBackend(rules), concurrent=concurrent), **clients())
+    assert trace == run("news", backend=MockBackend(rules), **clients())
     assert [s.step_id for s in trace.steps] == step_ids
     # the two branch placeholders of news/predict, in template order
     hn_part, nyt_part = trace.steps[-1].prompt.split(
@@ -401,7 +416,7 @@ def test_backend_failure_carries_partial_steps(tmp_path):
     assert err.trace.steps == ()
 
     path = tmp_path / "partial.json"
-    save_partial_trace(err, path)
+    save_trace(err.trace, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["event_id"] == "evt-01"
     assert payload["strategy"] == "base_rate"
@@ -558,10 +573,7 @@ _FAILED_TRACES = st.builds(
 def test_trace_writer_matches_json_dumps(record):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "record.json"
-        if isinstance(record, FailedTrace):
-            save_partial_trace(ChainError(record), path)
-        else:
-            save_trace(record, path)
+        save_trace(record, path)
         text = json.dumps(json_data(record), indent=2, sort_keys=True, ensure_ascii=False)
         assert path.read_bytes() == (text + "\n").encode("utf-8")
 
@@ -784,7 +796,7 @@ def test_persona_backend_error_fails_parallel_chain_like_serial(tmp_path):
             with pytest.raises(ChainError) as info:
                 run(strategy, backend=backend, **kwargs)
             path = tmp_path / f"{strategy}-{failed_step}-{concurrent}.json"
-            save_partial_trace(info.value, path)
+            save_trace(info.value.trace, path)
             partial[concurrent] = path.read_bytes()
             assert len(backend.prompts) == FAILING_WAVE_CALLS[case][concurrent], (case, concurrent)
             if not concurrent:
