@@ -38,7 +38,8 @@ def main():
         recording = CachedBackend(cache_dir, LIVE)
         first = run_strategy("basic", EVENT, today, recording)
         print(f"recorded run:  p = {first.final_probability:.4f}")
-        print(f"  live calls: {LIVE.calls}, cache misses: {recording.store.misses}")
+        # each miss is one live call
+        print(f"  cache misses: {recording.store.misses}, cache hits: {recording.store.hits}")
         entries = len(list(cache_dir.rglob("*.json")))
         print(f"  cache now holds {entries} entries")
 
@@ -48,8 +49,7 @@ def main():
         replaying = CachedBackend(cache_dir, null, replay_only=True)
         second = run_strategy("basic", EVENT, today, replaying)
         print(f"replayed run:  p = {second.final_probability:.4f}")
-        print(f"  inner backend calls during replay: {null.calls}")
-        print(f"  cache hits: {replaying.store.hits}")
+        print(f"  cache misses: {replaying.store.misses}, cache hits: {replaying.store.hits}")
         assert second == first
         print("replay reproduced the recorded trace exactly")
 

@@ -347,7 +347,6 @@ def cmd_run(args) -> int:
             # a run stopped early (a failed write, Ctrl-C) starts no queued event
             pool.shutdown(cancel_futures=True)
 
-    out.mkdir(parents=True, exist_ok=True)
     forecasts_path = out / f"{args.strategy}.jsonl"
     save_forecasts(records, forecasts_path)
 

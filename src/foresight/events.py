@@ -35,6 +35,7 @@ __all__ = [
     "parse_number",
     "read_json_lines",
     "read_text",
+    "write_file",
     "write_text_atomic",
     "require_strings",
     "parse_dataset",
@@ -236,18 +237,34 @@ def read_text(path: str | Path) -> str:
         raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with the UTF-8 ``text`` through a temp file in the same
-    directory and a rename: a reader finds the old file or the new one, and a
-    failed write leaves the old file and no temp file."""
-    # Unique among the writers running at once, and created under the umask
-    # as a plain write would be.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+def write_file(path: str | Path, data: bytes) -> None:
+    """Create or truncate ``path`` and write ``data``, making its directory on
+    the first write into it.  Every output file reaches disk here, whole or
+    not at all: a write, close or interrupt that fails removes the file."""
     try:
-        tmp.write_text(text, encoding="utf-8")
+        handle = open(path, "wb")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        handle = open(path, "wb")
+    try:
+        with handle:
+            handle.write(data)
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with the UTF-8 ``text``: :func:`write_file` on a temp
+    file in the same directory, then a rename.  A reader finds the old file or
+    the new one, and a failed write leaves the old file and no temp file."""
+    # unique among the writers running at once, and short whatever the target's name
+    tmp = os.path.join(os.path.dirname(path), f".{os.getpid()}-{threading.get_ident()}.tmp")
+    write_file(tmp, text.encode("utf-8"))
+    try:
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.unlink(tmp)
         raise
 
 

@@ -265,8 +265,6 @@ class MockBackend:
     def __init__(self, rules: Sequence[MockRule], *, backend_id: str = "mock"):
         self.rules = tuple(rules)
         self.backend_id = backend_id
-        self.calls = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path, *, backend_id: str = "mock") -> "MockBackend":
@@ -284,8 +282,6 @@ class MockBackend:
         return cls(rules, backend_id=backend_id)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        with self._lock:
-            self.calls += 1
         for rule in self.rules:
             if rule.matches(request.prompt):
                 return CompletionResponse(
@@ -333,12 +329,8 @@ class NullBackend:
 
     def __init__(self, backend_id: str):
         self.backend_id = backend_id
-        self.calls = 0
-        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        with self._lock:
-            self.calls += 1
         raise BackendUnavailable("replay backend cannot issue live calls")
 
 
@@ -616,8 +608,6 @@ class HttpBackend:
         self.max_retries = max_retries
         self.supports_multi_sample = supports_multi_sample
         self.backend_id = f"http:{model}"
-        self.calls = 0
-        self._calls_lock = threading.Lock()
         self._session = session or HttpSession(self.url)
         self._headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         self._sleep = sleep
@@ -643,8 +633,6 @@ class HttpBackend:
 
         def send() -> HttpReply:
             self._bucket.acquire()
-            with self._calls_lock:
-                self.calls += 1
             return self._session.post(json=payload, headers=self._headers, timeout=self.timeout)
 
         try:
@@ -726,13 +714,7 @@ class ContentStore:
             **payload,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        path = Path(self.path(digest))
-        text = json.dumps(record, ensure_ascii=False)
-        try:
-            write_text_atomic(path, text)
-        except FileNotFoundError:  # the first entry of its shard
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_text_atomic(path, text)
+        write_text_atomic(self.path(digest), json.dumps(record, ensure_ascii=False))
 
     def get_or_compute(
         self,

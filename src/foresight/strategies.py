@@ -13,7 +13,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .events import Event, InputError, parse_date
+from .events import Event, InputError, parse_date, write_file
 from .llm import (
     BackendError,
     CacheFault,
@@ -634,14 +634,7 @@ def save_trace(record: ChainTrace | FailedTrace, path: str | Path) -> None:
     out: list[str] = []
     _encode(record, "", out)
     # encoded before the file is made, so that a lone surrogate leaves no file
-    data = ("".join(out) + "\n").encode("utf-8")
-    path = Path(path)
-    try:
-        path.write_bytes(data)
-    except FileNotFoundError:
-        # only the first write into a new directory creates it
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+    write_file(path, ("".join(out) + "\n").encode("utf-8"))
 
 
 def _tuples(payload: dict) -> dict:

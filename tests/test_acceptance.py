@@ -26,6 +26,7 @@ from foresight.metrics import brier, weighted_brier
 from foresight.news import HackerNewsClient, NYTClient
 from foresight.prompts import NoProbabilityFound, Scale, parse_probability
 from foresight.strategies import STRATEGY_IDS, run_strategy, save_trace
+from counting import Counting
 from make_goldens import (
     GOLDEN_TRACE_DIR,
     TREE_MANIFEST,
@@ -290,7 +291,7 @@ def test_criterion_09_replay_issues_zero_backend_calls(tmp_path):
     assert tree_bytes(live_out) == tree_bytes(replay_out)
 
     # instrumented counter: the inner backend of a replay-only cache stays cold
-    null = NullBackend("mock")
+    null = Counting(NullBackend("mock"))
     replay_backend = CachedBackend(cache / "llm", null, replay_only=True)
     event = load_dataset(EVENTS).event_by_id("evt-05")
     run_strategy("both_sides", event, TODAY, replay_backend)

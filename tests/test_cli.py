@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import builtins
 import errno
 import io
 import json
@@ -591,22 +592,57 @@ def test_failed_forecasts_write_keeps_the_previous_file(tmp_path, monkeypatch, c
 def fail_atomic_writes(monkeypatch, fault):
     """Make every write through a temp file fail with ENOSPC, either half-way
     through the temp file ("write") or at the rename ("replace")."""
-    full = OSError(errno.ENOSPC, "No space left on device")
     if fault == "write":
-        write_text = Path.write_text
-
-        def write_half_of_a_temp_file(self, data, *args, **kwargs):
-            if not self.name.endswith(".tmp"):
-                return write_text(self, data, *args, **kwargs)
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise full
-
-        monkeypatch.setattr(Path, "write_text", write_half_of_a_temp_file)
+        fail_writes(monkeypatch, "write", lambda path: path.endswith(".tmp"))
     else:
         def refuse(source, target):
-            raise full
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(os, "replace", refuse)
+
+
+class FailingFile:
+    """A file opened for writing whose write or close fails: "write" writes
+    half of the data, then raises ENOSPC; "interrupt" writes half, then raises
+    KeyboardInterrupt; "close" writes it all and raises ENOSPC at the close."""
+
+    def __init__(self, handle, fault):
+        self.handle = handle
+        self.fault = fault
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def write(self, data):
+        if self.fault == "close":
+            return self.handle.write(data)
+        self.handle.write(data[: len(data) // 2])
+        if self.fault == "interrupt":
+            raise KeyboardInterrupt
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self.handle.close()
+        if self.fault == "close":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writes(monkeypatch, fault, chosen):
+    """Make each file that ``chosen(path)`` picks fail as :class:`FailingFile`
+    says once it is opened for writing, however it is opened."""
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and isinstance(file, (str, os.PathLike)) and chosen(os.fspath(file)):
+            return FailingFile(handle, fault)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
 
 
 ANALYSES = {
@@ -1063,13 +1099,17 @@ def test_run_writes_the_trace_of_a_long_event_id(tmp_path, capsys):
     assert json.loads((out / lines[1]["trace_ref"]).read_text())["event_id"] == long_id
 
 
+def rules_failing_evt02(tmp_path):
+    """The fixture rules, except that evt-02's prediction has no number, so its chain fails."""
+    rules = tmp_path / "rules"
+    rules.write_text(json.dumps({"pattern": VAL_EVENTS[1].name, "response": "no number"}) + "\n"
+                     + (FIXTURES / "mock.rules").read_text(encoding="utf-8"), encoding="utf-8")
+    return rules
+
+
 @pytest.mark.parametrize("outcome", ["trace", "failed"])
 def test_failed_trace_write_fails_only_its_event(tmp_path, monkeypatch, capsys, outcome):
-    rules = tmp_path / "rules"
-    # evt-02's prediction has no number, so its chain fails
-    name = VAL_EVENTS[1].name
-    rules.write_text(json.dumps({"pattern": name, "response": "no number"}) + "\n"
-                     + (FIXTURES / "mock.rules").read_text(encoding="utf-8"), encoding="utf-8")
+    rules = rules_failing_evt02(tmp_path)
     faulty = {"trace": "evt-03.json", "failed": "evt-02.failed.json"}[outcome]
     real = cli.save_trace
 
@@ -1095,6 +1135,57 @@ def test_failed_trace_write_fails_only_its_event(tmp_path, monkeypatch, capsys, 
     assert [line["event_id"] for line in lines] == [f"evt-{i:02d}" for i in range(1, 11) if f"evt-{i:02d}" not in failed]
     written = {path.name for path in (out / "traces" / "basic").iterdir()}
     assert faulty not in written and len(written) == 9
+
+
+@pytest.mark.parametrize("fault", ["write", "close", "interrupt"])
+@pytest.mark.parametrize("outcome", ["trace", "failed"])
+def test_trace_write_failing_after_its_file_is_made_leaves_no_file(tmp_path, monkeypatch, capsys, outcome, fault):
+    faulty = {"trace": "evt-03.json", "failed": "evt-02.failed.json"}[outcome]
+    faulty_id = faulty.split(".")[0]
+    argv = ["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
+            "--backend", f"mock:{rules_failing_evt02(tmp_path)}"]
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    assert main(argv + ["--out", str(clean)]) == 1
+    capsys.readouterr()
+
+    fail_writes(monkeypatch, fault, lambda path: Path(path).name == faulty)
+    if fault == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--out", str(out)])
+        # the run stopped at the faulty write, after the events before it
+        before = {"trace": ["evt-01.json", "evt-02.failed.json"], "failed": ["evt-01.json"]}[outcome]
+        assert sorted(path.name for path in (out / "traces" / "basic").iterdir()) == before
+    else:
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        write_fault = f"trace not written: [Errno {errno.ENOSPC}] No space left on device"
+        assert re.search(f"^FAILED {faulty_id}: (.*; )?{re.escape(write_fault)}$", captured.err, re.M)
+        # the event has no forecast line; the others have theirs
+        lines = (out / "basic.jsonl").read_text().splitlines(keepends=True)
+        clean_lines = (clean / "basic.jsonl").read_text().splitlines(keepends=True)
+        assert lines == [line for line in clean_lines if json.loads(line)["event_id"] != faulty_id]
+        written = {path.name for path in (out / "traces" / "basic").iterdir()}
+        assert written == set(tree_bytes(clean / "traces" / "basic")) - {faulty}
+
+    # a rerun into the same --out writes the missing trace
+    monkeypatch.undo()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert tree_bytes(out) == tree_bytes(clean)
+
+
+def test_report_with_a_255_byte_file_name_is_written(tmp_path, capsys):
+    report = tmp_path / ("r" * 250 + ".json")
+    assert main(ANALYSES["score"] + ["--out", str(report)]) == 0, capsys.readouterr().err
+    assert json.loads(report.read_text())["n_total"] == 10
+    assert [path.name for path in tmp_path.iterdir()] == [report.name]
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSES))
+def test_out_file_in_a_missing_directory_is_written(tmp_path, capsys, command):
+    out = tmp_path / "new" / "dir" / "report"
+    assert main(ANALYSES[command] + ["--out", str(out)]) == 0, capsys.readouterr().err
+    assert [path.name for path in out.parent.iterdir()] == ["report"]
+    assert out.read_text(encoding="utf-8")
 
 
 def test_mock_rule_that_is_not_unicode_is_an_input_error(tmp_path, capsys):

@@ -38,6 +38,7 @@ from foresight.strategies import (
     trace_to_forecast,
 )
 
+from counting import Counting
 from make_goldens import GOLDEN_TRACE_DIR, write_traces
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -382,7 +383,7 @@ def test_reversed_chain_complements_samples():
 
 
 def test_prediction_window_checked_before_any_call():
-    backend = mock_backend()
+    backend = Counting(mock_backend())
     with pytest.raises(PredictionWindowError):
         run_strategy("basic", tesla_event(), date(2022, 12, 31), backend)
     with pytest.raises(PredictionWindowError):

@@ -56,7 +56,7 @@ def test_connection_closed_while_idle_costs_no_retry():
             assert complete(backend, CompletionRequest("p")).texts == ("ok",)
             time.sleep(0.2)  # the server closes the idle connection meanwhile
     assert sleeps == []
-    assert backend.calls == provider.count("POST") == 3
+    assert provider.count("POST") == 3
     assert provider.connections == 3
 
 
@@ -66,7 +66,7 @@ def test_read_timeout_is_unavailable_after_max_retries():
         backend = backend_for(provider, timeout=0.1, max_retries=1, sleep=sleeps.append)
         with pytest.raises(BackendUnavailable, match="TimeoutError"):
             backend.complete(CompletionRequest("p"))
-    assert backend.calls == provider.count("POST") == 2
+    assert provider.count("POST") == 2
     assert sleeps == [0.5]
 
 
