@@ -13,6 +13,7 @@ import os
 import re
 import signal
 import sys
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,16 +71,15 @@ EXIT_RUN_FAILURES = 1
 EXIT_CONFIG = 2
 
 
-def _positive(value: float) -> bool:
-    return 0 < value < math.inf
-
-
-# --config key -> (parser, check of the parsed value, what the check expects)
+# --config key -> (parser, check of the parsed value, what the check expects).
+# A wait over threading.TIMEOUT_MAX would fail every event with OverflowError.
 _CONFIG_KEYS = {
     "model": (str, bool, "a non-empty name"),
     "replay_backend_id": (str, bool, "a non-empty id"),
-    "requests_per_second": (float, _positive, "a positive number"),
-    "timeout": (float, _positive, "a positive number of seconds"),
+    "requests_per_second": (float, lambda value: value > 0 and 0 < 1 / value < threading.TIMEOUT_MAX,
+                            f"a number above 1/{threading.TIMEOUT_MAX:.0f}"),
+    "timeout": (float, lambda value: 0 < value <= threading.TIMEOUT_MAX,
+                f"a positive number of seconds up to {threading.TIMEOUT_MAX:.0f}"),
     "max_retries": (int, lambda value: value >= 0, "a non-negative integer"),
     "supports_multi_sample": ({"0": False, "1": True}.__getitem__, None, "0 or 1"),
 }

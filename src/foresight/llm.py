@@ -292,8 +292,10 @@ class MockBackend:
 
 
 class TokenBucket:
-    """Blocking token bucket holding at most one token.  ``rate`` is tokens
-    added per second."""
+    """Blocking limiter: each :meth:`acquire` takes the next start time, now
+    or ``1 / rate`` seconds after the one before, whichever is later, and
+    sleeps once until it.  Callers start in arrival order, the first without
+    waiting, and an idle spell earns no burst (GCRA with a burst of one)."""
 
     def __init__(
         self,
@@ -307,21 +309,16 @@ class TokenBucket:
         self.rate = rate
         self._clock = clock
         self._sleep = sleep
-        self._tokens = 1.0
-        self._updated = clock()
+        self._next = clock()  # the earliest time the next call may start
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(1.0, self._tokens + (now - self._updated) * self.rate)
-                self._updated = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            self._sleep(wait)
+        with self._lock:
+            now = self._clock()
+            start = max(now, self._next)
+            self._next = start + 1.0 / self.rate
+        if start > now:
+            self._sleep(start - now)
 
 
 class NullBackend:

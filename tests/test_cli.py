@@ -711,6 +711,20 @@ def test_run_news_with_stub_servers_and_replay(tmp_path, monkeypatch, capsys):
     assert tree_bytes(live_out) == tree_bytes(replay_out)
 
 
+def test_run_news_takes_the_keyword_count(tmp_path, monkeypatch):
+    monkeypatch.delenv("FORESIGHT_NYT_API_KEY", raising=False)
+    out = tmp_path / "out"
+    with StubNewsServer(hn_hits=NEWS_HITS) as server:
+        assert main(RUN_BASE + ["--strategy", "news", "--out", str(out), "--keyword-count", "2",
+                                "--hn-endpoint", server.hn_endpoint]) == 0
+        queries = {params["query"] for params in server.params_for("/hn")}
+    trace = json.loads((out / "traces" / "news" / "evt-01.json").read_text())
+    keywords = trace["steps"][0]
+    assert keywords["step_id"] == "keywords"
+    assert keywords["parsed"] == ["Tesla", "autonomy"]  # the scripted reply names three
+    assert queries == {"Tesla autonomy"}
+
+
 def test_run_news_without_nyt_key_replays_identically(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FORESIGHT_NYT_API_KEY", raising=False)
     cache = tmp_path / "cache"
@@ -801,6 +815,9 @@ def test_run_rejects_bad_usage(tmp_path, capsys, monkeypatch):
         RUN_BASE + ["--strategy", "basic", "--out", out, "--backend", f"mock:{unknown_key}"],
         live + ["--config", "requests_per_second=0"],
         live + ["--config", "timeout=-1"],
+        # waits too long for a socket or time.sleep to take
+        live + ["--config", "timeout=1e10"],
+        live + ["--config", "requests_per_second=1e-10"],
         live + ["--config", "max_retries=-1"],
         live + ["--config", "supports_multi_sample=true"],
         RUN_BASE + ["--strategy", "basic", "--out", out, "--workers", "0"],

@@ -332,11 +332,67 @@ def test_token_bucket_paces_with_fake_clock():
         now[0] += seconds
 
     bucket = TokenBucket(rate=2.0, clock=clock, sleep=sleep)
-    bucket.acquire()  # the bucket starts with its one token, no wait
+    bucket.acquire()  # the first call does not wait
     bucket.acquire()  # must wait 1/rate
     assert sleeps == [pytest.approx(0.5)]
+    now[0] += 10.0  # an idle spell earns no burst
+    bucket.acquire()
+    bucket.acquire()
+    assert sleeps == [pytest.approx(0.5), pytest.approx(0.5)]
     with pytest.raises(ValueError):
         TokenBucket(rate=0.0)
+
+
+def test_token_bucket_schedules_callers_under_a_frozen_clock():
+    sleeps = []
+
+    def sleep(seconds):
+        # a limiter that polls the clock would sleep here forever
+        assert len(sleeps) < 10, "the limiter keeps sleeping under a frozen clock"
+        sleeps.append(seconds)
+
+    bucket = TokenBucket(rate=2.0, clock=lambda: 0.0, sleep=sleep)
+    for _ in range(4):
+        bucket.acquire()
+    # the first call starts at once, the next three one each at 0.5, 1.0 and 1.5
+    assert sleeps == [pytest.approx(0.5), pytest.approx(1.0), pytest.approx(1.5)]
+
+
+def test_token_bucket_spaces_concurrent_callers_with_one_sleep_each():
+    rate, threads = 100.0, 8
+    local = threading.local()  # what the limiter did on each calling thread
+    starts = []
+    barrier = threading.Barrier(threads)
+
+    def clock():
+        local.now = time.monotonic()
+        return local.now
+
+    def sleep(seconds):
+        local.sleeps.append(seconds)
+        time.sleep(seconds)
+
+    bucket = TokenBucket(rate, clock=clock, sleep=sleep)
+
+    def caller():
+        local.sleeps = []
+        barrier.wait()
+        bucket.acquire()
+        returned = time.monotonic()
+        assert len(local.sleeps) <= 1
+        # the start the limiter gave this caller: the clock it read plus its wait
+        start = local.now + sum(local.sleeps)
+        assert returned >= start - 1e-3
+        starts.append(start)
+
+    workers = [threading.Thread(target=caller) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    starts.sort()
+    assert len(starts) == threads  # every caller passed its checks
+    assert all(later - earlier >= 1 / rate - 1e-6 for earlier, later in zip(starts, starts[1:]))
 
 
 class FakeResponse:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import foresight.strategies
 from foresight.events import Category, Event, json_data, load_dataset
 from foresight.llm import CachedBackend, HttpBackend, HttpReply, MockBackend, MockRule, NullBackend, ProviderError
-from foresight.news import Headline, NewsError, QueryWindow, Source
+from foresight.news import HackerNewsClient, Headline, NewsError, QueryWindow, Source
 from foresight.prompts import aggregate_probabilities, bindings, extract_probability, get_template
 from foresight.strategies import (
     CHAINS,
@@ -167,6 +167,31 @@ def test_sequences_chain_composes_numbered_paths():
     assert "Potential Sequence 1:" in predict.prompt
 
 
+@pytest.mark.parametrize(
+    "parse, reply, parsed",
+    [
+        # a second marker closes the path before it; nothing after END counts
+        (foresight.strategies._parse_sequence_blocks,
+         "[PATH TO POSITIVE OUTCOME]\nfirst\n[PATH TO NEGATIVE OUTCOME]\nsecond\nEND\nthird",
+         ("first", "second")),
+        # tag lines before the reworded event are skipped
+        (foresight.strategies._parse_opposite_reply, "\n[EVENT OPPOSITE]\nTesla misses L3\nmore", "Tesla misses L3"),
+        (foresight.strategies._parse_opposite_reply, "Tesla misses L3\n[END]", "Tesla misses L3"),
+        (foresight.strategies._parse_jobs, "I choose to talk to an economist.", ("an economist",)),
+        # a heading and blank lines are not search terms
+        (lambda reply: foresight.strategies._parse_keywords(reply, 2), "Entities:\n\n- Tesla\n* FSD\n* L3",
+         ("Tesla", "FSD")),
+    ],
+    ids=["sequences", "opposite-after-tag", "opposite-bare", "jobs", "keywords"],
+)
+def test_reply_parsers(parse, reply, parsed):
+    assert parse(reply) == (parsed, ())
+
+
+def test_no_sequences_compose_to_none():
+    assert foresight.strategies._compose_sequences((), positive=True) == "None"
+
+
 def assert_opposite_failure_aborts(strategy, partial_ids):
     backend = mock_backend()
     # the opposite-rewording step replies with only whitespace
@@ -305,6 +330,24 @@ def test_news_chain_degrades_on_client_error():
     assert by_id["hn_fetch"].parsed == NO_HEADLINES_TEXT
     assert by_id["hn_fetch"].warnings
     assert "no regulatory approval" in by_id["nyt_fetch"].parsed
+
+
+class NotJsonSession:
+    """Answers every GET with a page that is not JSON."""
+
+    def get(self, **kwargs):
+        return HttpReply(200, {}, b"<html>busy</html>")
+
+
+def test_news_chain_degrades_on_a_reply_that_is_not_json():
+    hn_client = HackerNewsClient("http://hn.test/search", session=NotJsonSession())
+    trace = run("news", hn_client=hn_client, nyt_client=ScriptedNews(Source.NYT, NYT_HEADLINES))
+    by_id = {s.step_id: s for s in trace.steps}
+    assert by_id["hn_fetch"].parsed == NO_HEADLINES_TEXT
+    (warning,) = by_id["hn_fetch"].warnings
+    assert warning.startswith("headline fetch failed: news service returned 200: invalid json")
+    assert "no regulatory approval" in by_id["nyt_fetch"].parsed
+    assert trace.final_probability == 0.15
 
 
 HN_FILTERED = "Headline 1 -- 2022-07-20: Tesla expands FSD beta to more testers"

@@ -48,6 +48,15 @@ def test_sequential_calls_reuse_one_connection():
     assert provider.connections == 1
 
 
+def test_pooled_connection_takes_the_next_requests_timeout():
+    with StubProvider(delay=0.2) as provider:
+        session = HttpSession(provider.url + "/v1/chat/completions")
+        assert session.post(json={}, timeout=5.0).status_code == 200
+        with pytest.raises(TransportError, match="timed out"):
+            session.post(json={}, timeout=0.05)
+    assert provider.connections == 1
+
+
 def test_connection_closed_while_idle_costs_no_retry():
     sleeps = []
     with StubProvider(idle_timeout=0.05) as provider:
@@ -150,7 +159,9 @@ class ScriptedSession:
         return self.replies.pop(0)
 
 
-UNUSABLE_RETRY_AFTER = ["inf", "nan", "-1", "1e300", str(threading.TIMEOUT_MAX)]
+# an HTTP-date is valid Retry-After, but only a number of seconds is used
+UNUSABLE_RETRY_AFTER = ["inf", "nan", "-1", "1e300", str(threading.TIMEOUT_MAX),
+                        "Wed, 21 Oct 2015 07:28:00 GMT"]
 
 
 @pytest.mark.parametrize("retry_after", UNUSABLE_RETRY_AFTER)
