@@ -20,18 +20,19 @@ from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from .events import (
     Event, InputError, active_events, json_data, load_dataset, parse_date, write_text_atomic
 )
 from .llm import (
+    API_KEY_ENV,
     BASE_URL_ENV,
     CachedBackend,
     CompletionBackend,
     HttpBackend,
     MockBackend,
     NullBackend,
+    split_url,
 )
 from .metrics import (
     ForecastRecord,
@@ -85,14 +86,12 @@ _CONFIG_KEYS = {
 }
 
 def _check_endpoint(flag: str, url: str | None) -> None:
-    """A given endpoint flag must be an http or https URL with a host."""
-    try:
-        parts = urlsplit(url or "")
-        valid = url is None or parts.scheme in ("http", "https") and bool(parts.hostname)
-    except ValueError:  # an unbalanced IPv6 bracket
-        valid = False
-    if not valid:
-        raise InputError(f"{flag} must be an http or https URL with a host, got {url!r}")
+    """A given endpoint must be a URL the HTTP transport can send to."""
+    if url is not None:
+        try:
+            split_url(url, flag)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
 
 def _parse_config(items) -> dict:
@@ -125,6 +124,9 @@ def build_backend(spec: str, config: dict) -> CompletionBackend:
         if not os.environ.get(BASE_URL_ENV):
             raise InputError(f"the live backend needs {BASE_URL_ENV} set")
         _check_endpoint(BASE_URL_ENV, os.environ[BASE_URL_ENV])
+        # the key goes out in a header; the error never shows it
+        if any(char in "\r\n" or char > "\xff" for char in os.environ.get(API_KEY_ENV, "")):
+            raise InputError(f"{API_KEY_ENV} must hold no line break and only Latin-1 characters")
         # every other key set is the HttpBackend option of its name
         options = {key: config[key] for key in config.keys() - {"model", "replay_backend_id"}}
         return HttpBackend(model, **options)

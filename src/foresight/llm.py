@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
-from urllib.parse import unquote, urlencode, urlsplit
+from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
 from .events import json_data, read_json_lines, write_text_atomic
 
@@ -58,6 +58,7 @@ __all__ = [
     "fan_out",
     "HttpSession",
     "HttpReply",
+    "split_url",
     "TransportError",
     "DEFAULT_TEMPERATURE",
     "FINAL_SAMPLE_COUNT",
@@ -352,6 +353,28 @@ class HttpReply:
         return json.loads(self.content)
 
 
+# What a request line cannot carry: a space or a control character.
+_UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
+
+
+def split_url(url: str, name: str = "URL") -> SplitResult:
+    """``url`` split, when :class:`HttpSession` can send to it: an http or
+    https URL with a host, a port that parses, and no space or control
+    character.  Otherwise ``ValueError``, naming ``url`` as ``name``."""
+    try:
+        parts = urlsplit(url)
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname) and not _UNSENDABLE.search(url)
+        parts.port  # raises ValueError when the port is out of range or not a number
+    except ValueError:  # also an unbalanced IPv6 bracket
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"{name} must be an http or https URL with a host, a valid port "
+            f"and no space or control character, got {url!r}"
+        )
+    return parts
+
+
 def _basic_auth(user: str, password: str) -> str:
     return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
 
@@ -400,9 +423,7 @@ class HttpSession:
     def __init__(self, url: str):
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"not an http or https URL with a host: {url!r}")
+        parts = split_url(url)
         self.scheme = parts.scheme
         self.host = parts.hostname
         self.port = parts.port or (443 if parts.scheme == "https" else 80)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
@@ -44,7 +43,6 @@ FORECASTER_SLOT = "[Forecaster Text]"
 EXTRACTION_TEMPLATE_ID = "extract/probability"
 
 _PREAMBLE_FILE = "forecaster_preamble.txt"
-_META_KEYS = frozenset({"placeholders", "scale"})
 
 
 class TemplateError(ValueError):
@@ -52,7 +50,7 @@ class TemplateError(ValueError):
 
 
 class UnboundPlaceholder(ValueError):
-    """Raised when a template is rendered without all declared placeholders."""
+    """Raised when a template is rendered without all its placeholders."""
 
     def __init__(self, template_id: str, missing: Sequence[str]):
         self.template_id = template_id
@@ -96,7 +94,7 @@ def _preview(text: str, limit: int = 80) -> str:
 
 
 class Scale(Enum):
-    """Scale a prediction template asks its answer on."""
+    """Scale a prediction prompt asks its answer on."""
 
     PERCENT = "percent"
     UNIT = "unit"
@@ -104,27 +102,20 @@ class Scale(Enum):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A single prompt body with its declared placeholders."""
+    """A single prompt body.  Its placeholders are the keys of its [key]
+    tokens that hold a lowercase letter, in order of first use; an
+    all-capitals token such as [EVENT] is prompt text."""
 
     template_id: str
     body: str
-    placeholders: tuple[str, ...]
-    scale: Scale = Scale.PERCENT
+    placeholders: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.body:
             raise TemplateError(f"template {self.template_id!r} has an empty body")
-        if len(set(self.placeholders)) != len(self.placeholders):
-            raise TemplateError(f"template {self.template_id!r} declares duplicate placeholders")
-        for name in self.placeholders:
-            if "[" in name or "]" in name:
-                raise TemplateError(
-                    f"template {self.template_id!r} declares placeholder {name!r} with a bracket"
-                )
-            if f"[{name}]" not in self.body:
-                raise TemplateError(
-                    f"template {self.template_id!r} declares placeholder {name!r} absent from its body"
-                )
+        keys = _segments(self.body)[1::2]
+        names = dict.fromkeys(key for key in keys if any(char.islower() for char in key))
+        object.__setattr__(self, "placeholders", tuple(names))
 
 
 def _strip_one_newline(text: str) -> str:
@@ -147,30 +138,9 @@ def load_templates() -> Mapping[str, PromptTemplate]:
         for item in sorted(entry.iterdir(), key=lambda child: child.name):
             if not item.name.endswith(".txt"):
                 continue
-            stem = item.name[: -len(".txt")]
-            template_id = f"{entry.name}/{stem}"
-            try:
-                meta = json.loads((entry / f"{stem}.json").read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise TemplateError(f"template {template_id!r} has no metadata file") from None
-            except json.JSONDecodeError as exc:
-                raise TemplateError(f"template {template_id!r} has invalid metadata: {exc}") from None
-            if not isinstance(meta, dict) or not _META_KEYS.issuperset(meta):
-                raise TemplateError(f"template {template_id!r} has unexpected metadata keys")
-            try:
-                scale = Scale(meta.get("scale", Scale.PERCENT.value))
-            except ValueError:
-                raise TemplateError(
-                    f"template {template_id!r} has unknown scale {meta.get('scale')!r}"
-                ) from None
+            template_id = f"{entry.name}/{item.name[: -len('.txt')]}"
             body = _strip_one_newline(item.read_text(encoding="utf-8"))
-            body = body.replace(FORECASTER_SLOT, preamble)
-            registry[template_id] = PromptTemplate(
-                template_id=template_id,
-                body=body,
-                placeholders=tuple(meta.get("placeholders", ())),
-                scale=scale,
-            )
+            registry[template_id] = PromptTemplate(template_id, body.replace(FORECASTER_SLOT, preamble))
     if not registry:
         raise TemplateError("no templates found in package data")
     return MappingProxyType(registry)
@@ -230,7 +200,7 @@ def substitute(body: str, bindings: Mapping[str, str]) -> str:
 
 
 def render(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
-    """Render a template, requiring every declared placeholder to be bound."""
+    """Render a template, requiring every placeholder to be bound."""
     missing = [name for name in template.placeholders if name not in bindings]
     if missing:
         raise UnboundPlaceholder(template.template_id, missing)
@@ -305,7 +275,7 @@ def extract_probability(
     else:
         response = result.texts[0]
         try:
-            value = parse_probability(response, scale=template.scale)
+            value = parse_probability(response, scale=Scale.UNIT)
         except NoProbabilityFound:
             error = f"extractor reply had no probability: {_preview(response)!r}"
         else:

@@ -30,6 +30,7 @@ from .prompts import (
     ExtractionFailed,
     PredictionWindowError,
     SampleExtraction,
+    Scale,
     aggregate_probabilities,
     bindings,
     extract_probability,
@@ -258,6 +259,7 @@ class Step(NamedTuple):
     # "<items>_<i>" that sample once, and drop an item that fails
     items: str | None = None
     complement: bool = False  # prediction row: the trace reports 1 - each sample
+    scale: Scale = Scale.PERCENT  # prediction row: the scale its prompt asks the answer on
 
 
 def _beside(*branches: Step | tuple[Step, ...]) -> tuple[tuple[Step, ...], ...]:
@@ -303,7 +305,7 @@ CHAINS: dict[str, tuple[Step | tuple[tuple[Step, ...], ...], ...]] = {
             parse=_parse_sequence_blocks,
             show=partial(_compose_sequences, positive=False),
         ),
-        Step("predict", {"positive sequences": "positive", "negative sequences": "negative"}),
+        Step("predict", {"positive sequences": "positive", "negative sequences": "negative"}, scale=Scale.UNIT),
     ),
     # predict the opposite event with basic's question, then complement
     "reversed": (
@@ -313,7 +315,7 @@ CHAINS: dict[str, tuple[Step | tuple[tuple[Step, ...], ...], ...]] = {
     # pick experts, ask each for a windowed probability, average them
     "crowd": (
         Step("expert", samples="persona_count", parse=_parse_jobs),
-        Step("predict", {"job": "expert"}, items="persona"),
+        Step("predict", {"job": "expert"}, items="persona", scale=Scale.UNIT),
     ),
     # search the news up to the prediction date, filter it, predict from it
     "news": (
@@ -410,26 +412,26 @@ def run_strategy(
         return {placeholder: shown[source] for placeholder, source in row.reads.items()}
 
     def sample(row: Step, extra: Mapping[str, object], n_samples: int):
-        """Render ``row``'s prompt and sample it; returns the template, the
-        prompt and the replies, and raises what the backend raises."""
+        """Render ``row``'s prompt and sample it; returns the prompt and the
+        replies, and raises what the backend raises."""
         template = get_template(row.template or f"{strategy_id}/{row.step_id}")
         prompt = render(template, {**context, **extra} if extra else context)
         request = CompletionRequest(prompt=prompt, temperature=DEFAULT_TEMPERATURE, n_samples=n_samples)
-        return template, prompt, complete(backend, request).texts
+        return prompt, complete(backend, request).texts
 
     def predict(step_id: str, extra: Mapping[str, object], n_samples: int = FINAL_SAMPLE_COUNT):
         """The last row's prediction step, unrecorded, and its failure:
         sample, extract each reply, aggregate.  A reply with no probability
         or a cache fault in extraction fails it."""
         try:
-            template, prompt, replies = sample(last, extra, n_samples)
+            prompt, replies = sample(last, extra, n_samples)
         except BackendError as exc:
             return None, exc
 
         def extract(item: tuple[int, str]):
             index, raw = item
             try:
-                return extract_probability(raw, scale=template.scale, extractor=backend, sample_index=index)[1]
+                return extract_probability(raw, scale=last.scale, extractor=backend, sample_index=index)[1]
             except (ExtractionFailed, CacheFault) as exc:
                 return exc
 
@@ -471,7 +473,7 @@ def run_strategy(
             step = StepRecord(row.step_id, None, (), format_headlines(headlines) or NO_HEADLINES_TEXT, (), warnings)
         else:
             try:
-                _, prompt, replies = sample(row, extra, params.get(row.samples, 1))
+                prompt, replies = sample(row, extra, params.get(row.samples, 1))
             except BackendError as exc:
                 return None, exc
             parse = partial(row.parse, limit=params[row.limit]) if row.limit else row.parse

@@ -834,13 +834,29 @@ def test_run_rejects_bad_usage(tmp_path, capsys, monkeypatch):
         RUN_BASE + ["--strategy", "crowd", "--out", out, "--persona-count", "0"],
     ]
     news = RUN_BASE + ["--strategy", "news", "--out", out]
-    for url in ("notaurl", "ftp://127.0.0.1/hn", "http://", "https:///hn", "", "http://[::1"):
+    # and URLs the transport cannot send to: a port out of range or not a
+    # number, a space, a control character
+    unsendable = ("http://127.0.0.1:99999/v1", "http://127.0.0.1:abc/v1", "http://127.0.0.1:9/a b",
+                  "http://127.0.0.1:9/a\x7f")
+    for url in ("notaurl", "ftp://127.0.0.1/hn", "http://", "https:///hn", "", "http://[::1", *unsendable):
         cases += [news + ["--hn-endpoint", url], news + ["--nyt-endpoint", url]]
     before = sorted(tmp_path.iterdir())
     for argv in cases:
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before, argv  # nothing created
+    # the same URLs as the provider's, and keys no HTTP header can carry,
+    # which the error names without showing
+    environments = [("FORESIGHT_LLM_BASE_URL", url) for url in unsendable] + [
+        ("FORESIGHT_LLM_API_KEY", key) for key in ("sk-secret\r", "sk-secret\n", "sk-secret\u2013")
+    ]
+    for name, value in environments:
+        with monkeypatch.context() as patch:
+            patch.setenv(name, value)
+            assert main(live) == 2, (name, value)
+        err = capsys.readouterr().err
+        assert f"error: {name} must" in err and "sk-secret" not in err, (name, value)
+        assert sorted(tmp_path.iterdir()) == before, (name, value)
 
 
 def test_run_rejects_bad_params_before_submitting(tmp_path, monkeypatch, capsys):
@@ -859,6 +875,8 @@ def test_run_live_backend_needs_model_and_url(tmp_path, capsys, monkeypatch):
             "--backend", "live", "--out", out]
     assert main(argv) == 2
     assert "model" in capsys.readouterr().err
+    assert main(argv + ["--config", "model=test"]) == 2
+    assert "the live backend needs FORESIGHT_LLM_BASE_URL set" in capsys.readouterr().err
     monkeypatch.setenv("FORESIGHT_LLM_BASE_URL", "ftp://provider.test/v1")
     assert main(argv + ["--config", "model=test"]) == 2
     assert "FORESIGHT_LLM_BASE_URL must be an http or https URL" in capsys.readouterr().err

@@ -36,6 +36,16 @@ def test_query_window_joins_terms():
     assert window("tesla", "fsd").query == "tesla fsd"
 
 
+@pytest.mark.parametrize(
+    "terms, max_results",
+    [((), 25), (("tesla", " "), 25), (("tesla",), 0)],
+    ids=["no-terms", "blank-term", "no-results"],
+)
+def test_query_window_rejects_blank_terms_and_no_results(terms, max_results):
+    with pytest.raises(ValueError):
+        QueryWindow(terms=terms, until=UNTIL, max_results=max_results)
+
+
 def test_headline_guard_filters_sorts_dedups_truncates():
     client_output = [
         Headline("old", date(2022, 7, 1), Source.HACKERNEWS),
@@ -182,9 +192,15 @@ def test_news_clients_honour_retry_after(make_client, payload):
 
 
 def test_news_clients_skip_malformed_items():
-    hits = [7, hn_hit("numeric date", 20220801), hn_hit("kept", "2022-07-01T00:00:00Z")]
+    hits = [
+        7,
+        hn_hit("numeric date", 20220801),
+        hn_hit("unparsed date", "July 2022"),
+        hn_hit("kept", "2022-07-01T00:00:00Z"),
+    ]
     docs = [
         {"headline": None, "pub_date": "2022-07-02T00:00:00+0000"},
+        nyt_doc("unparsed date", "2022-13-01T00:00:00+0000"),
         nyt_doc("kept", "2022-07-01T00:00:00+0000"),
     ]
     with StubNewsServer(hn_hits=hits, nyt_docs=docs) as server:

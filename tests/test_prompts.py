@@ -81,13 +81,6 @@ def test_registry_contents():
             assert f"[{name}]" in template.body
 
 
-def test_registry_scales():
-    unit = {"sequences/predict", "crowd/predict", "extract/probability"}
-    for template_id in EXPECTED_TEMPLATE_IDS:
-        expected = Scale.UNIT if template_id in unit else Scale.PERCENT
-        assert get_template(template_id).scale is expected, template_id
-
-
 def test_expert_preamble_inlined():
     # the shared forecaster framing is baked into final-step bodies at load
     assert get_template("forecaster/predict").body.startswith("In this chat, you are")
@@ -101,16 +94,16 @@ def test_get_template_unknown_id():
         get_template("missing/template")
 
 
-def test_template_validation():
-    PromptTemplate("t", "body [a]", ("a",), Scale.PERCENT)
-    with pytest.raises(ValueError):
-        PromptTemplate("t", "", (), Scale.PERCENT)
-    with pytest.raises(ValueError):
-        PromptTemplate("t", "body [a] [a]", ("a", "a"), Scale.PERCENT)
-    with pytest.raises(ValueError):
-        PromptTemplate("t", "body", ("ghost",), Scale.PERCENT)
-    with pytest.raises(TemplateError, match="bracket"):
-        PromptTemplate("t", "body [a]b]", ("a]b",), Scale.PERCENT)
+def test_placeholders_come_from_the_body():
+    # a key with a lowercase letter is a placeholder, listed once, in order
+    # of first use; an all-capitals token is prompt text
+    template = PromptTemplate("t", "[EVENT] [name] [END] [number of days] [name] [NYT headlines] [A1]")
+    assert template.placeholders == ("name", "number of days", "NYT headlines")
+    assert PromptTemplate("t", "no tokens, [] or [42]").placeholders == ()
+    # a key holds no bracket: the token is the innermost pair
+    assert PromptTemplate("t", "[a]b] [[c]").placeholders == ("a", "c")
+    with pytest.raises(TemplateError, match="empty body"):
+        PromptTemplate("t", "")
 
 
 def test_days_remaining():
@@ -160,7 +153,7 @@ def substitute_by_regex(body, bindings):
 
 
 # Keys are short so that one is often a prefix of another; they hold no
-# bracket, which PromptTemplate enforces on every placeholder.
+# bracket, as no token's key can.
 _KEY = st.text(alphabet="ab ", max_size=3)
 _PIECE = st.one_of(
     st.text(alphabet="ab []x\n", max_size=6),
@@ -189,7 +182,7 @@ def test_render_binds_event_fields():
 
 
 def test_render_missing_placeholder():
-    template = PromptTemplate("t", "needs [job]", ("job",), Scale.PERCENT)
+    template = PromptTemplate("t", "needs [job]")
     with pytest.raises(UnboundPlaceholder) as info:
         render(template, {"other": "x"})
     assert info.value.missing == ("job",)
@@ -198,7 +191,7 @@ def test_render_missing_placeholder():
 
 
 def test_render_tolerates_unused_bindings():
-    template = PromptTemplate("t", "[condition]", ("condition",), Scale.PERCENT)
+    template = PromptTemplate("t", "[condition]")
     merged = {**bindings(make_event(), date(2022, 8, 1)), "condition": "the opposite"}
     assert render(template, merged) == "the opposite"
 

@@ -18,7 +18,15 @@ import foresight.strategies
 from foresight.events import Category, Event, json_data, load_dataset
 from foresight.llm import CachedBackend, HttpBackend, HttpReply, MockBackend, MockRule, NullBackend, ProviderError
 from foresight.news import HackerNewsClient, Headline, NewsError, QueryWindow, Source
-from foresight.prompts import aggregate_probabilities, bindings, extract_probability, get_template
+from foresight.prompts import (
+    EXTRACTION_TEMPLATE_ID,
+    Scale,
+    aggregate_probabilities,
+    bindings,
+    extract_probability,
+    get_template,
+    load_templates,
+)
 from foresight.strategies import (
     CHAINS,
     ChainError,
@@ -214,6 +222,7 @@ def test_reversed_opposite_failure_aborts_chain():
 def test_chain_table_is_consistent():
     standard = set(bindings(tesla_event(), TODAY))
     window_fields = {field.name for field in dataclasses.fields(QueryWindow)}
+    templates, unit = {EXTRACTION_TEMPLATE_ID}, set()
     for strategy, groups in CHAINS.items():
         params = set(foresight.strategies._PARAMS.get(strategy, {}))
         earlier, used = set(), set()
@@ -238,10 +247,19 @@ def test_chain_table_is_consistent():
                         template = get_template(step.template or f"{strategy}/{step.step_id}")
                         unbound = set(template.placeholders) - standard - set(step.reads)
                         assert not unbound, (*case, unbound)
+                        # each value a row reads fills a placeholder of its template
+                        assert set(step.reads) <= set(template.placeholders), case
+                        templates.add(template.template_id)
+                    if step.scale is Scale.UNIT:
+                        unit.add(case)
                     earlier.add(step.step_id)
                     used.update((*step.reads.values(), step.samples, step.limit))
         # every parameter is used by a row
         assert params <= used, strategy
+    # every template file is some row's, or the extractor's
+    assert templates == set(load_templates())
+    # the prediction rows whose prompts ask for a probability from 0 to 1
+    assert unit == {("crowd", "predict"), ("sequences", "predict")}
 
 
 def test_crowd_chain_one_prediction_per_persona():

@@ -2,6 +2,7 @@
 news clients, against local stdlib servers."""
 
 import os
+import ssl
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from foresight.llm import (
+    FAN_OUT_THREADS,
     BackendUnavailable,
     CompletionRequest,
     HttpBackend,
@@ -111,6 +113,40 @@ def test_netrc_credentials_yield_to_an_api_key(monkeypatch, tmp_path):
         "Basic dXNlcjpzZWNyZXQ=",  # user:secret
         "Bearer sk-test",
     ]
+
+
+def test_malformed_netrc_gives_no_credentials(monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret stray\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    assert HttpSession("http://127.0.0.1/v1").auth is None
+
+
+def test_ca_bundle_directory_is_loaded_as_capath(monkeypatch, tmp_path):
+    made = []
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    monkeypatch.setattr(ssl, "create_default_context", lambda **kwargs: made.append(kwargs) or context)
+    for bundle in (tmp_path, tmp_path / "bundle.pem"):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        # a connection opens no socket before its first request
+        HttpSession("https://provider.test/v1")._connect(timeout=5).close()
+    assert made == [{"capath": str(tmp_path)}, {"cafile": str(tmp_path / "bundle.pem")}]
+
+
+def test_checkin_beyond_the_idle_limit_closes_the_connection():
+    class Connection:
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    session = HttpSession("http://127.0.0.1:9/v1")
+    connections = [Connection() for _ in range(FAN_OUT_THREADS + 1)]
+    for connection in connections:
+        session._checkin(connection)
+    assert [connection.closed for connection in connections] == [False] * FAN_OUT_THREADS + [True]
+    assert session._checkout() is connections[-2]  # the most recently used first
 
 
 def test_http_target_goes_to_the_proxy_in_absolute_form(monkeypatch):
