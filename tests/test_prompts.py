@@ -30,6 +30,7 @@ from foresight.prompts import (
     render,
     substitute,
 )
+from foresight.strategies import CHAINS
 
 EXPECTED_TEMPLATE_IDS = {
     "basic/predict",
@@ -79,6 +80,26 @@ def test_registry_contents():
         assert template.body
         for name in template.placeholders:
             assert f"[{name}]" in template.body
+
+
+def test_registry_scales():
+    # a template's answer is read on the scale of the prediction row that
+    # sends it; every other step's reply is text, not a probability
+    unit = {"sequences/predict", "crowd/predict"}
+    scales = {}
+    for strategy, groups in CHAINS.items():
+        predict = groups[-1]
+        template_id = predict.template or f"{strategy}/{predict.step_id}"
+        scales.setdefault(template_id, set()).add(predict.scale)
+    assert set(scales) == {t for t in EXPECTED_TEMPLATE_IDS if t.endswith("/predict")}
+    for template_id, found in scales.items():
+        expected = Scale.UNIT if template_id in unit else Scale.PERCENT
+        assert found == {expected}, template_id
+    # the extractor's prompt asks for 0 to 1 whatever the row's scale: its
+    # bare "35" is no probability, so the raw reply is parsed instead
+    value, detail = extract_probability("surely 60%", scale=Scale.PERCENT, extractor=ScriptedExtractor("35"))
+    assert value == pytest.approx(0.60)
+    assert detail.fallback_used
 
 
 def test_expert_preamble_inlined():

@@ -20,7 +20,6 @@ from foresight.llm import CachedBackend, HttpBackend, HttpReply, MockBackend, Mo
 from foresight.news import HackerNewsClient, Headline, NewsError, QueryWindow, Source
 from foresight.prompts import (
     EXTRACTION_TEMPLATE_ID,
-    Scale,
     aggregate_probabilities,
     bindings,
     extract_probability,
@@ -222,7 +221,7 @@ def test_reversed_opposite_failure_aborts_chain():
 def test_chain_table_is_consistent():
     standard = set(bindings(tesla_event(), TODAY))
     window_fields = {field.name for field in dataclasses.fields(QueryWindow)}
-    templates, unit = {EXTRACTION_TEMPLATE_ID}, set()
+    templates = {EXTRACTION_TEMPLATE_ID}
     for strategy, groups in CHAINS.items():
         params = set(foresight.strategies._PARAMS.get(strategy, {}))
         earlier, used = set(), set()
@@ -250,16 +249,12 @@ def test_chain_table_is_consistent():
                         # each value a row reads fills a placeholder of its template
                         assert set(step.reads) <= set(template.placeholders), case
                         templates.add(template.template_id)
-                    if step.scale is Scale.UNIT:
-                        unit.add(case)
                     earlier.add(step.step_id)
                     used.update((*step.reads.values(), step.samples, step.limit))
         # every parameter is used by a row
         assert params <= used, strategy
     # every template file is some row's, or the extractor's
     assert templates == set(load_templates())
-    # the prediction rows whose prompts ask for a probability from 0 to 1
-    assert unit == {("crowd", "predict"), ("sequences", "predict")}
 
 
 def test_crowd_chain_one_prediction_per_persona():
