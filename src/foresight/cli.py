@@ -15,11 +15,13 @@ import signal
 import sys
 import threading
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .events import (
     Event, InputError, active_events, json_data, load_dataset, parse_date, write_text_atomic
@@ -32,6 +34,7 @@ from .llm import (
     HttpBackend,
     MockBackend,
     NullBackend,
+    collecting_entries,
     split_url,
 )
 from .metrics import (
@@ -58,6 +61,8 @@ from .news import (
 from .strategies import (
     STRATEGY_IDS,
     ChainError,
+    ChainTrace,
+    FailedTrace,
     check_params,
     run_strategy,
     save_trace,
@@ -150,11 +155,12 @@ def _build_news_clients(args, cache_dir: Path | None, replay_only: bool):
             return client
         return CachedNewsClient(cache_dir / "news", client, replay_only=replay_only)
 
-    hn = cached(HackerNewsClient(args.hn_endpoint or DEFAULT_HN_ENDPOINT))
+    # both built, and so their proxy checked, before a cache directory is made
+    hn = HackerNewsClient(args.hn_endpoint or DEFAULT_HN_ENDPOINT)
     nyt = NYTClient(os.environ.get(NYT_API_KEY_ENV), args.nyt_endpoint or DEFAULT_NYT_ENDPOINT)
     # Never cached without a key: it records nothing, so a replay without the
     # key must take this same path to reproduce the run.
-    return hn, cached(nyt) if nyt.api_key else nyt
+    return cached(hn), cached(nyt) if nyt.api_key else nyt
 
 
 _UNSAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
@@ -216,36 +222,70 @@ class _Run:
     out: Path
 
 
-def _run_event(run: _Run, index: int) -> tuple[ForecastRecord | None, str | None, str]:
-    """Run event ``index``'s chain and write its trace (or ``.failed.json``)
-    where the chain ran. Return its forecast record, or its failure message
-    (a failed write included) and, for a fault outside the chain, the
-    traceback text."""
+@dataclass(frozen=True)
+class _Outcome:
+    """One event's finished chain, before anything of it is written."""
+
+    record: ForecastRecord | None  # None when the event failed
+    failure: str | None
+    details: str  # the traceback text of a fault outside the chain
+    writers: list[Callable[[], None]]  # one per cache entry the chain recorded
+    trace: ChainTrace | FailedTrace | None = None
+    path: Path | None = None
+
+
+def _run_event(run: _Run, index: int) -> _Outcome:
+    """Run event ``index``'s chain, writing nothing."""
     event, ref = run.events[index], f"traces/{run.strategy}/{run.names[index]}"
-    try:
-        trace = run_strategy(
-            run.strategy,
-            event,
-            run.today,
-            run.backend,
-            hn_client=run.hn_client,
-            nyt_client=run.nyt_client,
-            params=run.params,
-        )
-    except ChainError as exc:
-        trace, name, record, failure = exc.trace, f"{ref}.failed.json", None, str(exc)
-    except Exception as exc:
-        # One event's unexpected fault must not cost the other events' results.
-        return None, f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc))
-    else:
-        name = f"{ref}.json"
-        record, failure = trace_to_forecast(trace, trace_ref=name), None
-    try:
-        save_trace(trace, run.out / name)
-    except (OSError, UnicodeEncodeError) as exc:
-        # a trace that cannot be written fails its event, not the run
-        return None, "; ".join(filter(None, (failure, f"trace not written: {exc}"))), ""
-    return record, failure, ""
+    with collecting_entries() as writers:
+        try:
+            trace = run_strategy(
+                run.strategy,
+                event,
+                run.today,
+                run.backend,
+                hn_client=run.hn_client,
+                nyt_client=run.nyt_client,
+                params=run.params,
+            )
+        except ChainError as exc:
+            return _Outcome(None, str(exc), "", writers, exc.trace, run.out / f"{ref}.failed.json")
+        except Exception as exc:
+            # One event's unexpected fault must not cost the other events' results.
+            details = "".join(traceback.format_exception(exc))
+            return _Outcome(None, f"{type(exc).__name__}: {exc}", details, writers)
+    name = f"{ref}.json"
+    return _Outcome(trace_to_forecast(trace, trace_ref=name), None, "", writers, trace, run.out / name)
+
+
+def _write_outcome(outcome: _Outcome) -> tuple[ForecastRecord | None, str | None, str]:
+    """Write every cache entry of ``outcome``'s chain, then its trace, so a
+    trace on disk means its chain's entries are.  Return the forecast record,
+    or the failure message (a failed write included), and the traceback text."""
+    fault = None
+    for write in outcome.writers:  # each, so that a rerun recomputes only what failed
+        try:
+            write()
+        except (OSError, UnicodeEncodeError) as exc:
+            fault = fault or f"cache entry not written: {exc}"
+    if fault is None and outcome.trace is not None:
+        try:
+            save_trace(outcome.trace, outcome.path)
+        except (OSError, UnicodeEncodeError) as exc:
+            fault = f"trace not written: {exc}"
+    if fault is None:
+        return outcome.record, outcome.failure, outcome.details
+    # a write that fails fails its event, not the run
+    return None, "; ".join(filter(None, (outcome.failure, fault))), outcome.details
+
+
+def _written(futures: deque) -> Iterator[tuple[ForecastRecord | None, str | None, str]]:
+    """Each future's outcome in turn, written; a future leaves ``futures``
+    once its outcome is written."""
+    while futures:
+        written = _write_outcome(futures[0].result())
+        futures.popleft()
+        yield written
 
 
 _forked_run: _Run | None = None  # set in each forked worker by _adopt
@@ -259,8 +299,8 @@ def _adopt(run: _Run) -> None:
 
 
 def _forked_event(index: int) -> tuple[ForecastRecord | None, str | None, str]:
-    """:func:`_run_event` of this forked worker's run."""
-    return _run_event(_forked_run, index)
+    """:func:`_run_event` of this forked worker's run, written here."""
+    return _write_outcome(_run_event(_forked_run, index))
 
 
 def _fork_pool(run: _Run, workers: int):
@@ -293,13 +333,12 @@ def cmd_run(args) -> int:
 
     split = load_dataset(args.events)
     backend = build_backend(args.backend, config)
-    if cache_dir is not None:
-        # completions live under DIR/llm, headlines under DIR/news
-        backend = CachedBackend(cache_dir / "llm", backend, replay_only=replay_only)
-
     hn_client = nyt_client = None
     if args.strategy == "news":
         hn_client, nyt_client = _build_news_clients(args, cache_dir, replay_only)
+    if cache_dir is not None:
+        # completions live under DIR/llm, headlines under DIR/news
+        backend = CachedBackend(cache_dir / "llm", backend, replay_only=replay_only)
 
     active = active_events(split, today)
     skipped = len(split.events) - len(active)
@@ -319,15 +358,18 @@ def cmd_run(args) -> int:
     failures = []
 
     pool = None
+    unwritten: deque = deque()  # the network path's futures not yet written
     indices = range(len(active))
     # a fork pool starts all its workers at once: at most one per CPU, and
     # none that would find no chunk of events to take
     processes = min(args.workers, os.cpu_count() or 1, math.ceil(len(active) / _PROCESS_CHUNK))
     try:
         if waits_on_network(backend, hn_client, nyt_client):
-            # threads pay only while a chain waits on the network
+            # threads pay only while a chain waits on the network; they only
+            # compute, and this thread writes each outcome as its turn comes
             pool = ThreadPoolExecutor(max_workers=args.workers)
-            outcomes = pool.map(partial(_run_event, run), indices)
+            unwritten.extend(pool.submit(_run_event, run, index) for index in indices)
+            outcomes = _written(unwritten)
         elif (
             processes > 1
             and len(active) >= _MIN_PROCESS_EVENTS
@@ -336,7 +378,7 @@ def cmd_run(args) -> int:
             # offline chains hold the interpreter lock, so only processes run them at once
             outcomes = pool.map(_forked_event, indices, chunksize=_PROCESS_CHUNK)
         else:
-            outcomes = map(partial(_run_event, run), indices)
+            outcomes = map(_write_outcome, map(partial(_run_event, run), indices))
         for event, (record, failure, traceback_text) in zip(active, outcomes):
             # in input order while later events still run
             if record is not None:
@@ -346,8 +388,12 @@ def cmd_run(args) -> int:
                 failures.append((event.id, failure))
     finally:
         if pool is not None:
-            # a run stopped early (a failed write, Ctrl-C) starts no queued event
+            # a run stopped early (Ctrl-C) starts no queued event...
             pool.shutdown(cancel_futures=True)
+        # ...and still writes what every chain that ran computed
+        for future in unwritten:
+            if not future.cancelled():
+                _write_outcome(future.result())
 
     forecasts_path = out / f"{args.strategy}.jsonl"
     save_forecasts(records, forecasts_path)

@@ -14,6 +14,7 @@ Calls that do not depend on each other go out concurrently through
 from __future__ import annotations
 
 import base64
+import contextlib
 import contextvars
 import hashlib
 import http.client
@@ -27,11 +28,12 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
-from .events import json_data, read_json_lines, write_text_atomic
+from .events import InputError, json_data, read_json_lines, write_text_atomic
 
 __all__ = [
     "CompletionRequest",
@@ -53,6 +55,7 @@ __all__ = [
     "NullBackend",
     "CachedBackend",
     "ContentStore",
+    "collecting_entries",
     "TokenBucket",
     "send_with_retries",
     "fan_out",
@@ -359,12 +362,13 @@ _UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
 
 def split_url(url: str, name: str = "URL") -> SplitResult:
     """``url`` split, when :class:`HttpSession` can send to it: an http or
-    https URL with a host, a port that parses, and no space or control
-    character.  Otherwise ``ValueError``, naming ``url`` as ``name``."""
+    https URL with a host, a port that parses and is not 0 (no server listens
+    there), and no space or control character.  Otherwise ``ValueError``,
+    naming ``url`` as ``name``."""
     try:
         parts = urlsplit(url)
         valid = parts.scheme in ("http", "https") and bool(parts.hostname) and not _UNSENDABLE.search(url)
-        parts.port  # raises ValueError when the port is out of range or not a number
+        valid = valid and parts.port != 0  # .port raises ValueError when out of range or not a number
     except ValueError:  # also an unbalanced IPv6 bracket
         valid = False
     if not valid:
@@ -405,7 +409,8 @@ class HttpSession:
     - the proxy from :func:`urllib.request.getproxies` (``HTTPS_PROXY``,
       ``HTTP_PROXY``, ``ALL_PROXY``) unless :func:`urllib.request.proxy_bypass`
       exempts the host (``NO_PROXY``); an https target is tunnelled through
-      it with ``CONNECT``;
+      it with ``CONNECT``, and a proxy port that does not parse, or is 0, is
+      an :class:`~foresight.events.InputError` naming the variable;
     - the CA bundle from ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``, else
       the default verify paths;
     - Basic credentials for the host from netrc, sent when a request sets no
@@ -426,16 +431,25 @@ class HttpSession:
         parts = split_url(url)
         self.scheme = parts.scheme
         self.host = parts.hostname
-        self.port = parts.port or (443 if parts.scheme == "https" else 80)
+        self.port = parts.port if parts.port is not None else 443 if parts.scheme == "https" else 80
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         proxies = urllib.request.getproxies()
-        proxy = None if urllib.request.proxy_bypass(self.host) else proxies.get(self.scheme) or proxies.get("all")
+        kind = next((kind for kind in (self.scheme, "all") if proxies.get(kind)), None)
         self.proxy: tuple[str, int] | None = None
         self._headers = {"User-Agent": "foresight", "Accept": "*/*"}
         self._tunnel_headers: dict[str, str] = {}
-        if proxy:
+        if kind and not urllib.request.proxy_bypass(self.host):
+            proxy = proxies[kind]
             proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            self.proxy = (proxy_parts.hostname or "", proxy_parts.port or 80)
+            try:
+                port = proxy_parts.port
+            except ValueError:  # out of range or not a number
+                port = 0
+            if port == 0:
+                # named, never shown: the proxy's URL may hold credentials
+                variable = f"{kind}_proxy" if f"{kind}_proxy" in os.environ else f"{kind.upper()}_PROXY"
+                raise InputError(f"{variable} must give the proxy a valid port")
+            self.proxy = (proxy_parts.hostname or "", 80 if port is None else port)
             if proxy_parts.username is not None:
                 # an https request sends the proxy's credentials with its CONNECT
                 sent_with = self._tunnel_headers if self.scheme == "https" else self._headers
@@ -682,6 +696,10 @@ class ContentStore:
     replay-only mode a miss raises :class:`ReplayMiss`, so the caller never
     computes a fresh value; a recording store's :meth:`get_or_compute` is
     single-flight.
+
+    Inside :func:`collecting_entries` a fresh entry is not written where it
+    is computed: it is pending, read from memory by :meth:`load`, until the
+    collecting caller calls the writer that block collected for it.
     """
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
@@ -693,32 +711,36 @@ class ContentStore:
         self.misses = 0
         self._lock = threading.Lock()
         self._in_flight: dict[str, threading.Lock] = {}
+        self._pending: dict[str, str] = {}  # digest -> the text its file will hold
         self._prefix = str(self.root / "_")[:-1]  # what ``root / name`` puts before ``name``
 
     def path(self, digest: str) -> str:
         return f"{self._prefix}{digest[:2]}{os.sep}{digest}.json"
 
     def load(self, digest: str, decode: Callable[[dict], _T]) -> _T | None:
-        """The decoded entry for ``digest``, or None on a miss to be recorded.
+        """The decoded entry for ``digest``, pending or on disk, or None on a
+        miss to be recorded.
 
         An entry that cannot be read (a directory, EACCES, EIO), that is not
         JSON or that ``decode`` cannot read (KeyError, TypeError, ValueError)
         raises :class:`CacheCorrupt`.
         """
         path = self.path(digest)
+        text = self._pending.get(digest)
+        if text is None:
+            try:
+                with open(path, "rb") as handle:
+                    raw = handle.read()
+            except FileNotFoundError:
+                if self.replay_only:
+                    raise ReplayMiss(digest) from None
+                with self._lock:
+                    self.misses += 1
+                return None
+            except OSError:
+                raise CacheCorrupt(path) from None
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            if self.replay_only:
-                raise ReplayMiss(digest) from None
-            with self._lock:
-                self.misses += 1
-            return None
-        except OSError:
-            raise CacheCorrupt(path) from None
-        try:
-            value = decode(json.loads(raw.decode("utf-8")))
+            value = decode(json.loads(raw.decode("utf-8") if text is None else text))
         except (ValueError, KeyError, TypeError):
             raise CacheCorrupt(path) from None
         with self._lock:
@@ -727,12 +749,15 @@ class ContentStore:
 
     def save(self, digest: str, payload: dict) -> None:
         """Write ``payload`` under ``digest``, with the digest and a timestamp."""
-        record = {
-            "digest": digest,
-            **payload,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        write_text_atomic(self.path(digest), json.dumps(record, ensure_ascii=False))
+        self.write(digest, _entry_text(digest, payload))
+
+    def write(self, digest: str, text: str) -> None:
+        """Write the entry ``text`` under ``digest``; it is no longer pending,
+        whether or not the write succeeds."""
+        try:
+            write_text_atomic(self.path(digest), text)
+        finally:
+            self._pending.pop(digest, None)
 
     def get_or_compute(
         self,
@@ -745,11 +770,14 @@ class ContentStore:
         """The entry recorded for ``key``, or ``compute()`` recorded as one.
 
         ``decode`` reads a stored entry back; ``encode`` turns a fresh value
-        into the payload :meth:`save` writes, which also records ``key``
-        itself as ``"key"``.  A caller whose digest is in flight in another
+        into the payload :meth:`save` writes, which also records ``key`` itself
+        as ``"key"``.  The entry is saved here, or, inside
+        :func:`collecting_entries`, kept pending and its writer added to the
+        collected list.  A caller whose digest is in flight in another
         thread waits for it, then looks the digest up again: it finds the
-        entry that caller recorded, or takes the same error path.  So concurrent callers make one ``compute()`` call, and
-        hits and misses count as in a serial run.
+        entry that caller recorded, or takes the same error path.  So
+        concurrent callers make one ``compute()`` call, and hits and misses
+        count as in a serial run.
         """
         digest = key_digest(key)
         if self.replay_only:  # never computes, so nothing is in flight
@@ -769,12 +797,44 @@ class ContentStore:
             if stored is not None:
                 return stored
             value = compute()
-            self.save(digest, {"key": key, **encode(value)})
+            payload = {"key": key, **encode(value)}
+            writers = _collected_writers.get()
+            if writers is None:
+                self.save(digest, payload)
+            else:
+                self._pending[digest] = text = _entry_text(digest, payload)
+                writers.append(partial(self.write, digest, text))
             return value
         finally:
             with self._lock:
                 del self._in_flight[digest]
             done.release()
+
+
+def _entry_text(digest: str, payload: dict) -> str:
+    """The text of ``payload``'s entry file, with the digest and a timestamp."""
+    record = {"digest": digest, **payload, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    return json.dumps(record, ensure_ascii=False)
+
+
+# The list a collecting caller's writers go to; see collecting_entries.
+_collected_writers: contextvars.ContextVar[list[Callable[[], None]] | None] = contextvars.ContextVar(
+    "collected_writers", default=None
+)
+
+
+@contextlib.contextmanager
+def collecting_entries() -> Iterator[list[Callable[[], None]]]:
+    """Within the block, in this thread and in the tasks it hands to
+    :func:`fan_out`, each entry a :class:`ContentStore` records stays pending
+    and the yielded list gets a call that writes it.  The caller makes those
+    calls when it chooses, in the order it chooses."""
+    writers: list[Callable[[], None]] = []
+    token = _collected_writers.set(writers)
+    try:
+        yield writers
+    finally:
+        _collected_writers.reset(token)
 
 
 def _response_from_entry(entry: dict) -> CompletionResponse:
@@ -796,7 +856,9 @@ class CachedBackend:
     """Record/replay wrapper around another backend, over a :class:`ContentStore`.
 
     In replay-only mode a miss is an error and the inner backend is never
-    called.
+    called.  A response recorded inside :func:`collecting_entries` is pending
+    until the collecting caller writes it; until then identical requests read
+    it from memory.
     """
 
     def __init__(self, cache_dir: str | Path, backend: CompletionBackend, *, replay_only: bool = False):

@@ -40,6 +40,7 @@ from foresight.llm import (
     TokenBucket,
     TransportError,
     _canonical_json,
+    collecting_entries,
     complete,
     fan_out,
     key_digest,
@@ -840,6 +841,27 @@ def test_store_single_flights_concurrent_misses(tmp_path):
     outcomes = run_together(lambda: replay.complete(CompletionRequest("never recorded")))
     assert all(isinstance(outcome, ReplayMiss) for outcome in outcomes)
     assert replay.backend.calls == 0
+
+
+def test_store_keeps_collected_entries_pending_until_written(tmp_path):
+    inner = Counting(SlowMock([MockRule("any", None, "r")], delay=0.05))
+    cache = CachedBackend(tmp_path, inner)
+    with collecting_entries() as writers:
+        # fan-out tasks collect into the caller's list; the repeat single-flights
+        fan_out(lambda prompt: cache.complete(CompletionRequest(prompt)), ["a", "b", "a"])
+    assert (inner.calls, len(writers), cache.store.misses, cache.store.hits) == (2, 2, 2, 1)
+    assert list(tmp_path.rglob("*.json")) == []
+    # a pending entry answers an identical request from memory, as a hit
+    assert cache.complete(CompletionRequest("a")).cached
+    assert (inner.calls, cache.store.hits) == (2, 2)
+    for write in writers:
+        write()
+    assert len(list(tmp_path.rglob("*.json"))) == 2
+    replay = CachedBackend(tmp_path, NullBackend("mock"), replay_only=True)
+    assert [replay.complete(CompletionRequest(prompt)).texts for prompt in "ab"] == [("r",), ("r",)]
+    # outside the block an entry is written where it is computed
+    cache.complete(CompletionRequest("c"))
+    assert len(list(tmp_path.rglob("*.json"))) == 3
 
 
 def test_store_creates_a_shard_directory_once(tmp_path, monkeypatch):
