@@ -8,18 +8,15 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import signal
 import sys
 import threading
 import traceback
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -222,14 +219,15 @@ class _Run:
     out: Path
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Outcome:
-    """One event's finished chain, before anything of it is written."""
+    """One event's finished chain, and what of it is left to write."""
 
+    index: int  # the event's input index
     record: ForecastRecord | None  # None when the event failed
     failure: str | None
     details: str  # the traceback text of a fault outside the chain
-    writers: list[Callable[[], None]]  # one per cache entry the chain recorded
+    writers: list[Callable[[], None]]  # one per cache entry the chain recorded or read
     trace: ChainTrace | FailedTrace | None = None
     path: Path | None = None
 
@@ -249,19 +247,19 @@ def _run_event(run: _Run, index: int) -> _Outcome:
                 params=run.params,
             )
         except ChainError as exc:
-            return _Outcome(None, str(exc), "", writers, exc.trace, run.out / f"{ref}.failed.json")
+            return _Outcome(index, None, str(exc), "", writers, exc.trace, run.out / f"{ref}.failed.json")
         except Exception as exc:
             # One event's unexpected fault must not cost the other events' results.
             details = "".join(traceback.format_exception(exc))
-            return _Outcome(None, f"{type(exc).__name__}: {exc}", details, writers)
+            return _Outcome(index, None, f"{type(exc).__name__}: {exc}", details, writers)
     name = f"{ref}.json"
-    return _Outcome(trace_to_forecast(trace, trace_ref=name), None, "", writers, trace, run.out / name)
+    return _Outcome(index, trace_to_forecast(trace, trace_ref=name), None, "", writers, trace, run.out / name)
 
 
-def _write_outcome(outcome: _Outcome) -> tuple[ForecastRecord | None, str | None, str]:
-    """Write every cache entry of ``outcome``'s chain, then its trace, so a
-    trace on disk means its chain's entries are.  Return the forecast record,
-    or the failure message (a failed write included), and the traceback text."""
+def _write_outcome(outcome: _Outcome) -> _Outcome:
+    """Write every cache entry ``outcome``'s chain recorded or read, then its
+    trace, so a trace on disk means those entries are; a write that fails
+    fails the event.  Return ``outcome``, left with nothing to write."""
     fault = None
     for write in outcome.writers:  # each, so that a rerun recomputes only what failed
         try:
@@ -273,19 +271,26 @@ def _write_outcome(outcome: _Outcome) -> tuple[ForecastRecord | None, str | None
             save_trace(outcome.trace, outcome.path)
         except (OSError, UnicodeEncodeError) as exc:
             fault = f"trace not written: {exc}"
-    if fault is None:
-        return outcome.record, outcome.failure, outcome.details
-    # a write that fails fails its event, not the run
-    return None, "; ".join(filter(None, (outcome.failure, fault))), outcome.details
+    if fault is not None:
+        # a write that fails fails its event, not the run
+        outcome.record, outcome.failure = None, "; ".join(filter(None, (outcome.failure, fault)))
+    outcome.writers, outcome.trace, outcome.path = [], None, None
+    return outcome
 
 
-def _written(futures: deque) -> Iterator[tuple[ForecastRecord | None, str | None, str]]:
-    """Each future's outcome in turn, written; a future leaves ``futures``
-    once its outcome is written."""
-    while futures:
-        written = _write_outcome(futures[0].result())
-        futures.popleft()
-        yield written
+def _run_events(run: _Run, indices) -> list[_Outcome]:
+    """:func:`_run_event` of each of ``indices``: a batch of outcomes."""
+    return [_run_event(run, index) for index in indices]
+
+
+def _in_turn(run: _Run, unwritten: set[Future]) -> Iterator[Future]:
+    """Run each event of ``run`` on this thread in turn, and give it as a done
+    future of a one-outcome batch that also goes into ``unwritten``."""
+    for index in range(len(run.events)):
+        future = Future()
+        future.set_result([_run_event(run, index)])
+        unwritten.add(future)
+        yield future
 
 
 _forked_run: _Run | None = None  # set in each forked worker by _adopt
@@ -298,9 +303,10 @@ def _adopt(run: _Run) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _forked_event(index: int) -> tuple[ForecastRecord | None, str | None, str]:
-    """:func:`_run_event` of this forked worker's run, written here."""
-    return _write_outcome(_run_event(_forked_run, index))
+def _forked_events(indices: range) -> list[_Outcome]:
+    """:func:`_run_event` of each of ``indices`` in this forked worker's run,
+    written here as its chain ends."""
+    return [_write_outcome(_run_event(_forked_run, index)) for index in indices]
 
 
 def _fork_pool(run: _Run, workers: int):
@@ -354,46 +360,50 @@ def cmd_run(args) -> int:
     for old_name in stale & {name + suffix for name in names for suffix in (".json", ".failed.json")}:
         (trace_dir / old_name).unlink(missing_ok=True)
     run = _Run(args.strategy, today, backend, hn_client, nyt_client, params, active, names, out)
-    records = []
-    failures = []
-
     pool = None
-    unwritten: deque = deque()  # the network path's futures not yet written
+    unwritten: set[Future] = set()  # each batch of events that may have run, until it is written
+    outcomes: list[_Outcome | None] = [None] * len(active)  # each event's written outcome, by input index
     indices = range(len(active))
+    chunks = [indices[start:start + _PROCESS_CHUNK] for start in indices[::_PROCESS_CHUNK]]
     # a fork pool starts all its workers at once: at most one per CPU, and
     # none that would find no chunk of events to take
-    processes = min(args.workers, os.cpu_count() or 1, math.ceil(len(active) / _PROCESS_CHUNK))
+    processes = min(args.workers, os.cpu_count() or 1, len(chunks))
     try:
         if waits_on_network(backend, hn_client, nyt_client):
             # threads pay only while a chain waits on the network; they only
-            # compute, and this thread writes each outcome as its turn comes
+            # compute, and this thread writes each outcome as its chain ends
             pool = ThreadPoolExecutor(max_workers=args.workers)
-            unwritten.extend(pool.submit(_run_event, run, index) for index in indices)
-            outcomes = _written(unwritten)
+            unwritten = {pool.submit(_run_events, run, [index]) for index in indices}
         elif (
             processes > 1
             and len(active) >= _MIN_PROCESS_EVENTS
             and (pool := _fork_pool(run, processes))
         ):
-            # offline chains hold the interpreter lock, so only processes run them at once
-            outcomes = pool.map(_forked_event, indices, chunksize=_PROCESS_CHUNK)
-        else:
-            outcomes = map(_write_outcome, map(partial(_run_event, run), indices))
-        for event, (record, failure, traceback_text) in zip(active, outcomes):
-            # in input order while later events still run
-            if record is not None:
-                records.append(record)
-            else:
-                sys.stderr.write(traceback_text)
-                failures.append((event.id, failure))
+            # offline chains hold the interpreter lock, so only processes run
+            # them at once; each worker writes its own events
+            unwritten = {pool.submit(_forked_events, chunk) for chunk in chunks}
+        for future in as_completed(unwritten) if pool else _in_turn(run, unwritten):
+            for outcome in future.result():
+                outcomes[outcome.index] = _write_outcome(outcome)
+            unwritten.remove(future)  # only now, so that a stop redoes an interrupted write
     finally:
         if pool is not None:
             # a run stopped early (Ctrl-C) starts no queued event...
             pool.shutdown(cancel_futures=True)
         # ...and still writes what every chain that ran computed
         for future in unwritten:
-            if not future.cancelled():
-                _write_outcome(future.result())
+            if not (future.cancelled() or future.exception()):
+                for outcome in future.result():
+                    outcomes[outcome.index] = _write_outcome(outcome)
+
+    records = []
+    failures = []
+    for event, outcome in zip(active, outcomes):
+        if outcome.record is not None:
+            records.append(outcome.record)
+        else:
+            sys.stderr.write(outcome.details)
+            failures.append((event.id, outcome.failure))
 
     forecasts_path = out / f"{args.strategy}.jsonl"
     save_forecasts(records, forecasts_path)

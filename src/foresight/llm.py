@@ -698,8 +698,8 @@ class ContentStore:
     single-flight.
 
     Inside :func:`collecting_entries` a fresh entry is not written where it
-    is computed: it is pending, read from memory by :meth:`load`, until the
-    collecting caller calls the writer that block collected for it.
+    is computed: it is pending, read from memory by :meth:`load`, until a
+    writer collected for it runs; each block that computes or reads it gets one.
     """
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
@@ -739,6 +739,9 @@ class ContentStore:
                 return None
             except OSError:
                 raise CacheCorrupt(path) from None
+        elif (writers := _collected_writers.get()) is not None:
+            # the reader's trace must not reach disk before this entry does
+            writers.append(partial(self.write, digest, text))
         try:
             value = decode(json.loads(raw.decode("utf-8") if text is None else text))
         except (ValueError, KeyError, TypeError):
@@ -752,10 +755,11 @@ class ContentStore:
         self.write(digest, _entry_text(digest, payload))
 
     def write(self, digest: str, text: str) -> None:
-        """Write the entry ``text`` under ``digest``; it is no longer pending,
-        whether or not the write succeeds."""
+        """Write the entry ``text`` under ``digest`` unless its file is there
+        already; it is no longer pending, whether or not the write succeeds."""
         try:
-            write_text_atomic(self.path(digest), text)
+            if not os.path.exists(path := self.path(digest)):  # else another writer went first
+                write_text_atomic(path, text)
         finally:
             self._pending.pop(digest, None)
 
@@ -826,9 +830,9 @@ _collected_writers: contextvars.ContextVar[list[Callable[[], None]] | None] = co
 @contextlib.contextmanager
 def collecting_entries() -> Iterator[list[Callable[[], None]]]:
     """Within the block, in this thread and in the tasks it hands to
-    :func:`fan_out`, each entry a :class:`ContentStore` records stays pending
-    and the yielded list gets a call that writes it.  The caller makes those
-    calls when it chooses, in the order it chooses."""
+    :func:`fan_out`, each entry a :class:`ContentStore` records stays pending,
+    and the yielded list gets a call that writes it, and one for each pending
+    entry read.  The caller makes those calls when it chooses."""
     writers: list[Callable[[], None]] = []
     token = _collected_writers.set(writers)
     try:
@@ -857,7 +861,7 @@ class CachedBackend:
 
     In replay-only mode a miss is an error and the inner backend is never
     called.  A response recorded inside :func:`collecting_entries` is pending
-    until the collecting caller writes it; until then identical requests read
+    until a collecting caller writes it; until then identical requests read
     it from memory.
     """
 

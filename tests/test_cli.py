@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from foresight import cli
+from foresight import cli, llm
 from foresight.cli import _safe_filename, main
 from foresight.events import load_dataset
 from foresight.news import CachedNewsClient, HackerNewsClient, NYTClient
@@ -389,12 +389,13 @@ def test_network_run_stopped_early_starts_no_queued_event(tmp_path, monkeypatch,
     assert len(started) <= 2  # the interrupted event and the one the worker had taken
 
 
-def rules_naming_each_event(tmp_path):
+def rules_naming_each_event(tmp_path, events=range(len(VAL_EVENTS))):
     """The fixture rules, except that event k's prediction names its id, so
-    that each cache entry names the one event whose chain recorded it."""
+    that each cache entry names the one event whose chain recorded it.  Only
+    the events of the indices ``events`` are named."""
     rules = tmp_path / "named.rules"
     named = [json.dumps({"pattern": event.condition, "response": f"{10 + k}% [{event.id}]"})
-             for k, event in enumerate(VAL_EVENTS)]
+             for k, event in enumerate(VAL_EVENTS) if k in events]
     rules.write_text("\n".join(named) + "\n" + (FIXTURES / "mock.rules").read_text(encoding="utf-8"),
                      encoding="utf-8")
     return rules
@@ -439,39 +440,116 @@ def test_writer_opens_every_output_file_on_the_calling_thread(tmp_path, monkeypa
     assert tree_bytes(tmp_path / "out") == tree_bytes(serial / "out")
 
 
-def test_writer_writes_each_trace_after_its_entries_in_input_order(tmp_path, monkeypatch, capsys):
-    rules = rules_naming_each_event(tmp_path)
-    ended = [threading.Event() for _ in VAL_EVENTS]
+def hold_event_0_until_event_1_has_read(monkeypatch):
+    """Order the chains of events 0 and 1: event 0's first request waits until
+    event 1's chain has run, and event 1's chain returns only after event 0's
+    has.  So event 0's chain reads what event 1's recorded while it is still
+    pending."""
+    computed, ended = threading.Event(), threading.Event()
     real_run = cli.run_strategy
 
-    def run_and_mark(strategy, event, *args, **kwargs):
+    def run_and_hold(strategy, event, *args, **kwargs):
         try:
             return real_run(strategy, event, *args, **kwargs)
         finally:
-            ended[[other.id for other in VAL_EVENTS].index(event.id)].set()
+            if event.id == VAL_EVENTS[0].id:
+                ended.set()
+            elif event.id == VAL_EVENTS[1].id:
+                computed.set()
+                ended.wait(5.0)
 
     def on_event(k):
         if k == 0:
-            ended[1].wait(5.0)  # the first chain ends after the second
+            computed.wait(5.0)
 
+    monkeypatch.setattr(cli, "run_strategy", run_and_hold)
+    script_backend(monkeypatch, on_event, waits_on_network=True)
+
+
+def test_writer_writes_each_trace_after_the_entries_its_chain_read(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     present = []  # (trace, the entries on disk as it is written)
-    real_save = cli.save_trace
+    written = []  # each cache entry written
+    real_save, real_write = cli.save_trace, llm.write_text_atomic
 
     def look_and_save(trace, path):
         present.append((Path(path).name, cache_entries(cache)))
         real_save(trace, path)
 
-    monkeypatch.setattr(cli, "run_strategy", run_and_mark)
+    def count_and_write(path, text):
+        written.append(str(Path(path).relative_to(cache)))
+        real_write(path, text)
+
+    hold_event_0_until_event_1_has_read(monkeypatch)
     monkeypatch.setattr(cli, "save_trace", look_and_save)
+    monkeypatch.setattr(llm, "write_text_atomic", count_and_write)
+    # with the fixture rules every chain sends one identical extraction request
+    assert main(named_run(FIXTURES / "mock.rules", "basic", cache, tmp_path / "out", workers="2")) == 0, \
+        capsys.readouterr().err
+    entries = cache_entries(cache)
+    [extraction] = [name for name in entries if entry_kind(cache, name) == "extraction"]
+    assert len(entries) == len(VAL_EVENTS) + 1
+    assert sorted(written) == sorted(entries)  # each entry once, though two chains held a writer for it
+    assert sorted(name for name, _ in present) == [f"{event.id}.json" for event in VAL_EVENTS]
+    for name, on_disk in present:
+        [event] = [event for event in VAL_EVENTS if f"{event.id}.json" == name]
+        prediction = {entry for entry in entries if event.condition in entry_prompt(cache, entry)}
+        assert len(prediction) == 1 and prediction | {extraction} <= on_disk, name
+
+
+def test_writer_leaves_no_trace_whose_read_entry_was_not_written(tmp_path, monkeypatch, capsys):
+    # events 0 and 1 send one identical extraction request; each other event's is its own
+    rules = rules_naming_each_event(tmp_path, events=range(2, len(VAL_EVENTS)))
+    clean = tmp_path / "clean"
+    assert main(named_run(rules, "basic", clean / "cache", clean / "out")) == 0
+    entries = cache_entries(clean / "cache")
+    [shared] = [Path(name) for name in entries if entry_kind(clean / "cache", name) == "extraction"
+                and "[evt-" not in entry_prompt(clean / "cache", name)]
+    assert [Path(name).parent for name in entries].count(shared.parent) == 1  # no other entry in its shard
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        hold_event_0_until_event_1_has_read(patch)
+        # every write into the shared entry's shard fails
+        fail_writes(patch, "write", lambda path: Path(path).parent == cache / shared.parent)
+        assert main(named_run(rules, "basic", cache, out)) == 1
+    captured = capsys.readouterr()
+    write_fault = f"cache entry not written: [Errno {errno.ENOSPC}] No space left on device"
+    for event in VAL_EVENTS[:2]:
+        assert re.search(f"^FAILED {event.id}: {re.escape(write_fault)}$", captured.err, re.M), captured.err
+    assert "10 events: 8 ok, 2 failed" in captured.out
+    # a replay of the cache reproduces every trace the faulted run left on disk
+    traces = {name: data for name, data in tree_bytes(out).items() if name.startswith("traces/")}
+    assert sorted(traces) == [f"traces/basic/{event.id}.json" for event in VAL_EVENTS[2:]]
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--events", EVENTS, "--strategy", "basic", "--date", "2022-08-01",
+                 "--backend", f"replay:{cache}", "--out", str(replayed)]) == 1
+    assert {name: tree_bytes(replayed).get(name) for name in traces} == traces
+
+
+def test_writer_writes_later_traces_while_the_first_event_runs(tmp_path, monkeypatch, capsys):
+    unheld = tmp_path / "unheld"
+    assert main(RUN_BASE + ["--strategy", "basic", "--out", str(unheld)]) == 0
+    out = tmp_path / "out"
+    later = threading.Event()  # set once the traces of events 1-9 are on disk
+    real_save = cli.save_trace
+
+    def save_and_count(trace, path):
+        real_save(trace, path)
+        if len(list((out / "traces" / "basic").glob("*.json"))) == len(VAL_EVENTS) - 1:
+            later.set()
+
+    released = []  # whether event 0's chain went on because the nine were written
+
+    def on_event(k):
+        if k == 0:
+            released.append(later.wait(5.0))
+
+    monkeypatch.setattr(cli, "save_trace", save_and_count)
     script_backend(monkeypatch, on_event, waits_on_network=True)
-    assert main(named_run(rules, "basic", cache, tmp_path / "out")) == 0, capsys.readouterr().err
-    owners = {name: entry_owner(cache, name) for name in cache_entries(cache)}
-    assert sorted(owners.values()) == sorted(2 * list(range(len(VAL_EVENTS))))  # prediction, extraction
-    assert [name for name, _ in present] == [f"{event.id}.json" for event in VAL_EVENTS]
-    for k, (_, on_disk) in enumerate(present):
-        # every entry of this chain and of the chains before it, and no other
-        assert on_disk == {name for name, owner in owners.items() if owner <= k}, k
+    assert main(RUN_BASE + ["--strategy", "basic", "--out", str(out), "--workers", "4"]) == 0
+    assert released == [True]
+    assert tree_bytes(out) == tree_bytes(unheld)  # basic.jsonl in input order too
 
 
 def test_writer_unwritable_cache_entry_fails_only_its_event(tmp_path, monkeypatch, capsys):
@@ -1449,10 +1527,14 @@ def cache_entries(cache):
     return {str(path.relative_to(cache)) for path in Path(cache).rglob("*.json")}
 
 
+def entry_prompt(cache, name):
+    return json.loads((Path(cache) / name).read_text(encoding="utf-8"))["key"]["prompt"]
+
+
 def entry_kind(cache, name):
     if name.startswith("news"):
         return "news"
-    prompt = json.loads((Path(cache) / name).read_text(encoding="utf-8"))["key"]["prompt"]
+    prompt = entry_prompt(cache, name)
     if EXTRACTION_PROMPT in prompt:
         return "extraction"
     return "persona" if "Using your expertise" in prompt else "other"

@@ -847,9 +847,10 @@ def test_store_keeps_collected_entries_pending_until_written(tmp_path):
     inner = Counting(SlowMock([MockRule("any", None, "r")], delay=0.05))
     cache = CachedBackend(tmp_path, inner)
     with collecting_entries() as writers:
-        # fan-out tasks collect into the caller's list; the repeat single-flights
+        # fan-out tasks collect into the caller's list; the repeat single-flights,
+        # and reads the pending entry, so it gets a writer for it too
         fan_out(lambda prompt: cache.complete(CompletionRequest(prompt)), ["a", "b", "a"])
-    assert (inner.calls, len(writers), cache.store.misses, cache.store.hits) == (2, 2, 2, 1)
+    assert (inner.calls, len(writers), cache.store.misses, cache.store.hits) == (2, 3, 2, 1)
     assert list(tmp_path.rglob("*.json")) == []
     # a pending entry answers an identical request from memory, as a hit
     assert cache.complete(CompletionRequest("a")).cached
