@@ -18,7 +18,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .events import (
     Event, InputError, active_events, json_data, load_dataset, parse_date, write_text_atomic
@@ -28,6 +28,7 @@ from .llm import (
     BASE_URL_ENV,
     CachedBackend,
     CompletionBackend,
+    ContentStore,
     HttpBackend,
     MockBackend,
     NullBackend,
@@ -227,7 +228,7 @@ class _Outcome:
     record: ForecastRecord | None  # None when the event failed
     failure: str | None
     details: str  # the traceback text of a fault outside the chain
-    writers: list[Callable[[], None]]  # one per cache entry the chain recorded or read
+    entries: dict[tuple[ContentStore, str], None]  # each cache entry the chain recorded or read
     trace: ChainTrace | FailedTrace | None = None
     path: Path | None = None
 
@@ -235,7 +236,7 @@ class _Outcome:
 def _run_event(run: _Run, index: int) -> _Outcome:
     """Run event ``index``'s chain, writing nothing."""
     event, ref = run.events[index], f"traces/{run.strategy}/{run.names[index]}"
-    with collecting_entries() as writers:
+    with collecting_entries() as entries:
         try:
             trace = run_strategy(
                 run.strategy,
@@ -247,13 +248,13 @@ def _run_event(run: _Run, index: int) -> _Outcome:
                 params=run.params,
             )
         except ChainError as exc:
-            return _Outcome(index, None, str(exc), "", writers, exc.trace, run.out / f"{ref}.failed.json")
+            return _Outcome(index, None, str(exc), "", entries, exc.trace, run.out / f"{ref}.failed.json")
         except Exception as exc:
             # One event's unexpected fault must not cost the other events' results.
             details = "".join(traceback.format_exception(exc))
-            return _Outcome(index, None, f"{type(exc).__name__}: {exc}", details, writers)
+            return _Outcome(index, None, f"{type(exc).__name__}: {exc}", details, entries)
     name = f"{ref}.json"
-    return _Outcome(index, trace_to_forecast(trace, trace_ref=name), None, "", writers, trace, run.out / name)
+    return _Outcome(index, trace_to_forecast(trace, trace_ref=name), None, "", entries, trace, run.out / name)
 
 
 def _write_outcome(outcome: _Outcome) -> _Outcome:
@@ -261,9 +262,9 @@ def _write_outcome(outcome: _Outcome) -> _Outcome:
     trace, so a trace on disk means those entries are; a write that fails
     fails the event.  Return ``outcome``, left with nothing to write."""
     fault = None
-    for write in outcome.writers:  # each, so that a rerun recomputes only what failed
+    for store, digest in outcome.entries:  # each, so that a rerun recomputes only what failed
         try:
-            write()
+            store.flush(digest)
         except (OSError, UnicodeEncodeError) as exc:
             fault = fault or f"cache entry not written: {exc}"
     if fault is None and outcome.trace is not None:
@@ -274,7 +275,7 @@ def _write_outcome(outcome: _Outcome) -> _Outcome:
     if fault is not None:
         # a write that fails fails its event, not the run
         outcome.record, outcome.failure = None, "; ".join(filter(None, (outcome.failure, fault)))
-    outcome.writers, outcome.trace, outcome.path = [], None, None
+    outcome.entries, outcome.trace, outcome.path = {}, None, None
     return outcome
 
 

@@ -28,7 +28,6 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
@@ -697,9 +696,12 @@ class ContentStore:
     computes a fresh value; a recording store's :meth:`get_or_compute` is
     single-flight.
 
-    Inside :func:`collecting_entries` a fresh entry is not written where it
-    is computed: it is pending, read from memory by :meth:`load`, until a
-    writer collected for it runs; each block that computes or reads it gets one.
+    The store owns every fresh entry until :meth:`flush` writes it: until
+    then it is pending, and :meth:`load` reads it from memory.  Inside
+    :func:`collecting_entries` the entries a block records or reads pending
+    are noted for its caller to flush; outside, an entry is flushed where it
+    is computed.  An entry whose write failed stays pending, and readable,
+    until the store is gone, and the next flush of it tries again.
     """
 
     def __init__(self, root: str | Path, *, replay_only: bool = False):
@@ -739,9 +741,9 @@ class ContentStore:
                 return None
             except OSError:
                 raise CacheCorrupt(path) from None
-        elif (writers := _collected_writers.get()) is not None:
+        elif (entries := _collected.get()) is not None:
             # the reader's trace must not reach disk before this entry does
-            writers.append(partial(self.write, digest, text))
+            entries[self, digest] = None
         try:
             value = decode(json.loads(raw.decode("utf-8") if text is None else text))
         except (ValueError, KeyError, TypeError):
@@ -750,17 +752,14 @@ class ContentStore:
             self.hits += 1
         return value
 
-    def save(self, digest: str, payload: dict) -> None:
-        """Write ``payload`` under ``digest``, with the digest and a timestamp."""
-        self.write(digest, _entry_text(digest, payload))
-
-    def write(self, digest: str, text: str) -> None:
-        """Write the entry ``text`` under ``digest`` unless its file is there
-        already; it is no longer pending, whether or not the write succeeds."""
-        try:
-            if not os.path.exists(path := self.path(digest)):  # else another writer went first
+    def flush(self, digest: str) -> None:
+        """Write the entry pending under ``digest`` unless its file is there
+        already, then drop it from memory; an entry not pending is left
+        alone.  A write that fails raises, and the entry stays pending."""
+        if (text := self._pending.get(digest)) is not None:
+            if not os.path.exists(path := self.path(digest)):  # else another process went first
                 write_text_atomic(path, text)
-        finally:
+            # only once its file is there, so that a reader finds the entry in one place or the other
             self._pending.pop(digest, None)
 
     def get_or_compute(
@@ -774,10 +773,10 @@ class ContentStore:
         """The entry recorded for ``key``, or ``compute()`` recorded as one.
 
         ``decode`` reads a stored entry back; ``encode`` turns a fresh value
-        into the payload :meth:`save` writes, which also records ``key`` itself
-        as ``"key"``.  The entry is saved here, or, inside
-        :func:`collecting_entries`, kept pending and its writer added to the
-        collected list.  A caller whose digest is in flight in another
+        into the entry's payload, which also records ``key`` itself as
+        ``"key"``, its digest and a timestamp.  The fresh entry is pending
+        and noted for the caller of :func:`collecting_entries`, or, outside
+        one, flushed here.  A caller whose digest is in flight in another
         thread waits for it, then looks the digest up again: it finds the
         entry that caller recorded, or takes the same error path.  So
         concurrent callers make one ``compute()`` call, and hits and misses
@@ -801,13 +800,13 @@ class ContentStore:
             if stored is not None:
                 return stored
             value = compute()
-            payload = {"key": key, **encode(value)}
-            writers = _collected_writers.get()
-            if writers is None:
-                self.save(digest, payload)
+            entry = {"digest": digest, "key": key, **encode(value),
+                     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+            self._pending[digest] = json.dumps(entry, ensure_ascii=False)
+            if (entries := _collected.get()) is None:
+                self.flush(digest)
             else:
-                self._pending[digest] = text = _entry_text(digest, payload)
-                writers.append(partial(self.write, digest, text))
+                entries[self, digest] = None
             return value
         finally:
             with self._lock:
@@ -815,30 +814,26 @@ class ContentStore:
             done.release()
 
 
-def _entry_text(digest: str, payload: dict) -> str:
-    """The text of ``payload``'s entry file, with the digest and a timestamp."""
-    record = {"digest": digest, **payload, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    return json.dumps(record, ensure_ascii=False)
-
-
-# The list a collecting caller's writers go to; see collecting_entries.
-_collected_writers: contextvars.ContextVar[list[Callable[[], None]] | None] = contextvars.ContextVar(
-    "collected_writers", default=None
+# The entries a collecting caller has noted; see collecting_entries.
+_collected: contextvars.ContextVar[dict[tuple[ContentStore, str], None] | None] = contextvars.ContextVar(
+    "collected_entries", default=None
 )
 
 
 @contextlib.contextmanager
-def collecting_entries() -> Iterator[list[Callable[[], None]]]:
+def collecting_entries() -> Iterator[dict[tuple[ContentStore, str], None]]:
     """Within the block, in this thread and in the tasks it hands to
-    :func:`fan_out`, each entry a :class:`ContentStore` records stays pending,
-    and the yielded list gets a call that writes it, and one for each pending
-    entry read.  The caller makes those calls when it chooses."""
-    writers: list[Callable[[], None]] = []
-    token = _collected_writers.set(writers)
+    :func:`fan_out`, each entry a :class:`ContentStore` records, and each
+    pending entry one reads, stays pending and joins the yielded dict as
+    ``(store, digest)``, once, in the order of first use.  The caller
+    flushes them when it chooses; an entry whose flush fails stays pending,
+    and readable from memory, until the store is gone."""
+    entries: dict[tuple[ContentStore, str], None] = {}
+    token = _collected.set(entries)
     try:
-        yield writers
+        yield entries
     finally:
-        _collected_writers.reset(token)
+        _collected.reset(token)
 
 
 def _response_from_entry(entry: dict) -> CompletionResponse:
@@ -861,8 +856,8 @@ class CachedBackend:
 
     In replay-only mode a miss is an error and the inner backend is never
     called.  A response recorded inside :func:`collecting_entries` is pending
-    until a collecting caller writes it; until then identical requests read
-    it from memory.
+    until the collecting caller flushes it; until then identical requests
+    read it from memory.
     """
 
     def __init__(self, cache_dir: str | Path, backend: CompletionBackend, *, replay_only: bool = False):

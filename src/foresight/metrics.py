@@ -212,8 +212,7 @@ def score(forecasts: Sequence[ForecastRecord], split: DatasetSplit) -> ScoreRepo
 
     brier_yes = brier(yes_pairs) if yes_pairs else None
     brier_no = brier(no_pairs) if no_pairs else None
-    # the weighted_brier of the two classes, without scoring them again
-    weighted = (brier_yes + brier_no) / 2.0 if yes_pairs and no_pairs else None
+    weighted = weighted_brier(yes_pairs, no_pairs) if yes_pairs and no_pairs else None
     per_category = {
         cat: (len(cat_pairs), brier(cat_pairs)) for cat, cat_pairs in by_category.items()
     }

@@ -489,12 +489,37 @@ def test_writer_writes_each_trace_after_the_entries_its_chain_read(tmp_path, mon
     entries = cache_entries(cache)
     [extraction] = [name for name in entries if entry_kind(cache, name) == "extraction"]
     assert len(entries) == len(VAL_EVENTS) + 1
-    assert sorted(written) == sorted(entries)  # each entry once, though two chains held a writer for it
+    assert sorted(written) == sorted(entries)  # each entry once, though two chains noted it
     assert sorted(name for name, _ in present) == [f"{event.id}.json" for event in VAL_EVENTS]
     for name, on_disk in present:
         [event] = [event for event in VAL_EVENTS if f"{event.id}.json" == name]
         prediction = {entry for entry in entries if event.condition in entry_prompt(cache, entry)}
         assert len(prediction) == 1 and prediction | {extraction} <= on_disk, name
+
+
+@pytest.mark.parametrize("strategy", ["basic", "sequences", "crowd"])
+def test_writer_probes_and_writes_each_entry_once(tmp_path, monkeypatch, capsys, strategy):
+    # chains that read one pending entry many times, and entries that many chains read
+    cache = tmp_path / "cache"
+    probed, written = [], []
+    real_exists, real_write = os.path.exists, llm.write_text_atomic
+
+    def probe(path):
+        probed.append(os.fspath(path))
+        return real_exists(path)
+
+    def count_and_write(path, text):
+        written.append(os.fspath(path))
+        real_write(path, text)
+
+    script_backend(monkeypatch, lambda k: None, waits_on_network=True)
+    monkeypatch.setattr(os.path, "exists", probe)
+    monkeypatch.setattr(llm, "write_text_atomic", count_and_write)
+    argv = RUN_BASE + ["--strategy", strategy, "--cache", str(cache), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0, capsys.readouterr().err
+    entries = sorted(str(cache / name) for name in cache_entries(cache))
+    assert sorted(path for path in probed if path.startswith(str(cache)) and path.endswith(".json")) == entries
+    assert sorted(written) == entries
 
 
 def test_writer_leaves_no_trace_whose_read_entry_was_not_written(tmp_path, monkeypatch, capsys):

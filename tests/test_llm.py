@@ -3,6 +3,7 @@ wrappers, and rate limiting."""
 
 import base64
 import contextvars
+import errno
 import json
 import os
 import random
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foresight import cli
+from foresight import cli, llm
 from foresight.events import MalformedRecord
 from foresight.llm import (
     FINAL_SAMPLE_COUNT,
@@ -666,17 +667,22 @@ def test_cached_backend_thread_safe_counters(tmp_path, make_cache):
     assert cache.store.misses == 1
 
 
+def record(store, key, value):
+    """``value`` recorded in ``store`` as the entry of ``key``, payload ``{"value": value}``."""
+    return store.get_or_compute(key, lambda: value, decode=lambda entry: entry["value"],
+                                encode=lambda value: {"value": value})
+
+
 def test_store_layout_and_entry_format(tmp_path):
     store = ContentStore(tmp_path / "root")
-    digest = "ab" + "0" * 62
-    assert store.load(digest, dict) is None
-    store.save(digest, {"payload": ["é"]})
-    path = tmp_path / "root" / "ab" / f"{digest}.json"
+    digest = key_digest("k")
+    assert record(store, "k", ["é"]) == ["é"]
+    path = tmp_path / "root" / digest[:2] / f"{digest}.json"
     assert store.path(digest) == str(path)
     assert list(path.parent.iterdir()) == [path]  # no temp file left behind
     text = path.read_text(encoding="utf-8")
-    assert text.startswith(f'{{"digest": "{digest}", "payload": ["é"], "timestamp": "')
-    assert store.load(digest, lambda entry: entry["payload"]) == ["é"]
+    assert text.startswith(f'{{"digest": "{digest}", "key": "k", "value": ["é"], "timestamp": "')
+    assert store.load(digest, lambda entry: entry["value"]) == ["é"]
     assert (store.hits, store.misses) == (1, 1)
 
 
@@ -846,36 +852,93 @@ def test_store_single_flights_concurrent_misses(tmp_path):
 def test_store_keeps_collected_entries_pending_until_written(tmp_path):
     inner = Counting(SlowMock([MockRule("any", None, "r")], delay=0.05))
     cache = CachedBackend(tmp_path, inner)
-    with collecting_entries() as writers:
-        # fan-out tasks collect into the caller's list; the repeat single-flights,
-        # and reads the pending entry, so it gets a writer for it too
+    with collecting_entries() as entries:
+        # fan-out tasks note into the caller's dict; the repeat single-flights
+        # and reads the pending entry, which is noted once
         fan_out(lambda prompt: cache.complete(CompletionRequest(prompt)), ["a", "b", "a"])
-    assert (inner.calls, len(writers), cache.store.misses, cache.store.hits) == (2, 3, 2, 1)
+        cache.complete(CompletionRequest("c"))
+        cache.complete(CompletionRequest("b"))
+    digests = [key_digest({"backend_id": "mock", **vars(CompletionRequest(prompt))}) for prompt in "abc"]
+    # in the order of first use: "a" and "b" were noted before "c", in either order
+    assert sorted(entries) == [(cache.store, digest) for digest in sorted(digests)]
+    assert list(entries)[2] == (cache.store, digests[2])
+    assert (inner.calls, cache.store.misses, cache.store.hits) == (3, 3, 2)
     assert list(tmp_path.rglob("*.json")) == []
     # a pending entry answers an identical request from memory, as a hit
     assert cache.complete(CompletionRequest("a")).cached
-    assert (inner.calls, cache.store.hits) == (2, 2)
-    for write in writers:
-        write()
-    assert len(list(tmp_path.rglob("*.json"))) == 2
-    replay = CachedBackend(tmp_path, NullBackend("mock"), replay_only=True)
-    assert [replay.complete(CompletionRequest(prompt)).texts for prompt in "ab"] == [("r",), ("r",)]
-    # outside the block an entry is written where it is computed
-    cache.complete(CompletionRequest("c"))
+    assert (inner.calls, cache.store.hits) == (3, 3)
+    for store, digest in entries:
+        store.flush(digest)
     assert len(list(tmp_path.rglob("*.json"))) == 3
+    replay = CachedBackend(tmp_path, NullBackend("mock"), replay_only=True)
+    assert [replay.complete(CompletionRequest(prompt)).texts for prompt in "abc"] == [("r",)] * 3
+    # outside the block an entry is flushed where it is computed
+    cache.complete(CompletionRequest("d"))
+    assert len(list(tmp_path.rglob("*.json"))) == 4
+
+
+def test_store_keeps_an_entry_whose_flush_failed_pending(tmp_path, monkeypatch):
+    inner = Counting(MockBackend([MockRule("any", None, "r")]))
+    cache = CachedBackend(tmp_path, inner)
+    with collecting_entries() as entries:
+        cache.complete(CompletionRequest("a"))
+    [(store, digest)] = entries
+
+    def full(source, target):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", full)
+        with pytest.raises(OSError) as info:
+            store.flush(digest)
+    assert info.value.errno == errno.ENOSPC
+    assert list(tmp_path.rglob("*")) == [tmp_path / digest[:2]]  # no entry, no temp file
+    # still pending: read from memory, with no second inner call, and noted again
+    with collecting_entries() as again:
+        assert cache.complete(CompletionRequest("a")).cached
+    assert list(again) == [(store, digest)]
+    assert (inner.calls, store.hits, store.misses) == (1, 1, 1)
+    store.flush(digest)
+    assert [path.name for path in tmp_path.rglob("*.json")] == [f"{digest}.json"]
+    replay = CachedBackend(tmp_path, NullBackend("mock"), replay_only=True)
+    assert replay.complete(CompletionRequest("a")).texts == ("r",)
+
+
+def test_store_flushes_each_entry_once(tmp_path, monkeypatch):
+    store = ContentStore(tmp_path)
+    keys = list(range(8, 0, -1))
+    with collecting_entries() as entries:
+        for key in keys:
+            record(store, key, key)
+            record(store, keys[0], "read again")  # a pending hit, noted once
+    # in the order of first use, whatever the hash seed
+    assert list(entries) == [(store, key_digest(key)) for key in keys]
+    probed, written = [], []
+    real_exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda path: (probed.append(path), real_exists(path))[1])
+    monkeypatch.setattr(llm, "write_text_atomic", lambda path, text: written.append(path))
+    for _ in range(2):  # a second event that noted the same entries finds nothing left to do
+        for _, digest in entries:
+            store.flush(digest)
+    assert probed == written == [store.path(key_digest(key)) for key in keys]
 
 
 def test_store_creates_a_shard_directory_once(tmp_path, monkeypatch):
+    # keys whose digests share the shard of key 0, and one of another shard
+    shard = key_digest(0)[:2]
+    same = [key for key in range(4096) if key_digest(key)[:2] == shard][:4]
+    other = next(key for key in range(4096) if key_digest(key)[:2] != shard)
     store = ContentStore(tmp_path)
-    store.save("ab" + "0" * 62, {"value": 1})
+    record(store, same[0], 0)
     made = []
     original = os.mkdir
     monkeypatch.setattr(os, "mkdir", lambda *args, **kwargs: (made.append(args), original(*args, **kwargs)))
-    for index in range(1, 4):
-        store.save(f"ab{index:062d}", {"value": index})
+    for key in same[1:]:
+        record(store, key, key)
     assert made == []
-    assert sorted(path.name for path in (tmp_path / "ab").iterdir()) == [f"ab{i:062d}.json" for i in range(4)]
-    store.save("cd" + "0" * 62, {"value": 0})
+    assert sorted(path.name for path in (tmp_path / shard).iterdir()) == sorted(
+        f"{key_digest(key)}.json" for key in same)
+    record(store, other, 0)
     assert len(made) == 1
 
 
